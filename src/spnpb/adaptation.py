@@ -58,12 +58,11 @@ class AdaptBuffer:
     must start from.
     """
 
-    def __init__(self, n_thre=10, n_max=50, epochs_per_update=1):
+    def __init__(self, n_thre=10, n_max=50):
         if not (1 <= n_thre <= n_max):
             raise ValueError("need 1 <= n_thre <= n_max")
         self.n_thre = n_thre
         self.n_max = n_max
-        self.epochs_per_update = epochs_per_update
         self._entries = deque()
 
     def __len__(self):
@@ -112,20 +111,21 @@ def adapt_step(params, buffer, live):
 
     Replays the entire buffer teacher-forced from the stored snapshot,
     takes the gradient with respect to p only, and applies one momentum
-    step per configured epoch.  Returns the updated LivePB.
+    step.  A non-finite gradient raises NonFiniteGradientError before the
+    step, leaving p and its momentum untouched.  Returns the updated
+    LivePB.
     """
     if not buffer.update_ready():
         raise NotReadyError(
             f"buffer holds {len(buffer)} samples, threshold is {buffer.n_thre}")
     states_n = params.stats.normalize_state(buffer.states())
     commands_n = params.stats.normalize_command(buffer.commands())
-    for _ in range(buffer.epochs_per_update):
-        tape = Tape()
-        p_var = Var(live.p)
-        total = sequence_nll_node(params, p_var, states_n, commands_n, tape,
-                                  init_state=buffer.snapshot)
-        mean_nll = scale(tape, total, 1.0 / (len(buffer) - 1))
-        grads = backward(tape, 1.0, output=mean_nll)
-        grad = clip_grad_norm([grads[p_var]], GRAD_CLIP)
-        momentum_update([live.p], grad, live.momentum)
+    tape = Tape()
+    p_var = Var(live.p)
+    total = sequence_nll_node(params, p_var, states_n, commands_n, tape,
+                              init_state=buffer.snapshot)
+    mean_nll = scale(tape, total, 1.0 / (len(buffer) - 1))
+    grads = backward(tape, 1.0, output=mean_nll)
+    grad = clip_grad_norm([grads[p_var]], GRAD_CLIP)
+    momentum_update([live.p], grad, live.momentum)
     return live

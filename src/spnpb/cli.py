@@ -4,7 +4,8 @@ Subcommands: collect, train, analyze-pb, adapt, control, evaluate.  Every
 flag can also be supplied through `--config <file>` holding flat
 `key = value` lines (keys are the flag names without the leading dashes);
 explicit flags win over the file.  Exit codes: 0 success, 2 validation
-failure, 3 training divergence, 4 evaluation check failure.
+failure, 3 divergence (a non-finite training loss, or a non-finite
+training or adaptation gradient), 4 evaluation check failure.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .dataset import load_trials, save_trials
 from .evaluate import run_standard_checks
 from .experiments import run_adaptation_episode, run_control_batch, run_control_episode
 from .model import ModelConfig, load_model, save_model
+from .optim import NonFiniteGradientError
 from .simulator import SimConfig, collect_trials
 from .training import TrainConfig, TrainingDivergedError, train
 
@@ -49,7 +51,8 @@ def _apply_config_file(args, argv):
     if not getattr(args, "config", None):
         return args
     values = _read_config_file(args.config)
-    explicit = {a.lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+    explicit = {a.lstrip("-").split("=", 1)[0].replace("-", "_")
+                for a in argv if a.startswith("--")}
     for key, raw in values.items():
         if not hasattr(args, key):
             raise ValueError(f"unknown config key {key!r}")
@@ -274,7 +277,7 @@ def main(argv=None):
     try:
         args = _apply_config_file(args, argv)
         return handlers[args.command](args)
-    except TrainingDivergedError as err:
+    except (TrainingDivergedError, NonFiniteGradientError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError) as err:

@@ -7,6 +7,12 @@ gradient of the loss per round, a log-spaced ladder of step sizes tried
 as candidates, best candidate kept.  The previous iterate always competes
 too, so the returned loss can never exceed the warm-start loss.
 
+Candidates are scored without a tape: the warm start, and then all
+n_batch step sizes of each round together, go through one batched
+rollout_batch call.  Only the gradients use the taped per-vector rollout
+and backward, one per round, so a default tick (3 rounds of 10 step
+sizes) runs 4 batched scoring rollouts and 3 taped gradient rollouts.
+
 The loss is
     ||s_ref - s_pred||_2  +  c_variance * V  +  c_orig * ||u_orig - u||_2
 over the flattened horizon, where V is either the plain norm of the
@@ -16,7 +22,7 @@ elementwise by |s_pred| + eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +40,7 @@ from .autodiff import (
     scale,
     shift,
 )
-from .model import RecurrentState, forward, rollout
+from .model import RecurrentState, forward, rollout, rollout_batch
 
 VARIANCE_MODES = ("absolute", "per_state")
 
@@ -98,17 +104,25 @@ def gamma_schedule(gamma_max, n_batch):
 
 
 def control_loss(means, variances, u_seq, s_ref_seq, u_orig_seq, config):
-    """Loss of a rolled-out plan; all arguments in normalized units."""
-    d = (np.asarray(s_ref_seq) - np.asarray(means)).ravel()
-    loss = float(np.sqrt(np.sum(d * d)))
+    """Loss of a rolled-out plan; all arguments in normalized units.
+
+    means, variances, and u_seq may carry a leading candidate axis
+    (K, n_seq, n); the loss of each candidate is then returned as a (K,)
+    array.  s_ref_seq and u_orig_seq are shared by all candidates.
+    """
+    means = np.asarray(means)
+
+    def norm(x):
+        return np.sqrt(np.sum(x * x, axis=(-2, -1)))
+
+    loss = norm(np.asarray(s_ref_seq) - means)
     if config.c_variance != 0.0:
-        v = np.asarray(variances).ravel()
+        v = np.asarray(variances)
         if config.variance_mode == "per_state":
-            v = v / (np.abs(np.asarray(means)).ravel() + config.per_state_eps)
-        loss += config.c_variance * float(np.sqrt(np.sum(v * v)))
+            v = v / (np.abs(means) + config.per_state_eps)
+        loss = loss + config.c_variance * norm(v)
     if config.c_orig != 0.0:
-        du = (np.asarray(u_orig_seq) - np.asarray(u_seq)).ravel()
-        loss += config.c_orig * float(np.sqrt(np.sum(du * du)))
+        loss = loss + config.c_orig * norm(np.asarray(u_orig_seq) - np.asarray(u_seq))
     return loss
 
 
@@ -132,42 +146,49 @@ def _control_loss_node(tape, preds, u_vars, s_ref_seq, u_orig_seq, config):
 def line_search_minimize(value_fn, grad_fn, u0, gammas, n_epoch, clamp=None):
     """Batched line search: one gradient per round, all step sizes tried.
 
-    value_fn(u) returns (loss, aux); grad_fn(u) the gradient array.  Each
+    value_fn(u_stack) scores a (K, ...) stack of candidates at once and
+    returns (losses, aux): K losses, and aux indexable by candidate (or
+    None).  grad_fn(u) returns the gradient array at one point.  Each
     round keeps the best of {incumbent} + {clamp(u - gamma * grad)}, so
-    the returned loss never exceeds the starting loss.  Ties keep the
-    smallest step size (candidates are visited in ascending gamma order).
+    the returned loss never exceeds the starting loss.  Non-finite
+    candidate losses are skipped, and ties keep the earliest candidate,
+    which is the smallest step size on an ascending ladder.
     Returns (u, loss, aux, starting_loss).
     """
     u_cur = np.asarray(u0, dtype=np.float64)
     if clamp is not None:
         u_cur = clamp(u_cur)
-    loss_cur, aux = value_fn(u_cur)
+    losses, aux = value_fn(u_cur[None])
+    loss_cur = float(losses[0])
     if not np.isfinite(loss_cur):
         raise ControllerError(f"starting loss is not finite ({loss_cur})")
+    aux_cur = None if aux is None else aux[0]
     initial_loss = loss_cur
+    steps = np.asarray(gammas, dtype=np.float64).reshape((-1,) + (1,) * u_cur.ndim)
     for _ in range(n_epoch):
         grad = grad_fn(u_cur)
-        best_loss, best = loss_cur, None
-        for gamma in gammas:
-            cand = u_cur - gamma * grad
-            if clamp is not None:
-                cand = clamp(cand)
-            loss, cand_aux = value_fn(cand)
-            if np.isfinite(loss) and loss < best_loss:
-                best_loss, best = loss, (cand, cand_aux)
-        if best is not None:
-            loss_cur = best_loss
-            u_cur, aux = best
-    return u_cur, loss_cur, aux, initial_loss
+        cands = u_cur - steps * grad
+        if clamp is not None:
+            cands = clamp(cands)
+        losses, aux = value_fn(cands)
+        losses = np.asarray(losses, dtype=np.float64)
+        losses = np.where(np.isfinite(losses), losses, np.inf)
+        best = int(np.argmin(losses))  # first minimum: the smallest step wins ties
+        if losses[best] < loss_cur:
+            loss_cur = float(losses[best])
+            u_cur = cands[best]
+            aux_cur = None if aux is None else aux[best]
+    return u_cur, loss_cur, aux_cur, initial_loss
 
 
 def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config):
     """Improve the warm-started plan; never returns a loss above the start.
 
     Each round computes one gradient of the loss with respect to the whole
-    command sequence, then evaluates n_batch step sizes from the gamma
-    ladder (candidates clamped to the command bounds) with fresh rollouts.
-    The incumbent plan competes implicitly; ties keep the smallest step.
+    command sequence on a taped rollout, then scores n_batch step sizes
+    from the gamma ladder (candidates clamped to the command bounds) in
+    one tape-free batched rollout.  The incumbent plan competes
+    implicitly; ties keep the smallest step.
     """
     s_ref_seq = np.asarray(s_ref_seq, dtype=np.float64)
     u_orig_seq = np.asarray(u_orig_seq, dtype=np.float64)
@@ -179,13 +200,10 @@ def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config):
     lo = (config.command_low - params.stats.mean_u) / params.stats.std_u
     hi = (config.command_high - params.stats.mean_u) / params.stats.std_u
 
-    def value_fn(u_seq):
-        tape = Tape()
-        preds = rollout(params, state, s_t, list(u_seq), p, tape)
-        means = np.array([pr.mean for pr in preds])
-        variances = np.array([pr.variance for pr in preds])
-        loss = control_loss(means, variances, u_seq, s_ref_seq, u_orig_seq, config)
-        return loss, (means, variances)
+    def value_fn(u_stack):
+        means, variances = rollout_batch(params, state, s_t, u_stack, p)
+        losses = control_loss(means, variances, u_stack, s_ref_seq, u_orig_seq, config)
+        return losses, list(zip(means, variances))
 
     def grad_fn(u_seq):
         tape = Tape()

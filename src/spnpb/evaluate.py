@@ -115,7 +115,7 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
                 worst = max(worst, rel_err(analytic[i], (hi - lo) / 2e-5))
 
     from .control import control_loss, _control_loss_node
-    from .model import rollout
+    from .model import rollout, rollout_batch
     for inst in range(n_instances):
         params = _random_params(rng)
         cfg = ControlConfig(
@@ -129,11 +129,9 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
         u_seq = rng.normal(size=(4, 2))
 
         def loss_value():
-            tape = Tape()
-            preds = rollout(params, state, s_t, list(u_seq), p, tape)
-            means = np.array([pr.mean for pr in preds])
-            variances = np.array([pr.variance for pr in preds])
-            return control_loss(means, variances, u_seq, s_ref, u_orig, cfg)
+            # the tape-free path the line search scores candidates with
+            means, variances = rollout_batch(params, state, s_t, u_seq[None], p)
+            return float(control_loss(means, variances, u_seq[None], s_ref, u_orig, cfg)[0])
 
         tape = Tape()
         u_vars = [Var(u_seq[i]) for i in range(4)]
@@ -325,8 +323,8 @@ def check_line_search(params, seed=0):
     a_diag = rng.uniform(0.5, 1.5, size=6)
     floor = 2.0
 
-    def value_fn(u):
-        return floor + float(np.sum(a_diag * (u - target) ** 2)), None
+    def value_fn(u_stack):
+        return floor + np.sum(a_diag * (u_stack - target) ** 2, axis=1), None
 
     def grad_fn(u):
         return 2.0 * a_diag * (u - target)

@@ -160,31 +160,40 @@ def lstm_step(cell, x, tape):
     return h
 
 
-def lstm_apply_batch(cell, x, h_prev, c_prev, tape):
-    """lstm_apply over a whole batch: x (B, n_in), h_prev/c_prev (B, H)."""
+def lstm_gates_batch(cell, xv, hv, cv):
+    """One LSTM step over a batch of plain arrays, no tape.
+
+    xv (B, n_in), hv/cv (B, H).  Returns (h, c, gates) where gates is the
+    (i, f, o, g, tanh(c)) tuple the backward pass needs.
+    """
     H = cell.hidden
-    xv, hv, cv = x.value, h_prev.value, c_prev.value
     if xv.ndim != 2 or xv.shape[1] != cell.n_in:
         raise ShapeError(f"lstm batch input has shape {xv.shape}, cell expects (B, {cell.n_in})")
     if hv.shape != (xv.shape[0], H) or cv.shape != (xv.shape[0], H):
         raise ShapeError("lstm batch state must be (B, hidden)")
-
-    wx, wh, bv = cell.Wx.value, cell.Wh.value, cell.b.value
-    z = xv @ wx.T + hv @ wh.T + bv
+    z = xv @ cell.Wx.value.T + hv @ cell.Wh.value.T + cell.b.value
     i = _sigmoid(z[:, :H])
     f = _sigmoid(z[:, H:2 * H])
     o = _sigmoid(z[:, 2 * H:3 * H])
     g = np.tanh(z[:, 3 * H:])
     c_new = f * cv + i * g
     tc = np.tanh(c_new)
-    h_new = o * tc
+    return o * tc, c_new, (i, f, o, g, tc)
+
+
+def lstm_apply_batch(cell, x, h_prev, c_prev, tape):
+    """lstm_apply over a whole batch: x (B, n_in), h_prev/c_prev (B, H)."""
+    H = cell.hidden
+    xv, hv, cv = x.value, h_prev.value, c_prev.value
+    h_new, c_new, (i, f, o, g, tc) = lstm_gates_batch(cell, xv, hv, cv)
+    wx, wh = cell.Wx.value, cell.Wh.value
 
     h_out = Var(h_new)
     c_out = Var(c_new)
 
     def vjp(gh, gc):
         dc = gc + gh * o * (1.0 - tc * tc)
-        dz = np.empty_like(z)
+        dz = np.empty((xv.shape[0], 4 * H))
         dz[:, :H] = dc * g * i * (1.0 - i)
         dz[:, H:2 * H] = dc * cv * f * (1.0 - f)
         dz[:, 2 * H:3 * H] = gh * tc * o * (1.0 - o)

@@ -32,7 +32,7 @@ from .autodiff import (
     slice_,
     tanh_,
 )
-from .layers import DenseLayer, LstmCell, lstm_apply
+from .layers import DenseLayer, LstmCell, lstm_apply, lstm_gates_batch
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -302,6 +302,48 @@ def rollout(params, state, s_t, u_seq, p, tape):
         ))
         s_node = mean
     return preds
+
+
+def rollout_batch(params, state, s_t, u_batch, p):
+    """Closed-loop rollouts of K command sequences from one shared state.
+
+    The tape-free counterpart of rollout for scoring many candidate plans
+    at once: u_batch is (K, n_seq, n_u), every sequence starts from the
+    same recurrent state, s_t, and bias p, and plain numpy carries the K
+    rows through the network together.  Returns (means, variances), each
+    (K, n_seq, n_s), equal to K separate rollouts up to rounding.
+    """
+    u_batch = np.asarray(u_batch, dtype=np.float64)
+    cfg = params.config
+    if u_batch.ndim != 3 or u_batch.shape[1] < 1 or u_batch.shape[2] != cfg.n_u:
+        raise ShapeError(f"command batch must have shape (K, n_seq, {cfg.n_u}), "
+                         f"got {u_batch.shape}")
+    _check_step_inputs(params, state, s_t, u_batch[0, 0], p)
+    K, n_seq, _ = u_batch.shape
+    n_s = cfg.n_s
+
+    def rows(v):
+        return np.tile(np.asarray(v, dtype=np.float64), (K, 1))
+
+    h1, c1, h2, c2 = (rows(v) for v in (state.h1, state.c1, state.h2, state.c2))
+    s, p_rows = rows(s_t), rows(p)
+    means = np.empty((K, n_seq, n_s))
+    logvars = np.empty((K, n_seq, n_s))
+    for t in range(n_seq):
+        x = np.concatenate((u_batch[:, t], s, p_rows), axis=1)
+        for layer in params.dense_in:
+            x = np.tanh(x @ layer.W.value.T + layer.b.value)
+        h1, c1, _ = lstm_gates_batch(params.lstm1, x, h1, c1)
+        h2, c2, _ = lstm_gates_batch(params.lstm2, h1, h2, c2)
+        x = h2
+        for layer in params.dense_out[:-1]:
+            x = np.tanh(x @ layer.W.value.T + layer.b.value)
+        last = params.dense_out[-1]
+        out = x @ last.W.value.T + last.b.value
+        means[:, t] = out[:, :n_s]
+        s = means[:, t]
+        logvars[:, t] = np.clip(out[:, n_s:], LOGVAR_MIN, LOGVAR_MAX)
+    return means, np.exp(logvars)
 
 
 # ---------------------------------------------------------------------------

@@ -79,11 +79,21 @@ def momentum_update(params, grads, state):
     return params
 
 
+class NonFiniteGradientError(FloatingPointError):
+    """A gradient holds NaN or infinity, so no update may use it."""
+
+
 def clip_grad_norm(grads, max_norm):
-    """Scale the list of grads so their global L2 norm is at most max_norm."""
+    """Scale the list of grads so their global L2 norm is at most max_norm.
+
+    Raises NonFiniteGradientError when the norm is NaN or infinite, which
+    no rescaling could repair.
+    """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    if not np.isfinite(total):
+        raise NonFiniteGradientError(f"gradient norm is not finite ({total})")
     if total > max_norm:
         factor = max_norm / total
         grads = [g * factor for g in grads]

@@ -43,17 +43,17 @@ from .model import (
     _step_nodes,
     _wrap_state,
 )
-from .optim import AdamState, adam_update, clip_grad_norm
+from .optim import AdamState, NonFiniteGradientError, adam_update, clip_grad_norm
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or its gradient stops being finite."""
 
     def __init__(self, epoch, trial_id=None):
         self.epoch = epoch
         self.trial_id = trial_id
         where = f" on trial {trial_id}" if trial_id is not None else ""
-        super().__init__(f"training loss became non-finite at epoch {epoch}{where}")
+        super().__init__(f"training loss or gradient became non-finite at epoch {epoch}{where}")
 
 
 @dataclass
@@ -239,10 +239,14 @@ def train(trials, config, model_config=None, on_epoch=None):
         if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch)
         grads = backward(tape, 1.0)
-        w_grads = clip_grad_norm([grads[v] for v in weight_vars], config.grad_clip)
+        try:
+            w_grads = clip_grad_norm([grads[v] for v in weight_vars], config.grad_clip)
+            p_grads = {k: clip_grad_norm([grads[p_var]], config.grad_clip)
+                       for k, p_var in p_vars.items()}
+        except NonFiniteGradientError as err:
+            raise TrainingDivergedError(epoch) from err
         adam_update(weight_arrays, w_grads, adam_w)
-        for k, p_var in p_vars.items():
-            p_grad = clip_grad_norm([grads[p_var]], config.grad_clip)
+        for k, p_grad in p_grads.items():
             adam_update([params.pb_table[k]], p_grad, adam_p[k])
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss)

@@ -5,6 +5,7 @@ import pytest
 
 from spnpb.adaptation import GRAD_CLIP, AdaptBuffer, LivePB, NotReadyError, adapt_step, buffer_nll
 from spnpb.dataset import TimedSample
+from spnpb.optim import NonFiniteGradientError
 from spnpb.model import ModelConfig, ModelParams, NormStats, RecurrentState
 
 
@@ -178,3 +179,18 @@ def test_adapt_step_size_is_clip_bounded():
     step = np.linalg.norm(live.p - before)
     assert step > 0
     assert step <= live.momentum.lr * GRAD_CLIP + 1e-12
+
+
+def test_non_finite_gradient_leaves_the_live_bias_untouched():
+    params = make_params(seed=8)
+    buf = AdaptBuffer(n_thre=4, n_max=10)
+    fill(buf, 9)
+    live = LivePB.zeros(params.config.n_p)
+    adapt_step(params, buf, live)
+    p_before = live.p.copy()
+    velocity_before = [v.copy() for v in live.momentum.velocity]
+    params.dense_in[0].W.value[0, 0] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteGradientError):
+        adapt_step(params, buf, live)
+    np.testing.assert_array_equal(live.p, p_before)
+    np.testing.assert_array_equal(live.momentum.velocity[0], velocity_before[0])

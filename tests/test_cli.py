@@ -9,7 +9,7 @@ import pytest
 from spnpb.cli import main
 from spnpb.csvio import read_csv
 from spnpb.dataset import load_trials
-from spnpb.model import load_model
+from spnpb.model import load_model, save_model
 
 
 def run(argv):
@@ -66,6 +66,17 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert len(trials[0]) == 40  # explicit flag beats the file
 
 
+def test_explicit_flag_with_equals_beats_the_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 25\n")
+    data = tmp_path / "a.csv"
+    assert run(["collect", "--config", str(cfg), "--out", str(data),
+                "--alphas", "0.5", "--betas", "0.2", "--trials-per-config", "1",
+                "--steps=40"]) == 0
+    trials = load_trials(data)
+    assert len(trials[0]) == 40
+
+
 def test_unknown_config_key_is_a_validation_failure(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not-a-flag = 7\n")
@@ -94,6 +105,22 @@ def test_training_divergence_exits_3(tmp_path):
                     "--out", str(tmp_path / "m.json"),
                     "--epochs", "3", "--lr-weights", "1e160",
                     "--log-every", "0"])
+    assert code == 3
+
+
+def test_non_finite_adaptation_gradient_exits_3(tmp_path):
+    data = tmp_path / "d.csv"
+    model = tmp_path / "m.json"
+    run(["collect", "--out", str(data), "--alphas", "0.5", "--betas", "0.2",
+         "--trials-per-config", "1", "--steps", "12"])
+    run(["train", "--data", str(data), "--out", str(model), "--epochs", "1",
+         "--log-every", "0"])
+    params = load_model(model)
+    params.dense_in[0].W.value[0, 0] = np.nan
+    save_model(params, model)
+    with np.errstate(all="ignore"):
+        code = run(["adapt", "--model", str(model), "--alpha", "0.5",
+                    "--beta", "0.2", "--ticks", "14"])
     assert code == 3
 
 

@@ -126,7 +126,7 @@ def test_line_search_quadratic_oracle():
     floor = 2.0
 
     def value_fn(u):
-        return floor + float(np.sum(a * u * u)), None
+        return floor + np.sum(a * u * u, axis=1), None
 
     def grad_fn(u):
         return 2.0 * a * u
@@ -135,14 +135,14 @@ def test_line_search_quadratic_oracle():
     u, loss, _aux, loss0 = line_search_minimize(
         value_fn, grad_fn, u0, gamma_schedule(3.0, 10), n_epoch=3
     )
-    assert loss0 == value_fn(u0)[0]
+    assert loss0 == value_fn(u0[None])[0][0]
     assert loss <= loss0
     assert loss <= 1.05 * floor, f"reached {loss}, floor {floor}"
 
 
 def test_line_search_zero_gradient_is_stationary():
     def value_fn(u):
-        return 5.0, "aux"
+        return np.full(len(u), 5.0), ["aux"] * len(u)
 
     def grad_fn(u):
         return np.zeros_like(u)
@@ -163,7 +163,7 @@ def test_line_search_never_worsens_on_random_instances():
         scales = rng.uniform(0.2, 3.0, size=4)
 
         def value_fn(u):
-            return float(np.sum(scales * np.abs(u - center) ** 1.5)), None
+            return np.sum(scales * np.abs(u - center) ** 1.5, axis=1), None
 
         def grad_fn(u):
             d = u - center
@@ -178,7 +178,7 @@ def test_line_search_never_worsens_on_random_instances():
 
 def test_line_search_rejects_non_finite_start():
     def value_fn(u):
-        return float("nan"), None
+        return np.full(len(u), np.nan), None
 
     with pytest.raises(ControllerError):
         line_search_minimize(
@@ -190,7 +190,7 @@ def test_line_search_rejects_non_finite_start():
 def test_line_search_clamps_candidates():
     # unconstrained minimum at 10, box at 1: must stop on the box edge
     def value_fn(u):
-        return float(np.sum((u - 10.0) ** 2)), None
+        return np.sum((u - 10.0) ** 2, axis=1), None
 
     def grad_fn(u):
         return 2.0 * (u - 10.0)
@@ -200,6 +200,47 @@ def test_line_search_clamps_candidates():
         clamp=lambda v: np.clip(v, -1.0, 1.0),
     )
     np.testing.assert_array_equal(u, np.ones(2))
+
+
+def test_line_search_tie_keeps_the_smaller_step():
+    # from u=0 with gradient -1 candidate k sits exactly at gammas[k];
+    # candidates 3 and 6 share the lowest loss
+    gammas = gamma_schedule(3.0, 10)
+
+    def value_fn(u):
+        x = u[:, 0]
+        return np.where(x == 0.0, 2.0,
+                        np.where(np.isin(x, gammas[[3, 6]]), 0.5, 1.0)), None
+
+    u, loss, _aux, loss0 = line_search_minimize(
+        value_fn, lambda u: -np.ones_like(u), np.zeros(1), gammas, n_epoch=1)
+    assert loss0 == 2.0 and loss == 0.5
+    np.testing.assert_array_equal(u, [gammas[3]])
+
+
+def test_line_search_skips_nan_candidates():
+    # a NaN ahead of the best finite candidate must not be picked
+    gammas = gamma_schedule(3.0, 10)
+
+    def value_fn(u):
+        x = u[:, 0]
+        loss = np.where(x == 0.0, 2.0, 1.0)
+        loss[np.isin(x, gammas[[1, 2]])] = np.nan
+        loss[x == gammas[5]] = 0.25
+        return loss, None
+
+    u, loss, _aux, _loss0 = line_search_minimize(
+        value_fn, lambda u: -np.ones_like(u), np.zeros(1), gammas, n_epoch=1)
+    assert loss == 0.25
+    np.testing.assert_array_equal(u, [gammas[5]])
+
+    def all_nan(u):
+        return np.where(u[:, 0] == 0.0, 2.0, np.nan), None
+
+    u, loss, _aux, _loss0 = line_search_minimize(
+        all_nan, lambda u: -np.ones_like(u), np.zeros(1), gammas, n_epoch=2)
+    assert loss == 2.0
+    np.testing.assert_array_equal(u, [0.0])
 
 
 def test_optimize_never_worsens_the_warm_start():
@@ -215,6 +256,22 @@ def test_optimize_never_worsens_the_warm_start():
         plan = optimize(params, np.zeros(2), state, s_t, s_ref, u_orig, prev, cfg)
         assert plan.loss <= plan.initial_loss + 1e-12
         prev = plan
+
+
+@pytest.mark.parametrize("mode", ["absolute", "per_state"])
+def test_optimize_never_worsens_on_random_instances(mode):
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        params = ModelParams.init(ModelConfig(n_s=2, n_u=2), unit_stats(), rng)
+        cfg = ControlConfig(n_seq=5, c_variance=rng.uniform(0.0, 30.0),
+                            c_orig=rng.uniform(0.0, 1.0), variance_mode=mode)
+        h = rng.normal(scale=0.5, size=(4, 10))
+        state = RecurrentState(*h)
+        prev = ControlPlan(rng.normal(size=(5, 2)), 0.0, np.zeros((5, 2)), np.zeros((5, 2)))
+        plan = optimize(params, rng.normal(scale=0.5, size=2), state,
+                        rng.normal(size=2), rng.normal(size=(5, 2)),
+                        rng.normal(size=(5, 2)), prev, cfg)
+        assert plan.loss <= plan.initial_loss + 1e-12
 
 
 def test_optimize_rejects_bad_reference_shape():
@@ -238,7 +295,7 @@ def test_controller_step_is_deterministic_and_bounded():
         return np.array(cmds)
 
     c1, c2 = run(), run()
-    assert np.array_equal(c1, c2)
+    assert c1.tobytes() == c2.tobytes()
     assert np.all(c1 >= -3.0) and np.all(c1 <= 3.0)
 
 

@@ -10,6 +10,7 @@ from spnpb.model import (
     forward,
     load_model,
     rollout,
+    rollout_batch,
     save_model,
 )
 
@@ -132,6 +133,37 @@ def test_rollout_rejects_empty_command_sequence():
     params = make_params(seed=6)
     with pytest.raises(ValueError):
         rollout(params, RecurrentState.zeros(), np.zeros(2), [], np.zeros(2), Tape())
+
+
+@pytest.mark.parametrize("K", [1, 3, 10])
+def test_rollout_batch_matches_per_sequence_taped_rollout(K):
+    rng = np.random.default_rng(100 + K)
+    params = ModelParams.init(ModelConfig(n_s=2, n_u=2, n_p=2), unit_stats(), rng)
+    state = RecurrentState(*rng.normal(scale=0.5, size=(4, 10)))
+    s_t = rng.normal(size=2)
+    p = rng.normal(scale=0.5, size=2)
+    u_batch = rng.normal(size=(K, 6, 2))
+
+    means, variances = rollout_batch(params, state, s_t, u_batch, p)
+    assert means.shape == variances.shape == (K, 6, 2)
+    for k in range(K):
+        preds = rollout(params, state, s_t, list(u_batch[k]), p, Tape())
+        np.testing.assert_allclose(means[k], [pr.mean for pr in preds], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(variances[k], [pr.variance for pr in preds],
+                                   rtol=1e-12, atol=0)
+
+
+def test_rollout_batch_rejects_bad_shapes():
+    params = make_params(seed=6)
+    state = RecurrentState.zeros()
+    with pytest.raises(ShapeError):
+        rollout_batch(params, state, np.zeros(2), np.zeros((3, 2)), np.zeros(2))
+    with pytest.raises(ShapeError):
+        rollout_batch(params, state, np.zeros(2), np.zeros((3, 0, 2)), np.zeros(2))
+    with pytest.raises(ShapeError):
+        rollout_batch(params, state, np.zeros(3), np.zeros((3, 4, 2)), np.zeros(2))
+    with pytest.raises(ShapeError):
+        rollout_batch(params, state, np.zeros(2), np.zeros((3, 4, 2)), np.zeros(5))
 
 
 def test_rollout_gradient_wrt_commands_matches_finite_differences():

@@ -5,6 +5,7 @@ from spnpb.optim import (
     AdamState,
     MomentumState,
     adam_update,
+    NonFiniteGradientError,
     clip_grad_norm,
     momentum_update,
 )
@@ -105,3 +106,9 @@ def test_clip_grad_norm_rescales_only_above_threshold():
 def test_clip_grad_norm_rejects_nonpositive_threshold():
     with pytest.raises(ValueError):
         clip_grad_norm([np.ones(2)], 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clip_grad_norm_rejects_non_finite_gradients(bad):
+    with pytest.raises(NonFiniteGradientError):
+        clip_grad_norm([np.ones(2), np.array([1.0, bad])], 10.0)

@@ -220,6 +220,34 @@ def test_divergence_raises_with_epoch_number():
     assert "epoch" in str(err.value)
 
 
+def test_non_finite_gradient_stops_training_before_any_update(monkeypatch):
+    # the loss stays finite; only the gradient of epoch 1 is poisoned, and
+    # no Adam step of that epoch may run
+    import spnpb.training as training
+
+    calls = {"backward": 0, "adam": 0}
+    real_backward, real_adam = training.backward, training.adam_update
+
+    def poisoned_backward(tape, *args, **kwargs):
+        grads = real_backward(tape, *args, **kwargs)
+        calls["backward"] += 1
+        if calls["backward"] == 2:
+            grads = {v: np.full_like(g, np.nan) for v, g in grads.items()}
+        return grads
+
+    def counting_adam(*args, **kwargs):
+        calls["adam"] += 1
+        return real_adam(*args, **kwargs)
+
+    monkeypatch.setattr(training, "backward", poisoned_backward)
+    monkeypatch.setattr(training, "adam_update", counting_adam)
+    trials = [random_trial(13, trial_id=0), random_trial(14, trial_id=1)]
+    with pytest.raises(TrainingDivergedError) as err:
+        train(trials, TrainConfig(epochs=5, seed=0))
+    assert err.value.epoch == 1
+    assert calls["adam"] == 3  # epoch 0 only: the weights and two bias rows
+
+
 def test_train_keeps_labels_and_row_order():
     trials = [
         random_trial(20, trial_id=0, label="env-a"),
