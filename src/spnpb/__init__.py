@@ -10,7 +10,7 @@ from .adaptation import AdaptBuffer, LivePB, adapt_step
 from .autodiff import ShapeError, Tape, Var, backward
 from .control import ControlConfig, ControlPlan, Controller, gamma_schedule, optimize, warm_start
 from .dataset import TimedSample, Trial, load_trials, save_trials
-from .layers import DenseLayer, LstmCell, dense_forward, lstm_step
+from .layers import DenseLayer, LstmCell
 from .model import (
     GaussianPrediction,
     ModelConfig,

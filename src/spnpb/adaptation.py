@@ -6,7 +6,10 @@ each sample was consumed.  Once the buffer holds more than n_thre
 samples, every new tick triggers one momentum-SGD step on the live bias
 vector p: the whole buffer is replayed teacher-forced from the oldest
 snapshot under the current p, and only p receives the gradient.  The
-network weights are never touched.
+network weights are never touched.  The replay is the training NLL
+itself (training.batch_nll_node, through sequence_nll_node as a batch of
+one), so a tick records one tape entry per LSTM sequence rather than a
+chain of per-step records.
 
 The objective is the mean NLL per replayed step, not the sum: the buffer
 grows from n_thre to n_max during an episode, and a sum-based gradient

@@ -9,7 +9,7 @@ accumulates gradients into a map keyed by leaf Var.
 All arithmetic is float64.  The networks this drives are tiny (tens of
 units), so records operate on whole vectors and matrices rather than
 scalars; ops are fused only where the closed-form local gradient is
-standard (LSTM step, Gaussian log-likelihood, L2 norm).
+standard (LSTM step and sequence, Gaussian log-likelihood, L2 norm).
 
 Tapes hold references to the arrays captured at forward time, not copies.
 Run backward() before mutating parameter arrays in place.
@@ -422,47 +422,6 @@ def tile_rows(tape, x, reps):
         return (g.reshape(B, reps, n).sum(axis=1),)
 
     tape.record((out,), (x,), vjp)
-    return out
-
-
-def unstack_steps(tape, x, B, T):
-    """Split x (B*T, n), laid out batch-major, into T nodes of shape (B, n).
-
-    One record with T outputs, so splitting a whole sequence costs one
-    tape entry instead of T.
-    """
-    xv = x.value
-    if xv.ndim != 2 or xv.shape[0] != B * T:
-        raise ShapeError(f"unstack_steps: {xv.shape} does not factor as ({B}*{T}, n)")
-    n = xv.shape[1]
-    cube = xv.reshape(B, T, n)
-    outs = tuple(Var(cube[:, t].copy()) for t in range(T))
-
-    def vjp(*gs):
-        return (np.stack(gs, axis=1).reshape(B * T, n),)
-
-    tape.record(outs, (x,), vjp)
-    return outs
-
-
-def stack_steps(tape, parts):
-    """Inverse of unstack_steps: T nodes of (B, n) into one (B*T, n) node."""
-    parts = tuple(parts)
-    if not parts:
-        raise ValueError("stack_steps needs at least one operand")
-    shape = parts[0].value.shape
-    for p in parts:
-        if p.value.ndim != 2 or p.value.shape != shape:
-            raise ShapeError("stack_steps: operands must share one (B, n) shape")
-    B, n = shape
-    T = len(parts)
-    out = Var(np.stack([p.value for p in parts], axis=1).reshape(B * T, n))
-
-    def vjp(g):
-        cube = g.reshape(B, T, n)
-        return tuple(cube[:, t] for t in range(T))
-
-    tape.record((out,), parts, vjp)
     return out
 
 

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: collect, train, analyze-pb, adapt, control, evaluate.  Every
-flag can also be supplied through `--config <file>` holding flat
-`key = value` lines (keys are the flag names without the leading dashes);
-explicit flags win over the file.  Exit codes: 0 success, 2 validation
+flag, required ones included, can also be supplied through `--config
+<file>` holding flat `key = value` lines (keys are the flag names without
+the leading dashes).  The file's values become the subcommand's
+defaults, so explicit flags win over the file in any spelling argparse
+accepts.  Exit codes: 0 success, 2 validation
 failure, 3 divergence (a non-finite training loss, or a non-finite
 training or adaptation gradient), 4 evaluation check failure.
 """
@@ -47,27 +49,22 @@ def _read_config_file(path):
     return values
 
 
-def _apply_config_file(args, argv):
-    if not getattr(args, "config", None):
-        return args
-    values = _read_config_file(args.config)
-    explicit = {a.lstrip("-").split("=", 1)[0].replace("-", "_")
-                for a in argv if a.startswith("--")}
+def _install_config_defaults(parser, values):
+    """Make a config file's values the defaults of a subcommand's flags.
+
+    argparse then converts them with each flag's own type, lets any
+    explicit flag (in any spelling it accepts) override them, and no
+    longer demands a required flag the file supplies.
+    """
+    actions = {a.dest: a for a in parser._actions if a.option_strings}
     for key, raw in values.items():
-        if not hasattr(args, key):
+        action = actions.get(key)
+        if action is None or key == "help":
             raise ValueError(f"unknown config key {key!r}")
-        if key in explicit:
-            continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, key, int(raw))
-        elif isinstance(current, float):
-            setattr(args, key, float(raw))
-        else:
-            setattr(args, key, raw)
-    return args
+        if isinstance(action.default, bool):  # store_true flags
+            raw = raw.lower() in ("1", "true", "yes", "on")
+        action.required = False
+        parser.set_defaults(**{key: raw})
 
 
 def _build_parser():
@@ -136,7 +133,7 @@ def _build_parser():
     common(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out", help="report file to write")
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_collect(args):
@@ -261,11 +258,25 @@ def _cmd_evaluate(args):
     return 0 if all(r.passed for r in results) else 4
 
 
+def _parse_args(argv):
+    """Parse argv once, with the subcommand's defaults taken from --config.
+
+    A first pass reads only --config; the subcommand is the first bare
+    word, since the top-level parser takes no valued options.
+    """
+    parser, commands = _build_parser()
+    pre = argparse.ArgumentParser(prog="spnpb", add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv)[0].config
+    command = next((a for a in argv if not a.startswith("-")), None)
+    if config and command in commands:
+        _install_config_defaults(commands[command], _read_config_file(config))
+    return parser.parse_args(argv)
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "collect": _cmd_collect,
         "train": _cmd_train,
@@ -275,7 +286,7 @@ def main(argv=None):
         "evaluate": _cmd_evaluate,
     }
     try:
-        args = _apply_config_file(args, argv)
+        args = _parse_args(argv)
         return handlers[args.command](args)
     except (TrainingDivergedError, NonFiniteGradientError) as err:
         print(f"error: {err}", file=sys.stderr)

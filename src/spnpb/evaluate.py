@@ -16,13 +16,13 @@ import numpy as np
 
 from .adaptation import LivePB
 from .analysis import cluster_distances, linearly_separable, nearest_row, pca_project
-from .autodiff import Tape, Var, backward
+from .autodiff import Tape, Var, backward, stack_rows
 from .control import ControlConfig, line_search_minimize, gamma_schedule
 from .dataset import parse_env_label
 from .experiments import prediction_trace, run_adaptation_episode, run_control_batch, run_control_episode
 from .model import ModelConfig, ModelParams, NormStats, RecurrentState
 from .simulator import SimConfig, SimState, sim_step
-from .training import sequence_nll_node, trial_nll
+from .training import batch_nll_node, trial_nll
 
 
 @dataclass
@@ -72,47 +72,63 @@ def finite_diff(f, x, h=1e-5):
     return grad
 
 
+# Finite-difference step of the NLL checks.  One NLL evaluation rounds at
+# about |loss| * eps ~ 1e-14, so at h = 1e-5 rounding alone moves a central
+# difference by ~1e-10: the whole 1e-4 tolerance on a gradient below the
+# 1e-6 floor of rel_err.  At 1e-4 rounding stays near 1e-11 and the O(h^2)
+# truncation is still far below the tolerance.
+NLL_FD_STEP = 1e-4
+
+
 def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
-    """Analytic NLL and control-loss gradients vs central finite differences."""
+    """Analytic NLL and control-loss gradients vs central finite differences.
+
+    Each NLL instance runs training's batch_nll_node twice: one sequence
+    from a zero state, as trial_nll and a one-trial bucket of train, and
+    two sequences with distinct p rows from a shared non-zero state, as a
+    multi-trial bucket and the adaptation replay's snapshot start.
+    """
     rng = np.random.default_rng(seed)
+    batch_rng = np.random.default_rng([seed, 2])  # keeps rng's draws those of B=1 alone
     worst = 0.0
     t0 = time.time()
     for _ in range(n_instances):
         params = _random_params(rng)
-        T = 6
-        states_n = rng.normal(size=(T, 2))
-        commands_n = rng.normal(size=(T, 2))
-        p = rng.normal(scale=0.5, size=2)
+        hidden = params.config.layer_widths[4]
+        shared = RecurrentState(*(batch_rng.normal(scale=0.4, size=hidden) for _ in range(4)))
+        for B, init_state, draw in ((1, None, rng), (2, shared, batch_rng)):
+            states_n = draw.normal(size=(B, 6, 2))
+            commands_n = draw.normal(size=(B, 6, 2))
+            p = draw.normal(scale=0.5, size=(B, 2))
 
-        def loss_value(p_vec=None):
+            def loss_value():
+                node = batch_nll_node(params, Var(p), states_n, commands_n, Tape(),
+                                      init_state=init_state)
+                return float(node.value)
+
             tape = Tape()
-            node = sequence_nll_node(
-                params, Var(p if p_vec is None else p_vec),
-                states_n, commands_n, tape)
-            return float(node.value)
+            rows = [Var(p[b].copy()) for b in range(B)]
+            batch_nll_node(params, stack_rows(tape, rows), states_n, commands_n, tape,
+                           init_state=init_state)
+            grads = backward(tape, 1.0)
 
-        tape = Tape()
-        p_var = Var(p)
-        node = sequence_nll_node(params, p_var, states_n, commands_n, tape)
-        grads = backward(tape, 1.0)
+            analytic = np.array([grads[v] for v in rows])
+            numeric = finite_diff(loss_value, p, h=NLL_FD_STEP)
+            for a, n in zip(analytic.ravel(), numeric.ravel()):
+                worst = max(worst, rel_err(a, n))
 
-        numeric_p = finite_diff(lambda: loss_value(), p)
-        for a, n in zip(grads[p_var], numeric_p):
-            worst = max(worst, rel_err(a, n))
-
-        for w in params.weight_vars():
-            arr = w.value
-            flat = arr.ravel()
-            idxs = rng.choice(flat.size, size=min(coords_per_tensor, flat.size), replace=False)
-            analytic = grads[w].ravel()
-            for i in idxs:
-                keep = flat[i]
-                flat[i] = keep + 1e-5
-                hi = loss_value()
-                flat[i] = keep - 1e-5
-                lo = loss_value()
-                flat[i] = keep
-                worst = max(worst, rel_err(analytic[i], (hi - lo) / 2e-5))
+            for w in params.weight_vars():
+                flat = w.value.ravel()
+                idxs = draw.choice(flat.size, size=min(coords_per_tensor, flat.size), replace=False)
+                analytic = grads[w].ravel()
+                for i in idxs:
+                    keep = flat[i]
+                    flat[i] = keep + NLL_FD_STEP
+                    hi = loss_value()
+                    flat[i] = keep - NLL_FD_STEP
+                    lo = loss_value()
+                    flat[i] = keep
+                    worst = max(worst, rel_err(analytic[i], (hi - lo) / (2 * NLL_FD_STEP)))
 
     from .control import control_loss, _control_loss_node
     from .model import rollout, rollout_batch
@@ -148,8 +164,8 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
     return CheckResult(
         "gradient-integrity",
         passed,
-        f"max relative error {worst:.3e} over {n_instances} NLL + {n_instances} "
-        f"control instances in {elapsed:.1f}s",
+        f"max relative error {worst:.3e} over {n_instances} NLL (B=1 and B=2) + "
+        f"{n_instances} control instances in {elapsed:.1f}s",
     )
 
 

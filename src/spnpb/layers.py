@@ -3,13 +3,18 @@
 Weights live in Var nodes with stable identity, so the same layer can be
 run on many tapes and its gradient looked up in each backward() map by
 the Var object itself.
+
+lstm_apply takes one step of one vector, for the per-step forward and
+rollout.  lstm_sequence runs a whole batch of sequences as one tape
+record, for the batched NLL that training and adaptation replay share;
+it and the tape-free model.rollout_batch step through lstm_gates_batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Tape, Var, affine, as_var
+from .autodiff import ShapeError, Var, as_var
 
 
 def glorot_uniform(n_in, n_out, rng):
@@ -42,24 +47,12 @@ class DenseLayer:
         return self.W.value.shape[0]
 
 
-def dense_forward(layer, x, tape):
-    """Run the layer on the tape and return the output node."""
-    x = as_var(x)
-    if x.value.shape != (layer.n_in,):
-        raise ShapeError(
-            f"dense input has shape {x.value.shape}, layer expects ({layer.n_in},)"
-        )
-    return affine(tape, layer.W, layer.b, x)
-
-
 class LstmCell:
     """Single LSTM layer with forget gate, no peepholes.
 
     Gate weights are stacked row-wise in the order (input, forget, output,
     candidate): wx has shape (4H, n_in), wh (4H, H), bias (4H,).  The cell
-    also carries a convenience state (c, h) that lstm_step advances in
-    place; sequence code that threads state explicitly uses lstm_apply and
-    leaves these untouched.
+    holds weights only; callers thread the recurrent state explicitly.
     """
 
     def __init__(self, wx, wh, b):
@@ -79,8 +72,6 @@ class LstmCell:
         self.Wh = Var(wh)
         self.b = Var(b)
         self.hidden = hidden
-        self.c = np.zeros(hidden)
-        self.h = np.zeros(hidden)
 
     @classmethod
     def init(cls, n_in, hidden, rng):
@@ -93,10 +84,6 @@ class LstmCell:
     @property
     def n_in(self):
         return self.Wx.value.shape[1]
-
-    def reset_state(self):
-        self.c = np.zeros(self.hidden)
-        self.h = np.zeros(self.hidden)
 
 
 def _sigmoid(z):
@@ -152,60 +139,80 @@ def lstm_apply(cell, x, h_prev, c_prev, tape):
     return h_out, c_out
 
 
-def lstm_step(cell, x, tape):
-    """Advance the cell's own (c, h) state and return the new h node."""
-    h, c = lstm_apply(cell, x, Var(cell.h), Var(cell.c), tape)
-    cell.h = h.value
-    cell.c = c.value
-    return h
-
-
-def lstm_gates_batch(cell, xv, hv, cv):
+def lstm_gates_batch(cell, zx, hv, cv):
     """One LSTM step over a batch of plain arrays, no tape.
 
-    xv (B, n_in), hv/cv (B, H).  Returns (h, c, gates) where gates is the
-    (i, f, o, g, tanh(c)) tuple the backward pass needs.
+    zx (B, 4H) is the step's input projection x @ Wx.T, computed by the
+    caller (once per step by rollout_batch, once per sequence by
+    lstm_sequence); hv/cv (B, H).  Shapes are the caller's to check.
+    Returns (h, c, act, tanh(c)), where act (B, 4H) holds the gate
+    activations (input, forget, output, candidate) the backward pass needs.
     """
     H = cell.hidden
-    if xv.ndim != 2 or xv.shape[1] != cell.n_in:
-        raise ShapeError(f"lstm batch input has shape {xv.shape}, cell expects (B, {cell.n_in})")
-    if hv.shape != (xv.shape[0], H) or cv.shape != (xv.shape[0], H):
-        raise ShapeError("lstm batch state must be (B, hidden)")
-    z = xv @ cell.Wx.value.T + hv @ cell.Wh.value.T + cell.b.value
-    i = _sigmoid(z[:, :H])
-    f = _sigmoid(z[:, H:2 * H])
-    o = _sigmoid(z[:, 2 * H:3 * H])
-    g = np.tanh(z[:, 3 * H:])
-    c_new = f * cv + i * g
+    z = zx + hv @ cell.Wh.value.T + cell.b.value
+    act = _sigmoid(z)
+    act[:, 3 * H:] = np.tanh(z[:, 3 * H:])
+    c_new = act[:, H:2 * H] * cv + act[:, :H] * act[:, 3 * H:]
     tc = np.tanh(c_new)
-    return o * tc, c_new, (i, f, o, g, tc)
+    return act[:, 2 * H:3 * H] * tc, c_new, act, tc
 
 
-def lstm_apply_batch(cell, x, h_prev, c_prev, tape):
-    """lstm_apply over a whole batch: x (B, n_in), h_prev/c_prev (B, H)."""
+def lstm_sequence(cell, x, B, T, h0, c0, tape):
+    """A whole LSTM sequence over a batch as one tape record.
+
+    x is a (B*T, n_in) node laid out batch-major (row b*T + t is step t of
+    sequence b); h0/c0 are plain (B, H) starting states, which receive no
+    gradient.  Returns the (B*T, H) node of hidden outputs in the same
+    layout.  The input projection of all B*T rows is one matmul; the
+    forward loop only adds h @ Wh.T and runs the gates.  The backward
+    loop collects every step's gate gradient, so the weight and input
+    gradients are again single matmuls.
+    """
     H = cell.hidden
-    xv, hv, cv = x.value, h_prev.value, c_prev.value
-    h_new, c_new, (i, f, o, g, tc) = lstm_gates_batch(cell, xv, hv, cv)
+    xv = x.value
+    if xv.shape != (B * T, cell.n_in):
+        raise ShapeError(
+            f"lstm sequence input has shape {xv.shape}, expected ({B}*{T}, {cell.n_in})")
+    h0 = np.asarray(h0, dtype=np.float64)
+    c0 = np.asarray(c0, dtype=np.float64)
+    if h0.shape != (B, H) or c0.shape != (B, H):
+        raise ShapeError(f"lstm sequence states must be ({B}, {H}), got {h0.shape}, {c0.shape}")
     wx, wh = cell.Wx.value, cell.Wh.value
+    # time-major from here on, so every step reads and writes one block
+    zx = (xv @ wx.T).reshape(B, T, 4 * H).transpose(1, 0, 2)
+    hs = np.empty((T + 1, B, H))
+    cs = np.empty((T + 1, B, H))
+    acts = np.empty((T, B, 4 * H))
+    tcs = np.empty((T, B, H))
+    hs[0] = h0
+    cs[0] = c0
+    for t in range(T):
+        hs[t + 1], cs[t + 1], acts[t], tcs[t] = lstm_gates_batch(cell, zx[t], hs[t], cs[t])
+    out = Var(hs[1:].transpose(1, 0, 2).reshape(B * T, H))
 
-    h_out = Var(h_new)
-    c_out = Var(c_new)
+    def vjp(gh):
+        i, f, o, g = (acts[..., k * H:(k + 1) * H] for k in range(4))
+        # a step's gate gradient dz is dc * fac, but dh * fac for the output gate
+        fac = np.empty((T, B, 4, H))
+        fac[:, :, 0] = g * i * (1.0 - i)
+        fac[:, :, 1] = cs[:-1] * f * (1.0 - f)
+        fac[:, :, 2] = tcs * o * (1.0 - o)
+        fac[:, :, 3] = i * (1.0 - g * g)
+        dc_dh = o * (1.0 - tcs * tcs)
+        gh = gh.reshape(B, T, H).transpose(1, 0, 2)
+        dz = np.empty((T, B, 4, H))
+        dh_next = np.zeros((B, H))
+        dc_next = np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            dh = gh[t] + dh_next
+            dc = dh * dc_dh[t] + dc_next
+            np.multiply(dc[:, None], fac[t], out=dz[t])
+            np.multiply(dh, fac[t, :, 2], out=dz[t, :, 2])
+            dh_next = dz[t].reshape(B, 4 * H) @ wh
+            dc_next = dc * f[t]
+        dz = dz.transpose(1, 0, 2, 3).reshape(B * T, 4 * H)
+        h_prev = hs[:-1].transpose(1, 0, 2).reshape(B * T, H)
+        return dz.T @ xv, dz.T @ h_prev, dz.sum(axis=0), dz @ wx
 
-    def vjp(gh, gc):
-        dc = gc + gh * o * (1.0 - tc * tc)
-        dz = np.empty((xv.shape[0], 4 * H))
-        dz[:, :H] = dc * g * i * (1.0 - i)
-        dz[:, H:2 * H] = dc * cv * f * (1.0 - f)
-        dz[:, 2 * H:3 * H] = gh * tc * o * (1.0 - o)
-        dz[:, 3 * H:] = dc * i * (1.0 - g * g)
-        return (
-            dz.T @ xv,
-            dz.T @ hv,
-            dz.sum(axis=0),
-            dz @ wx,
-            dz @ wh,
-            dc * f,
-        )
-
-    tape.record((h_out, c_out), (cell.Wx, cell.Wh, cell.b, x, h_prev, c_prev), vjp)
-    return h_out, c_out
+    tape.record((out,), (cell.Wx, cell.Wh, cell.b, x), vjp)
+    return out

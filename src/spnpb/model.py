@@ -333,8 +333,8 @@ def rollout_batch(params, state, s_t, u_batch, p):
         x = np.concatenate((u_batch[:, t], s, p_rows), axis=1)
         for layer in params.dense_in:
             x = np.tanh(x @ layer.W.value.T + layer.b.value)
-        h1, c1, _ = lstm_gates_batch(params.lstm1, x, h1, c1)
-        h2, c2, _ = lstm_gates_batch(params.lstm2, h1, h2, c2)
+        h1, c1, _, _ = lstm_gates_batch(params.lstm1, x @ params.lstm1.Wx.value.T, h1, c1)
+        h2, c2, _, _ = lstm_gates_batch(params.lstm2, h1 @ params.lstm2.Wx.value.T, h2, c2)
         x = h2
         for layer in params.dense_out[:-1]:
             x = np.tanh(x @ layer.W.value.T + layer.b.value)

@@ -7,6 +7,11 @@ with the recurrent state zeroed at the trial boundary.  Every epoch
 evaluates the summed loss of all trials in one batched pass (trials of
 equal length share a forward), then takes one Adam step on the shared
 weights and one on each trial's own bias vector p_k.
+
+batch_nll_node is the one teacher-forced NLL in the package: training,
+the adaptation replay (a batch of one started from the buffer's
+snapshot), trial_nll and the gradient checks all run it, and each of its
+two LSTMs is a single tape record per sequence (layers.lstm_sequence).
 """
 
 from __future__ import annotations
@@ -27,22 +32,11 @@ from .autodiff import (
     gaussian_nll,
     slice_cols,
     stack_rows,
-    stack_steps,
     tanh_,
     tile_rows,
-    unstack_steps,
 )
-from .layers import lstm_apply_batch
-from .model import (
-    LOGVAR_MAX,
-    LOGVAR_MIN,
-    ModelConfig,
-    ModelParams,
-    NormStats,
-    RecurrentState,
-    _step_nodes,
-    _wrap_state,
-)
+from .layers import lstm_sequence
+from .model import LOGVAR_MAX, LOGVAR_MIN, ModelConfig, ModelParams, NormStats, RecurrentState
 from .optim import AdamState, NonFiniteGradientError, adam_update, clip_grad_norm
 
 
@@ -65,7 +59,6 @@ class TrainConfig:
     lr_decay_pb: float = 1.0   # same for the bias table; decaying it collapses
     grad_clip: float = 10.0    # the per-trial structure, so it defaults to flat
     seed: int = 0
-    bptt: str = "full"  # gradients flow through the whole sequence
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -76,8 +69,6 @@ class TrainConfig:
             raise ValueError("decay factors must lie in (0, 1]")
         if self.grad_clip <= 0:
             raise ValueError("grad_clip must be positive")
-        if self.bptt != "full":
-            raise ValueError("only full-sequence backpropagation is supported")
 
     def lr_factor(self, epoch, decay=None):
         """Learning-rate multiplier for a 0-indexed epoch; decays from 1 to decay."""
@@ -108,24 +99,16 @@ def nll_element(pred_mean, pred_var, target):
 
 
 def sequence_nll_node(params, p_var, states_n, commands_n, tape, init_state=None):
-    """Teacher-forced NLL over a normalized sequence, as a tape node.
+    """Teacher-forced NLL over one normalized sequence, as a tape node.
 
     states_n/commands_n are (T, n_s)/(T, n_u) arrays in normalized units.
     Pair t feeds the network and pair t+1's state is the target, so a
-    sequence of length T contributes T-1 steps.
+    sequence of length T contributes T-1 steps.  This is batch_nll_node
+    with a batch of one.
     """
-    T = len(states_n)
-    if T < 2:
-        raise ValueError("need at least two samples to form a prediction target")
-    if init_state is None:
-        init_state = RecurrentState.zeros(params.config.layer_widths[4])
-    nodes = _wrap_state(init_state)
-    terms = []
-    for t in range(T - 1):
-        mean, logvar, nodes = _step_nodes(
-            params, nodes, Var(commands_n[t]), Var(states_n[t]), p_var, tape)
-        terms.append(gaussian_nll(tape, mean, logvar, states_n[t + 1]))
-    return add_n(tape, terms)
+    return batch_nll_node(
+        params, stack_rows(tape, (p_var,)), np.asarray(states_n)[None],
+        np.asarray(commands_n)[None], tape, init_state=init_state)
 
 
 def trial_nll(params, p_k, trial, stats):
@@ -137,17 +120,18 @@ def trial_nll(params, p_k, trial, stats):
     return float(loss.value)
 
 
-def batch_nll_node(params, p_batch, states_n, commands_n, tape):
+def batch_nll_node(params, p_batch, states_n, commands_n, tape, init_state=None):
     """Summed teacher-forced NLL of a batch of equal-length sequences.
 
     states_n (B, T, n_s) and commands_n (B, T, n_u) are normalized;
-    p_batch is a (B, n_p) node whose row b conditions sequence b.  Each
-    sequence starts from a zeroed recurrent state, so the total equals the
-    sum of the per-sequence losses up to summation order.
+    p_batch is a (B, n_p) node whose row b conditions sequence b.  Every
+    sequence starts from init_state (a RecurrentState shared by all rows,
+    zeros by default), so the total equals the sum of the per-sequence
+    losses up to summation order.
 
     Only the two LSTMs depend on the recurrence, so the dense stacks run
-    once over all B*(T-1) step inputs and the per-step loop touches just
-    the recurrent cells.
+    once over all B*(T-1) step inputs and each LSTM runs its whole
+    sequence as one lstm_sequence record.
     """
     B, T = states_n.shape[:2]
     if T < 2:
@@ -162,18 +146,13 @@ def batch_nll_node(params, p_batch, states_n, commands_n, tape):
     x = concat_cols(tape, (u_flat, s_flat, tile_rows(tape, p_batch, steps)))
     for layer in params.dense_in:
         x = tanh_(tape, affine_batch(tape, layer.W, layer.b, x))
-    step_inputs = unstack_steps(tape, x, B, steps)
 
-    hidden = params.config.layer_widths[4]
-    zeros = np.zeros((B, hidden))
-    h1, c1, h2, c2 = (Var(zeros), Var(zeros), Var(zeros), Var(zeros))
-    collected = []
-    for t in range(steps):
-        h1, c1 = lstm_apply_batch(params.lstm1, step_inputs[t], h1, c1, tape)
-        h2, c2 = lstm_apply_batch(params.lstm2, h1, h2, c2, tape)
-        collected.append(h2)
-
-    y = stack_steps(tape, collected)
+    if init_state is None:
+        init_state = RecurrentState.zeros(params.config.layer_widths[4])
+    h1, c1, h2, c2 = (np.tile(np.asarray(v, dtype=np.float64), (B, 1))
+                      for v in (init_state.h1, init_state.c1, init_state.h2, init_state.c2))
+    y = lstm_sequence(params.lstm1, x, B, steps, h1, c1, tape)
+    y = lstm_sequence(params.lstm2, y, B, steps, h2, c2, tape)
     for layer in params.dense_out[:-1]:
         y = tanh_(tape, affine_batch(tape, layer.W, layer.b, y))
     last = params.dense_out[-1]

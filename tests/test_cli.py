@@ -77,6 +77,42 @@ def test_explicit_flag_with_equals_beats_the_config_file(tmp_path):
     assert len(trials[0]) == 40
 
 
+def test_abbreviated_flag_beats_the_config_file(tmp_path):
+    # argparse accepts --step for --steps, so the file must lose to it too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 25\n")
+    data = tmp_path / "a.csv"
+    assert run(["collect", "--config", str(cfg), "--out", str(data),
+                "--alphas", "0.5", "--betas", "0.2", "--trials-per-config", "1",
+                "--step", "40"]) == 0
+    assert len(load_trials(data)[0]) == 40
+
+
+def test_required_flag_can_come_from_the_config_file(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    model = tmp_path / "m.json"
+    assert run(["collect", "--out", str(data), "--alphas", "0.4,0.6",
+                "--betas", "0.2", "--trials-per-config", "1", "--steps", "12"]) == 0
+    assert run(["train", "--data", str(data), "--out", str(model), "--epochs", "1",
+                "--log-every", "0"]) == 0
+    cfg = tmp_path / "pb.cfg"
+    cfg.write_text(f"model = {model}\n")
+    out = tmp_path / "x.csv"
+    assert run(["analyze-pb", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(read_csv(out, "pb_projection")[2]) == 2
+    assert "wrote projection of 2 bias vectors" in capsys.readouterr().out
+
+
+def test_bad_config_value_is_a_validation_failure(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = many\n")
+    try:
+        code = run(["collect", "--config", str(cfg), "--out", str(tmp_path / "a.csv")])
+    except SystemExit as exc:  # argparse reports its own type errors
+        code = exc.code
+    assert code == 2
+
+
 def test_unknown_config_key_is_a_validation_failure(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not-a-flag = 7\n")
@@ -140,6 +176,14 @@ def test_control_without_matching_bias_requires_adapt_flag(tmp_path):
          "--log-every", "0"])
     assert run(["control", "--model", str(model), "--alpha", "0.9",
                 "--beta", "0.9", "--ticks", "1"]) == 2
+    # a store_true flag takes true/false words from a config file
+    cfg = tmp_path / "adapt.cfg"
+    cfg.write_text("adapt = yes\n")
+    assert run(["control", "--config", str(cfg), "--model", str(model),
+                "--alpha", "0.9", "--beta", "0.9", "--ticks", "1"]) == 0
+    cfg.write_text("adapt = false\n")
+    assert run(["control", "--config", str(cfg), "--model", str(model),
+                "--alpha", "0.9", "--beta", "0.9", "--ticks", "1"]) == 2
 
 
 def test_version_flag():

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from spnpb.autodiff import ShapeError, Tape, Var, backward, sum_
+from spnpb.autodiff import ShapeError, Tape, Var, add_n, affine, backward, mul, sum_
 from spnpb.layers import (
-    lstm_apply_batch,
     DenseLayer,
     LstmCell,
-    dense_forward,
     glorot_uniform,
     lstm_apply,
-    lstm_step,
+    lstm_sequence,
 )
 
 
@@ -40,21 +38,21 @@ def test_dense_identity_passes_input_through():
     layer = DenseLayer(np.eye(3), np.zeros(3))
     tape = Tape()
     x = Var(np.array([1.5, -2.0, 0.25]))
-    y = dense_forward(layer, x, tape)
+    y = affine(tape, layer.W, layer.b, x)
     np.testing.assert_array_equal(y.value, x.value)
 
 
 def test_dense_hand_arithmetic():
     layer = DenseLayer(np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([0.5, 0.0]))
     tape = Tape()
-    y = dense_forward(layer, Var(np.array([3.0, 1.0])), tape)
+    y = affine(tape, layer.W, layer.b, Var(np.array([3.0, 1.0])))
     np.testing.assert_array_equal(y.value, [5.5, -1.0])
 
 
 def test_dense_rejects_wrong_input_width():
     layer = DenseLayer.init(4, 2, np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        dense_forward(layer, Var(np.zeros(3)), Tape())
+        affine(Tape(), layer.W, layer.b, Var(np.zeros(3)))
 
 
 def test_glorot_bounds_and_determinism():
@@ -158,29 +156,6 @@ def test_lstm_gradients_match_finite_differences(seed):
         assert worst <= 1e-4, f"lstm grad off by {worst}"
 
 
-def test_lstm_step_carries_state_between_calls():
-    rng = np.random.default_rng(3)
-    cell = LstmCell.init(2, 4, rng)
-    x1, x2 = np.array([0.5, -0.5]), np.array([1.0, 0.25])
-
-    h1 = lstm_step(cell, Var(x1), Tape())
-    h2 = lstm_step(cell, Var(x2), Tape())
-
-    # replay manually through lstm_apply
-    cell2 = LstmCell(cell.Wx.value.copy(), cell.Wh.value.copy(), cell.b.value.copy())
-    tape = Tape()
-    ha, ca = lstm_apply(
-        cell2, Var(x1), Var(np.zeros(4)), Var(np.zeros(4)), tape
-    )
-    hb, _cb = lstm_apply(cell2, Var(x2), ha, ca, tape)
-    np.testing.assert_allclose(h1.value, ha.value, atol=1e-15)
-    np.testing.assert_allclose(h2.value, hb.value, atol=1e-15)
-
-    cell.reset_state()
-    np.testing.assert_array_equal(cell.h, np.zeros(4))
-    np.testing.assert_array_equal(cell.c, np.zeros(4))
-
-
 def test_lstm_rejects_mismatched_state_width():
     cell = LstmCell.init(3, 5, np.random.default_rng(0))
     with pytest.raises(ShapeError):
@@ -188,47 +163,80 @@ def test_lstm_rejects_mismatched_state_width():
 
 
 def test_lstm_batch_matches_per_row_apply():
+    # lstm_sequence over B rows and T steps equals B separate chains of
+    # lstm_apply from the same starting states, values and gradients
     rng = np.random.default_rng(11)
     cell = LstmCell.init(3, 4, rng)
-    B = 5
-    x = rng.normal(size=(B, 3))
+    B, T = 5, 6
+    x = rng.normal(size=(B * T, 3))
     h0 = rng.normal(size=(B, 4)) * 0.5
     c0 = rng.normal(size=(B, 4)) * 0.5
+    seed = np.cos(np.arange(B * T * 4, dtype=float)).reshape(B * T, 4)
 
     tape = Tape()
-    xb, hb, cb = Var(x), Var(h0), Var(c0)
-    h, c = lstm_apply_batch(cell, xb, hb, cb, tape)
-    seed = np.cos(np.arange(2 * B * 4, dtype=float)).reshape(2, B, 4)
-    grads = backward(tape, seed[0], output=h)
-    grads_c = backward(tape, seed[1], output=c)
+    xb = Var(x)
+    h = lstm_sequence(cell, xb, B, T, h0, c0, tape)
+    grads = backward(tape, seed, output=h)
 
-    for i in range(B):
-        t2 = Tape()
-        xi, hi, ci = Var(x[i]), Var(h0[i]), Var(c0[i])
-        hv, cv = lstm_apply(cell, xi, hi, ci, t2)
-        np.testing.assert_allclose(h.value[i], hv.value, atol=1e-15)
-        np.testing.assert_allclose(c.value[i], cv.value, atol=1e-15)
-        gr = backward(t2, seed[0][i], output=hv)
-        np.testing.assert_allclose(grads[xb][i], gr[xi], rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(grads[hb][i], gr[hi], rtol=1e-12, atol=1e-15)
-        gr2 = backward(t2, seed[1][i], output=cv)
-        np.testing.assert_allclose(grads_c[cb][i], gr2[ci], rtol=1e-12, atol=1e-15)
-
-    # weight grads accumulate across the batch
     total = None
-    for i in range(B):
+    for b in range(B):
         t2 = Tape()
-        hv, _ = lstm_apply(cell, Var(x[i]), Var(h0[i]), Var(c0[i]), t2)
-        gr = backward(t2, seed[0][i], output=hv)
+        xs = [Var(x[b * T + t]) for t in range(T)]
+        hv, cv = Var(h0[b]), Var(c0[b])
+        outs = []
+        for xt in xs:
+            hv, cv = lstm_apply(cell, xt, hv, cv, t2)
+            outs.append(hv)
+        for t, out in enumerate(outs):
+            np.testing.assert_allclose(h.value[b * T + t], out.value, rtol=1e-13, atol=1e-15)
+        # one scalar per row: the seeded projection of every step's output
+        terms = [sum_(t2, mul(t2, out, Var(seed[b * T + t]))) for t, out in enumerate(outs)]
+        gr = backward(t2, 1.0, output=add_n(t2, terms))
+        for t, xt in enumerate(xs):
+            np.testing.assert_allclose(grads[xb][b * T + t], gr[xt], rtol=1e-12, atol=1e-15)
         part = [gr[cell.Wx], gr[cell.Wh], gr[cell.b]]
         total = part if total is None else [a + b for a, b in zip(total, part)]
+    # weight grads accumulate across the batch
     for got, want in zip((grads[cell.Wx], grads[cell.Wh], grads[cell.b]), total):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 def test_lstm_batch_rejects_bad_shapes():
     cell = LstmCell.init(3, 4, np.random.default_rng(0))
-    with pytest.raises(ShapeError):
-        lstm_apply_batch(cell, Var(np.zeros(3)), Var(np.zeros((1, 4))), Var(np.zeros((1, 4))), Tape())
-    with pytest.raises(ShapeError):
-        lstm_apply_batch(cell, Var(np.zeros((2, 3))), Var(np.zeros((2, 5))), Var(np.zeros((2, 4))), Tape())
+    zeros = np.zeros((2, 4))
+    with pytest.raises(ShapeError):  # input is a vector, not (B*T, n_in)
+        lstm_sequence(cell, Var(np.zeros(3)), 1, 1, zeros[:1], zeros[:1], Tape())
+    with pytest.raises(ShapeError):  # rows do not factor as B*T
+        lstm_sequence(cell, Var(np.zeros((5, 3))), 2, 3, zeros, zeros, Tape())
+    with pytest.raises(ShapeError):  # wrong input width
+        lstm_sequence(cell, Var(np.zeros((6, 2))), 2, 3, zeros, zeros, Tape())
+    with pytest.raises(ShapeError):  # state width is not the hidden size
+        lstm_sequence(cell, Var(np.zeros((6, 3))), 2, 3, np.zeros((2, 5)), zeros, Tape())
+    with pytest.raises(ShapeError):  # state rows are not the batch size
+        lstm_sequence(cell, Var(np.zeros((6, 3))), 2, 3, zeros, np.zeros((3, 4)), Tape())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lstm_sequence_gradients_match_finite_differences(seed):
+    rng = np.random.default_rng(100 + seed)
+    n_in, H, B, T = 3, 4, 2, 5
+    cell = LstmCell.init(n_in, H, rng)
+    x = Var(rng.normal(size=(B * T, n_in)))
+    h0 = rng.normal(scale=0.5, size=(B, H))
+    c0 = rng.normal(scale=0.5, size=(B, H))
+    weight = rng.normal(size=(B * T, H))  # fixed projection so the output is scalar
+
+    def value():
+        h = lstm_sequence(cell, x, B, T, h0, c0, Tape())
+        return float(np.sum(weight * h.value))
+
+    tape = Tape()
+    h = lstm_sequence(cell, x, B, T, h0, c0, tape)
+    grads = backward(tape, weight, output=h)
+
+    for leaf in (x, cell.Wx, cell.Wh, cell.b):
+        numeric = finite_diff(value, leaf.value)
+        worst = max(
+            rel_err(a, n) for a, n in zip(grads[leaf].ravel(), numeric.ravel())
+        )
+        assert worst <= 1e-4, f"lstm sequence grad off by {worst}"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spnpb.autodiff import Tape, Var, backward, stack_rows
+from spnpb.autodiff import Tape, Var, add_n, backward, gaussian_nll, stack_rows
 from spnpb.dataset import TimedSample, Trial
-from spnpb.model import ModelConfig, ModelParams, RecurrentState, forward
+from spnpb.model import ModelConfig, ModelParams, RecurrentState, _step_nodes, _wrap_state, forward
 from spnpb.training import (
     TrainConfig,
     TrainingDivergedError,
@@ -276,8 +276,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(grad_clip=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(bptt="truncated")
-    with pytest.raises(ValueError):
         TrainConfig(lr_decay=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lr_decay=1.5)
@@ -345,6 +343,48 @@ def test_batched_loss_and_grads_match_sequential_reference():
         assert_allclose(g[v], want, rtol=1e-10, atol=1e-13)
     for row, want in zip(rows, ref_p):
         assert_allclose(g[row], want, rtol=1e-10, atol=1e-13)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_batch_nll_with_init_state_matches_per_step_forward(B):
+    # reference: the per-vector forward on one tape, every sequence started
+    # from the same non-zero state, one gaussian_nll term per step.  It
+    # threads the state as nodes (_step_nodes, the core of model.forward),
+    # because forward hands the state back as values and so would cut the
+    # gradient through the recurrence.
+    rng = np.random.default_rng(20 + B)
+    T = 9
+    stats = compute_norm_stats([random_trial(60 + B, n=T)])
+    params = ModelParams.init(ModelConfig(n_s=2, n_u=2), stats, rng)
+    states_n = rng.normal(size=(B, T, 2))
+    commands_n = rng.normal(size=(B, T, 2))
+    p_rows = rng.normal(scale=0.5, size=(B, 2))
+    init = RecurrentState(*(rng.normal(scale=0.4, size=10) for _ in range(4)))
+    weight_vars = params.weight_vars()
+
+    tape = Tape()
+    ref_p = [Var(p_rows[b]) for b in range(B)]
+    terms = []
+    for b in range(B):
+        nodes = _wrap_state(init)
+        for t in range(T - 1):
+            mean, logvar, nodes = _step_nodes(
+                params, nodes, Var(commands_n[b, t]), Var(states_n[b, t]), ref_p[b], tape)
+            terms.append(gaussian_nll(tape, mean, logvar, states_n[b, t + 1]))
+    ref = add_n(tape, terms)
+    ref_g = backward(tape, 1.0)
+
+    tape = Tape()
+    rows = [Var(p_rows[b]) for b in range(B)]
+    node = batch_nll_node(params, stack_rows(tape, rows), states_n, commands_n, tape,
+                          init_state=init)
+    g = backward(tape, 1.0)
+
+    assert abs(float(node.value) - float(ref.value)) <= 1e-10 * abs(float(ref.value))
+    for v in weight_vars:
+        assert_allclose(g[v], ref_g[v], rtol=1e-10, atol=1e-13)
+    for row, want in zip(rows, ref_p):
+        assert_allclose(g[row], ref_g[want], rtol=1e-10, atol=1e-13)
 
 
 def test_first_epoch_loss_equals_sum_of_initial_trial_losses():
