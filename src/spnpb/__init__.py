@@ -19,8 +19,6 @@ from .model import (
     RecurrentState,
     forward,
     load_model,
-    normalize,
-    rollout,
     save_model,
 )
 from .optim import AdamState, MomentumState, adam_update, momentum_update

@@ -6,10 +6,13 @@ and appends one record (outputs, inputs, vector-Jacobian product) to a
 Tape.  backward() replays the records in exact reverse order and
 accumulates gradients into a map keyed by leaf Var.
 
-All arithmetic is float64.  The networks this drives are tiny (tens of
-units), so records operate on whole vectors and matrices rather than
-scalars; ops are fused only where the closed-form local gradient is
-standard (LSTM step and sequence, Gaussian log-likelihood, L2 norm).
+The tape serves one computation: the teacher-forced Gaussian NLL that
+training and the adaptation replay share (training.batch_nll_node), so
+its ops are the batched ones that NLL is built from.  The control
+gradient does not use it; the model computes that with a hand-written
+reverse pass.  All arithmetic is float64.  Records operate on whole
+matrices; ops are fused where the closed-form local gradient is standard
+(the LSTM sequence, the Gaussian log-likelihood).
 
 Tapes hold references to the arrays captured at forward time, not copies.
 Run backward() before mutating parameter arrays in place.
@@ -36,10 +39,6 @@ class Var:
 
     def __repr__(self):
         return f"Var({self.value!r})"
-
-
-def as_var(x):
-    return x if isinstance(x, Var) else Var(x)
 
 
 class Tape:
@@ -117,22 +116,6 @@ def backward(tape, output_grads, output=None):
 # primitive operations
 
 
-def affine(tape, w, b, x):
-    """w @ x + b with w (out, in), b (out,), x (in,)."""
-    wv, bv, xv = w.value, b.value, x.value
-    if wv.ndim != 2 or xv.ndim != 1 or wv.shape[1] != xv.shape[0]:
-        raise ShapeError(f"affine: weight {wv.shape} incompatible with input {xv.shape}")
-    if bv.shape != (wv.shape[0],):
-        raise ShapeError(f"affine: bias {bv.shape} incompatible with weight {wv.shape}")
-    out = Var(wv @ xv + bv)
-
-    def vjp(g):
-        return np.outer(g, xv), g, wv.T @ g
-
-    tape.record((out,), (w, b, x), vjp)
-    return out
-
-
 def tanh_(tape, x):
     y = np.tanh(x.value)
     out = Var(y)
@@ -143,16 +126,6 @@ def tanh_(tape, x):
     tape.record((out,), (x,), vjp)
     return out
 
-
-def exp_(tape, x):
-    y = np.exp(x.value)
-    out = Var(y)
-
-    def vjp(g):
-        return (g * y,)
-
-    tape.record((out,), (x,), vjp)
-    return out
 
 
 def clip_(tape, x, lo, hi):
@@ -168,66 +141,9 @@ def clip_(tape, x, lo, hi):
     return out
 
 
-def abs_(tape, x):
-    xv = x.value
-    out = Var(np.abs(xv))
-    sign = np.sign(xv)
-
-    def vjp(g):
-        return (g * sign,)
-
-    tape.record((out,), (x,), vjp)
-    return out
 
 
-def add(tape, a, b):
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"add: {a.value.shape} vs {b.value.shape}")
-    out = Var(a.value + b.value)
 
-    def vjp(g):
-        return g, g
-
-    tape.record((out,), (a, b), vjp)
-    return out
-
-
-def sub(tape, a, b):
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"sub: {a.value.shape} vs {b.value.shape}")
-    out = Var(a.value - b.value)
-
-    def vjp(g):
-        return g, -g
-
-    tape.record((out,), (a, b), vjp)
-    return out
-
-
-def mul(tape, a, b):
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"mul: {a.value.shape} vs {b.value.shape}")
-    av, bv = a.value, b.value
-    out = Var(av * bv)
-
-    def vjp(g):
-        return g * bv, g * av
-
-    tape.record((out,), (a, b), vjp)
-    return out
-
-
-def div(tape, a, b):
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"div: {a.value.shape} vs {b.value.shape}")
-    av, bv = a.value, b.value
-    out = Var(av / bv)
-
-    def vjp(g):
-        return g / bv, -g * av / (bv * bv)
-
-    tape.record((out,), (a, b), vjp)
-    return out
 
 
 def scale(tape, x, c):
@@ -242,26 +158,6 @@ def scale(tape, x, c):
     return out
 
 
-def shift(tape, x, c):
-    """x + c for a constant (float or array) c."""
-    out = Var(x.value + c)
-
-    def vjp(g):
-        return (g,)
-
-    tape.record((out,), (x,), vjp)
-    return out
-
-
-def csub(tape, c, x):
-    """c - x for a constant c."""
-    out = Var(c - x.value)
-
-    def vjp(g):
-        return (-g,)
-
-    tape.record((out,), (x,), vjp)
-    return out
 
 
 def add_n(tape, parts):
@@ -285,59 +181,8 @@ def add_n(tape, parts):
     return out
 
 
-def concat(tape, parts):
-    parts = tuple(parts)
-    if not parts:
-        raise ValueError("concat needs at least one operand")
-    sizes = [p.value.shape[0] for p in parts]
-    out = Var(np.concatenate([p.value for p in parts]))
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-
-    tape.record((out,), parts, vjp)
-    return out
 
 
-def slice_(tape, x, start, stop):
-    n = x.value.shape[0]
-    if not (0 <= start <= stop <= n):
-        raise ShapeError(f"slice [{start}:{stop}] out of range for length {n}")
-    out = Var(x.value[start:stop].copy())
-
-    def vjp(g):
-        full = np.zeros(n)
-        full[start:stop] = g
-        return (full,)
-
-    tape.record((out,), (x,), vjp)
-    return out
-
-
-def sum_(tape, x):
-    out = Var(np.sum(x.value))
-    shape = x.value.shape
-
-    def vjp(g):
-        return (np.full(shape, g),)
-
-    tape.record((out,), (x,), vjp)
-    return out
-
-
-def l2norm(tape, x):
-    """Euclidean norm of a vector; gradient guarded near zero."""
-    xv = x.value
-    y = float(np.sqrt(np.sum(xv * xv)))
-    out = Var(y)
-    denom = max(y, 1e-12)
-
-    def vjp(g):
-        return (g * xv / denom,)
-
-    tape.record((out,), (x,), vjp)
-    return out
 
 
 def affine_batch(tape, w, b, x):

@@ -7,11 +7,13 @@ gradient of the loss per round, a log-spaced ladder of step sizes tried
 as candidates, best candidate kept.  The previous iterate always competes
 too, so the returned loss can never exceed the warm-start loss.
 
-Candidates are scored without a tape: the warm start, and then all
-n_batch step sizes of each round together, go through one batched
-rollout_batch call.  Only the gradients use the taped per-vector rollout
-and backward, one per round, so a default tick (3 rounds of 10 step
-sizes) runs 4 batched scoring rollouts and 3 taped gradient rollouts.
+No tape is involved.  The warm start, and then all n_batch step sizes of
+each round together, are scored by one batched rollout_batch call; each
+round's gradient is a one-row forward through the same loop
+(rollout_vjp), the closed-form gradient of the loss (control_loss_grad),
+and the model's hand-written reverse pass.  A default tick (3 rounds of
+10 step sizes) thus runs 4 batched scoring rollouts and 3 one-row
+forward/reverse gradient passes.
 
 The loss is
     ||s_ref - s_pred||_2  +  c_variance * V  +  c_orig * ||u_orig - u||_2
@@ -22,25 +24,15 @@ elementwise by |s_pred| + eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tape,
-    Var,
-    abs_,
-    add_n,
-    backward,
-    concat,
-    csub,
-    div,
-    exp_,
-    l2norm,
-    scale,
-    shift,
-)
-from .model import RecurrentState, forward, rollout, rollout_batch
+from .model import RecurrentState, forward, rollout_batch, rollout_vjp
+
+# Guard of the L2-norm gradients: a zero-length residual gets gradient 0.
+NORM_FLOOR = 1e-12
 
 VARIANCE_MODES = ("absolute", "per_state")
 
@@ -65,8 +57,14 @@ class ControlConfig:
     def __post_init__(self):
         if self.n_seq < 1 or self.n_batch < 1 or self.n_epoch < 0:
             raise ValueError("n_seq and n_batch must be >= 1, n_epoch >= 0")
-        if self.gamma_max <= 0:
-            raise ValueError("gamma_max must be positive")
+        if not (math.isfinite(self.gamma_max) and self.gamma_max > 0):
+            raise ValueError("gamma_max must be finite and positive")
+        for name in ("c_variance", "c_orig"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if not (math.isfinite(self.per_state_eps) and self.per_state_eps > 0):
+            raise ValueError("per_state_eps must be finite and positive")
         if self.variance_mode not in VARIANCE_MODES:
             raise ValueError(f"variance_mode must be one of {VARIANCE_MODES}")
         if self.command_low >= self.command_high:
@@ -126,21 +124,35 @@ def control_loss(means, variances, u_seq, s_ref_seq, u_orig_seq, config):
     return loss
 
 
-def _control_loss_node(tape, preds, u_vars, s_ref_seq, u_orig_seq, config):
-    mean_flat = concat(tape, [p.mean_node for p in preds])
-    terms = [l2norm(tape, csub(tape, np.asarray(s_ref_seq).ravel(), mean_flat))]
+def control_loss_grad(means, variances, u_seq, s_ref_seq, u_orig_seq, config):
+    """Closed-form gradient of control_loss: (d_means, d_variances, d_u).
+
+    Takes the same arguments, with or without a leading candidate axis,
+    and returns arrays of the shapes of means, variances and u_seq.  Each
+    L2 norm's gradient divides by max(norm, NORM_FLOOR).
+    """
+    means = np.asarray(means, dtype=np.float64)
+    variances = np.asarray(variances, dtype=np.float64)
+    u_seq = np.asarray(u_seq, dtype=np.float64)
+
+    def unit(x):
+        norm = np.sqrt(np.sum(x * x, axis=(-2, -1), keepdims=True))
+        return x / np.maximum(norm, NORM_FLOOR)
+
+    d_means = -unit(np.asarray(s_ref_seq) - means)
+    d_variances = np.zeros_like(variances)
+    d_u = np.zeros_like(u_seq)
     if config.c_variance != 0.0:
-        var_flat = exp_(tape, concat(tape, [p.logvar_node for p in preds]))
         if config.variance_mode == "per_state":
-            var_flat = div(tape, var_flat,
-                           shift(tape, abs_(tape, mean_flat), config.per_state_eps))
-        terms.append(scale(tape, l2norm(tape, var_flat), config.c_variance))
+            denom = np.abs(means) + config.per_state_eps
+            g = config.c_variance * unit(variances / denom)
+            d_variances = g / denom
+            d_means = d_means - g * variances / (denom * denom) * np.sign(means)
+        else:
+            d_variances = config.c_variance * unit(variances)
     if config.c_orig != 0.0:
-        u_flat = concat(tape, u_vars)
-        terms.append(scale(
-            tape, l2norm(tape, csub(tape, np.asarray(u_orig_seq).ravel(), u_flat)),
-            config.c_orig))
-    return add_n(tape, terms) if len(terms) > 1 else terms[0]
+        d_u = -config.c_orig * unit(np.asarray(u_orig_seq) - u_seq)
+    return d_means, d_variances, d_u
 
 
 def line_search_minimize(value_fn, grad_fn, u0, gammas, n_epoch, clamp=None):
@@ -185,9 +197,9 @@ def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config):
     """Improve the warm-started plan; never returns a loss above the start.
 
     Each round computes one gradient of the loss with respect to the whole
-    command sequence on a taped rollout, then scores n_batch step sizes
-    from the gamma ladder (candidates clamped to the command bounds) in
-    one tape-free batched rollout.  The incumbent plan competes
+    command sequence by a one-row forward and reverse pass, then scores
+    n_batch step sizes from the gamma ladder (candidates clamped to the
+    command bounds) in one batched rollout.  The incumbent plan competes
     implicitly; ties keep the smallest step.
     """
     s_ref_seq = np.asarray(s_ref_seq, dtype=np.float64)
@@ -206,12 +218,10 @@ def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config):
         return losses, list(zip(means, variances))
 
     def grad_fn(u_seq):
-        tape = Tape()
-        u_vars = [Var(u_seq[i]) for i in range(config.n_seq)]
-        preds = rollout(params, state, s_t, u_vars, p, tape)
-        _control_loss_node(tape, preds, u_vars, s_ref_seq, u_orig_seq, config)
-        grads = backward(tape, 1.0)
-        return np.array([grads[v] for v in u_vars])
+        means, variances, vjp = rollout_vjp(params, state, s_t, u_seq[None], p)
+        d_means, d_variances, d_u = control_loss_grad(
+            means, variances, u_seq[None], s_ref_seq, u_orig_seq, config)
+        return (vjp(d_means, d_variances) + d_u)[0]
 
     u_cur, loss_cur, (means, variances), loss0 = line_search_minimize(
         value_fn, grad_fn, warm_start(prev_plan),
@@ -251,8 +261,7 @@ class Controller:
         s_n = stats.normalize_state(s_raw)
         if self._prev_pair is not None:
             prev_s, prev_u = self._prev_pair
-            _, self.state = forward(
-                self.params, self.state, prev_s, prev_u, self.p, Tape())
+            _, self.state = forward(self.params, self.state, prev_s, prev_u, self.p)
         s_ref_n = np.array([stats.normalize_state(row) for row in np.asarray(s_ref_seq_raw)])
         if u_orig_seq_raw is None:
             u_orig_seq_raw = np.asarray(s_ref_seq_raw)

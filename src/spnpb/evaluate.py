@@ -8,19 +8,18 @@ and the acceptance test suite.
 from __future__ import annotations
 
 import hashlib
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .adaptation import LivePB
 from .analysis import cluster_distances, linearly_separable, nearest_row, pca_project
 from .autodiff import Tape, Var, backward, stack_rows
-from .control import ControlConfig, line_search_minimize, gamma_schedule
+from .control import (
+    ControlConfig, control_loss, control_loss_grad, gamma_schedule, line_search_minimize)
 from .dataset import parse_env_label
 from .experiments import prediction_trace, run_adaptation_episode, run_control_batch, run_control_episode
-from .model import ModelConfig, ModelParams, NormStats, RecurrentState
+from .model import ModelConfig, ModelParams, NormStats, RecurrentState, rollout_batch, rollout_vjp
 from .simulator import SimConfig, SimState, sim_step
 from .training import batch_nll_node, trial_nll
 
@@ -130,8 +129,6 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
                     flat[i] = keep
                     worst = max(worst, rel_err(analytic[i], (hi - lo) / (2 * NLL_FD_STEP)))
 
-    from .control import control_loss, _control_loss_node
-    from .model import rollout, rollout_batch
     for inst in range(n_instances):
         params = _random_params(rng)
         cfg = ControlConfig(
@@ -149,12 +146,11 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
             means, variances = rollout_batch(params, state, s_t, u_seq[None], p)
             return float(control_loss(means, variances, u_seq[None], s_ref, u_orig, cfg)[0])
 
-        tape = Tape()
-        u_vars = [Var(u_seq[i]) for i in range(4)]
-        preds = rollout(params, state, s_t, u_vars, p, tape)
-        _control_loss_node(tape, preds, u_vars, s_ref, u_orig, cfg)
-        grads = backward(tape, 1.0)
-        analytic = np.array([grads[v] for v in u_vars])
+        # the controller's gradient: the loss's closed form through the reverse pass
+        means, variances, vjp = rollout_vjp(params, state, s_t, u_seq[None], p)
+        d_means, d_variances, d_u = control_loss_grad(
+            means, variances, u_seq[None], s_ref, u_orig, cfg)
+        analytic = vjp(d_means, d_variances) + d_u
         numeric = finite_diff(loss_value, u_seq)
         for a, n in zip(analytic.ravel(), numeric.ravel()):
             worst = max(worst, rel_err(a, n))
@@ -195,34 +191,6 @@ def _env_configs(params):
     return envs
 
 
-def _drive_sim(sim_config, n_ticks, seed):
-    """Raw (states, commands) from a random-walk run, aligned per tick."""
-    from .simulator import random_walk_command
-    rng = np.random.default_rng(seed)
-    state = SimState(0.0, 0.0)
-    cmd = np.zeros(2)
-    states, commands = [], []
-    for _ in range(n_ticks):
-        cmd = random_walk_command(cmd, rng)
-        states.append(state.as_array())
-        commands.append(cmd.copy())
-        state = sim_step(state, cmd, sim_config, rng)
-    return np.array(states), np.array(commands)
-
-
-def _sigma_along(params, states_raw, commands_raw, p):
-    """Teacher-forced predicted sigma (raw units, (T, n_s)) along a run."""
-    from .model import forward
-    track = RecurrentState.zeros(params.config.layer_widths[4])
-    s_n = params.stats.normalize_state(states_raw)
-    u_n = params.stats.normalize_command(commands_raw)
-    out = []
-    for t in range(len(s_n)):
-        pred, track = forward(params, track, s_n[t], u_n[t], p, Tape())
-        out.append(params.stats.denormalize_state_sigma(np.sqrt(pred.variance)))
-    return np.array(out)
-
-
 def check_heteroscedasticity(params, seed=123, n_traces=20, trace_len=150):
     """Predicted sigma tracks speed and beta the way the plant noise does.
 
@@ -237,11 +205,15 @@ def check_heteroscedasticity(params, seed=123, n_traces=20, trace_len=150):
     label_high = "alpha=0.4,beta=1.0"
     p_high = params.pb_for_label(label_high)
 
+    def trace(sim_config, p, trace_seed):
+        # prediction_trace rows: tick, w (1-2), u, predicted mean, sigma (7-8)
+        return np.array(prediction_trace(params, sim_config, p, trace_len, trace_seed))
+
     sig, speed = [], []
     for k in range(n_traces):
-        states, commands = _drive_sim(SimConfig(0.4, 1.0, seed=seed), trace_len, seed + k)
-        sig.append(_sigma_along(params, states, commands, p_high)[:, 0])
-        speed.append(np.abs(states).sum(axis=1))
+        rows = trace(SimConfig(0.4, 1.0, seed=seed), p_high, seed + k)
+        sig.append(rows[:, 7])
+        speed.append(np.abs(rows[:, 1:3]).sum(axis=1))
     sig, speed = np.concatenate(sig), np.concatenate(speed)
     low_mask, high_mask = speed < 0.3, speed > 2.0
     if low_mask.sum() < 10 or high_mask.sum() < 10:
@@ -260,13 +232,8 @@ def check_heteroscedasticity(params, seed=123, n_traces=20, trace_len=150):
     group = {lv: [] for lv in levels}
     for label, (alpha, beta) in sorted(envs.items()):
         p = params.pb_for_label(label)
-        sigs = [
-            _sigma_along(params, states, commands, p)[:, 0]
-            for states, commands in (
-                _drive_sim(SimConfig(alpha, beta, seed=seed), trace_len, seed + 1000 + k)
-                for k in range(4)
-            )
-        ]
+        sigs = [trace(SimConfig(alpha, beta, seed=seed), p, seed + 1000 + k)[:, 7]
+                for k in range(4)]
         group[beta].append(float(np.mean(sigs)))
     ratio = float(np.mean(group[levels[1]]) / np.mean(group[levels[0]]))
     ratio_ok = 5.0 <= ratio <= 20.0

@@ -11,12 +11,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptation import AdaptBuffer, LivePB, adapt_step
-from .autodiff import Tape
-from .control import ControlConfig, Controller
+from .control import Controller
 from .csvio import write_csv
 from .dataset import TimedSample
 from .model import RecurrentState, forward
 from .simulator import SimState, random_walk_command, sim_step
+
+
+def _check_ticks(n_ticks):
+    if n_ticks < 1:
+        raise ValueError(f"an episode needs at least one tick, got {n_ticks}")
 
 
 @dataclass
@@ -38,6 +42,7 @@ def run_adaptation_episode(params, sim_config, n_ticks, seed, live=None,
     takes one adaptation step.  The bias starts at zero unless a LivePB
     is supplied.
     """
+    _check_ticks(n_ticks)
     if live is None:
         live = LivePB.zeros(params.config.n_p)
     rng = np.random.default_rng(seed)
@@ -51,7 +56,7 @@ def run_adaptation_episode(params, sim_config, n_ticks, seed, live=None,
         sample = TimedSample(s=state.as_array(), u=cmd.copy(), tick=tick)
         snapshot = track
         s_n, u_n = params.stats.normalize_state(sample.s), params.stats.normalize_command(sample.u)
-        _, track = forward(params, track, s_n, u_n, live.p, Tape())
+        _, track = forward(params, track, s_n, u_n, live.p)
         buffer.push(sample, snapshot)
         updated = buffer.update_ready()
         if updated:
@@ -98,6 +103,7 @@ def run_control_episode(params, sim_config, control_config, seed,
     the predicted standard deviation of the next state (raw units, from
     the first step of the optimized plan).
     """
+    _check_ticks(n_ticks)
     if p is None:
         p = np.zeros(params.config.n_p)
     rng = np.random.default_rng(seed)
@@ -142,6 +148,9 @@ def run_control_batch(params, sim_config, control_config, seeds,
                       n_ticks=40, p=None, out_dir=None, tag="run"):
     """Independent episodes for each seed; optionally log per-seed CSVs
     plus averaged measured-speed and predicted-sigma series."""
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("run_control_batch needs at least one seed")
     episodes = []
     for seed in seeds:
         out_path = None
@@ -174,7 +183,7 @@ def prediction_trace(params, sim_config, p, n_ticks, seed, out_path=None):
         s_raw = state.as_array()
         s_n = params.stats.normalize_state(s_raw)
         u_n = params.stats.normalize_command(cmd)
-        pred, track = forward(params, track, s_n, u_n, p, Tape())
+        pred, track = forward(params, track, s_n, u_n, p)
         mean_raw = params.stats.denormalize_state(pred.mean)
         sigma_raw = params.stats.denormalize_state_sigma(np.sqrt(pred.variance))
         rows.append((tick, s_raw[0], s_raw[1], cmd[0], cmd[1],

@@ -1,20 +1,21 @@
-"""Dense and LSTM building blocks over the autodiff tape.
+"""Dense and LSTM building blocks.
 
 Weights live in Var nodes with stable identity, so the same layer can be
 run on many tapes and its gradient looked up in each backward() map by
 the Var object itself.
 
-lstm_apply takes one step of one vector, for the per-step forward and
-rollout.  lstm_sequence runs a whole batch of sequences as one tape
-record, for the batched NLL that training and adaptation replay share;
-it and the tape-free model.rollout_batch step through lstm_gates_batch.
+lstm_sequence runs a whole batch of sequences as one tape record, for
+the batched NLL that training and adaptation replay share.  The model's
+tape-free forward steps through lstm_gates_batch too, and its hand-written
+closed-loop reverse shares lstm_sequence's reverse step: lstm_gate_factors
+and lstm_step_back.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Var, as_var
+from .autodiff import ShapeError, Var
 
 
 def glorot_uniform(n_in, n_out, rng):
@@ -90,62 +91,13 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def lstm_apply(cell, x, h_prev, c_prev, tape):
-    """One LSTM step with explicit state; returns (h, c) nodes.
-
-    Forward and the hand-derived backward are fused into a single tape
-    record so BPTT over long sequences stays cheap.
-    """
-    x = as_var(x)
-    h_prev = as_var(h_prev)
-    c_prev = as_var(c_prev)
-    H = cell.hidden
-    if x.value.shape != (cell.n_in,):
-        raise ShapeError(f"lstm input has shape {x.value.shape}, cell expects ({cell.n_in},)")
-    if h_prev.value.shape != (H,) or c_prev.value.shape != (H,):
-        raise ShapeError("lstm state vectors must have length equal to hidden size")
-
-    wx, wh, bv = cell.Wx.value, cell.Wh.value, cell.b.value
-    xv, hv, cv = x.value, h_prev.value, c_prev.value
-    z = wx @ xv + wh @ hv + bv
-    i = _sigmoid(z[:H])
-    f = _sigmoid(z[H:2 * H])
-    o = _sigmoid(z[2 * H:3 * H])
-    g = np.tanh(z[3 * H:])
-    c_new = f * cv + i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
-
-    h_out = Var(h_new)
-    c_out = Var(c_new)
-
-    def vjp(gh, gc):
-        dc = gc + gh * o * (1.0 - tc * tc)
-        dz = np.empty(4 * H)
-        dz[:H] = dc * g * i * (1.0 - i)
-        dz[H:2 * H] = dc * cv * f * (1.0 - f)
-        dz[2 * H:3 * H] = gh * tc * o * (1.0 - o)
-        dz[3 * H:] = dc * i * (1.0 - g * g)
-        return (
-            np.outer(dz, xv),
-            np.outer(dz, hv),
-            dz,
-            wx.T @ dz,
-            wh.T @ dz,
-            dc * f,
-        )
-
-    tape.record((h_out, c_out), (cell.Wx, cell.Wh, cell.b, x, h_prev, c_prev), vjp)
-    return h_out, c_out
-
-
 def lstm_gates_batch(cell, zx, hv, cv):
     """One LSTM step over a batch of plain arrays, no tape.
 
     zx (B, 4H) is the step's input projection x @ Wx.T, computed by the
-    caller (once per step by rollout_batch, once per sequence by
-    lstm_sequence); hv/cv (B, H).  Shapes are the caller's to check.
-    Returns (h, c, act, tanh(c)), where act (B, 4H) holds the gate
+    caller (once per step by the model's forward loop, once per
+    sequence by lstm_sequence); hv/cv (B, H).  Shapes are the caller's
+    to check.  Returns (h, c, act, tanh(c)), where act (B, 4H) holds the gate
     activations (input, forget, output, candidate) the backward pass needs.
     """
     H = cell.hidden
@@ -155,6 +107,39 @@ def lstm_gates_batch(cell, zx, hv, cv):
     c_new = act[:, H:2 * H] * cv + act[:, :H] * act[:, 3 * H:]
     tc = np.tanh(c_new)
     return act[:, 2 * H:3 * H] * tc, c_new, act, tc
+
+
+def lstm_gate_factors(act, c_prev, tc):
+    """Per-step factors of the LSTM reverse, for any leading shape (..., B).
+
+    act, c_prev and tc are what lstm_gates_batch took and returned.  A
+    step's gate gradient dz is dc * fac, except the output gate's, which
+    is dh * fac; dc_dh carries dh into the cell gradient.  Returns fac
+    (..., B, 4, H) and dc_dh (..., B, H).
+    """
+    H = tc.shape[-1]
+    i, f, o, g = (act[..., k * H:(k + 1) * H] for k in range(4))
+    fac = np.empty(tc.shape[:-1] + (4, H))
+    fac[..., 0, :] = g * i * (1.0 - i)
+    fac[..., 1, :] = c_prev * f * (1.0 - f)
+    fac[..., 2, :] = tc * o * (1.0 - o)
+    fac[..., 3, :] = i * (1.0 - g * g)
+    return fac, o * (1.0 - tc * tc)
+
+
+def lstm_step_back(dh, dc_next, fac, dc_dh, f, wh, dz):
+    """One step of the LSTM reverse over a batch of plain arrays.
+
+    dh (B, H) is the gradient reaching the step's h, dc_next that reaching
+    its c from the following step; fac and dc_dh come from
+    lstm_gate_factors, f is the step's forget gate and wh the cell's Wh.
+    Writes the gate gradient into dz (B, 4, H), whose rows times Wx give
+    the input's gradient, and returns the gradients of the previous (h, c).
+    """
+    dc = dh * dc_dh + dc_next
+    np.multiply(dc[:, None], fac, out=dz)
+    np.multiply(dh, fac[:, 2], out=dz[:, 2])
+    return dz.reshape(len(dz), -1) @ wh, dc * f
 
 
 def lstm_sequence(cell, x, B, T, h0, c0, tape):
@@ -191,25 +176,15 @@ def lstm_sequence(cell, x, B, T, h0, c0, tape):
     out = Var(hs[1:].transpose(1, 0, 2).reshape(B * T, H))
 
     def vjp(gh):
-        i, f, o, g = (acts[..., k * H:(k + 1) * H] for k in range(4))
-        # a step's gate gradient dz is dc * fac, but dh * fac for the output gate
-        fac = np.empty((T, B, 4, H))
-        fac[:, :, 0] = g * i * (1.0 - i)
-        fac[:, :, 1] = cs[:-1] * f * (1.0 - f)
-        fac[:, :, 2] = tcs * o * (1.0 - o)
-        fac[:, :, 3] = i * (1.0 - g * g)
-        dc_dh = o * (1.0 - tcs * tcs)
+        fac, dc_dh = lstm_gate_factors(acts, cs[:-1], tcs)
+        f = acts[..., H:2 * H]
         gh = gh.reshape(B, T, H).transpose(1, 0, 2)
         dz = np.empty((T, B, 4, H))
         dh_next = np.zeros((B, H))
         dc_next = np.zeros((B, H))
         for t in range(T - 1, -1, -1):
-            dh = gh[t] + dh_next
-            dc = dh * dc_dh[t] + dc_next
-            np.multiply(dc[:, None], fac[t], out=dz[t])
-            np.multiply(dh, fac[t, :, 2], out=dz[t, :, 2])
-            dh_next = dz[t].reshape(B, 4 * H) @ wh
-            dc_next = dc * f[t]
+            dh_next, dc_next = lstm_step_back(
+                gh[t] + dh_next, dc_next, fac[t], dc_dh[t], f[t], wh, dz[t])
         dz = dz.transpose(1, 0, 2, 3).reshape(B * T, 4 * H)
         h_prev = hs[:-1].transpose(1, 0, 2).reshape(B * T, H)
         return dz.T @ xv, dz.T @ h_prev, dz.sum(axis=0), dz @ wx

@@ -12,27 +12,23 @@ input to output:
 The first n_s outputs are the predicted mean; the last n_s are log
 variance, clamped to [-10, 10] before exponentiation.  All values are in
 normalized (z-scored) units; NormStats carries the transform.
+
+The model has one tape-free numpy forward loop.  rollout_batch runs it
+for K closed-loop candidate plans, forward for one step of the live
+state, and rollout_vjp keeps its activations for a hand-written reverse
+that gives the control gradient.  The tape serves only the
+teacher-forced NLL of training and adaptation (training.batch_nll_node).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tape,
-    Var,
-    affine,
-    as_var,
-    clip_,
-    concat,
-    slice_,
-    tanh_,
-)
-from .layers import DenseLayer, LstmCell, lstm_apply, lstm_gates_batch
+from .autodiff import ShapeError
+from .layers import DenseLayer, LstmCell, lstm_gate_factors, lstm_gates_batch, lstm_step_back
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -101,11 +97,6 @@ class NormStats:
         return np.asarray(sigma, dtype=np.float64) * self.std_s
 
 
-def normalize(stats, s, u):
-    """Z-score a state/command pair."""
-    return stats.normalize_state(s), stats.normalize_command(u)
-
-
 @dataclass(frozen=True)
 class RecurrentState:
     """The (c, h) pairs of both LSTM layers.  Treated as a value."""
@@ -122,16 +113,10 @@ class RecurrentState:
 
 @dataclass
 class GaussianPrediction:
-    """Predicted next-state distribution in normalized units.
-
-    mean_node and logvar_node are the tape nodes the values came from, so
-    losses can be built on the same tape.
-    """
+    """Predicted next-state distribution in normalized units."""
 
     mean: np.ndarray
     variance: np.ndarray
-    mean_node: Var = field(repr=False, default=None)
-    logvar_node: Var = field(repr=False, default=None)
 
 
 class ModelParams:
@@ -217,36 +202,13 @@ class ModelParams:
         return self.pb_table[rows].mean(axis=0)
 
 
-def _step_nodes(params, state_nodes, u, s, p, tape):
-    """Core forward pass on tape nodes; returns (mean, logvar, new state nodes)."""
-    h1, c1, h2, c2 = state_nodes
-    x = concat(tape, (u, s, p))
-    for layer in params.dense_in:
-        x = tanh_(tape, affine(tape, layer.W, layer.b, x))
-    h1, c1 = lstm_apply(params.lstm1, x, h1, c1, tape)
-    h2, c2 = lstm_apply(params.lstm2, h1, h2, c2, tape)
-    x = h2
-    for layer in params.dense_out[:-1]:
-        x = tanh_(tape, affine(tape, layer.W, layer.b, x))
-    last = params.dense_out[-1]
-    out = affine(tape, last.W, last.b, x)
-    n_s = params.config.n_s
-    mean = slice_(tape, out, 0, n_s)
-    logvar = clip_(tape, slice_(tape, out, n_s, 2 * n_s), LOGVAR_MIN, LOGVAR_MAX)
-    return mean, logvar, (h1, c1, h2, c2)
-
-
-def _wrap_state(state):
-    return (Var(state.h1), Var(state.c1), Var(state.h2), Var(state.c2))
-
-
 def _check_step_inputs(params, state, s, u, p):
     cfg = params.config
-    if np.shape(as_var(s).value) != (cfg.n_s,):
+    if np.shape(s) != (cfg.n_s,):
         raise ShapeError(f"state input must have shape ({cfg.n_s},)")
-    if np.shape(as_var(u).value) != (cfg.n_u,):
+    if np.shape(u) != (cfg.n_u,):
         raise ShapeError(f"command input must have shape ({cfg.n_u},)")
-    if np.shape(as_var(p).value) != (cfg.n_p,):
+    if np.shape(p) != (cfg.n_p,):
         raise ShapeError(f"bias input must have shape ({cfg.n_p},)")
     hidden = cfg.layer_widths[4]
     for part in (state.h1, state.c1, state.h2, state.c2):
@@ -254,64 +216,14 @@ def _check_step_inputs(params, state, s, u, p):
             raise ShapeError("recurrent state vectors must match the LSTM hidden size")
 
 
-def forward(params, state, s, u, p, tape):
-    """One prediction step from normalized inputs.
+def _run(params, state, s_t, u_batch, p, keep=False):
+    """The model's one forward loop: K closed-loop rows from one shared state.
 
-    Returns (GaussianPrediction, advanced RecurrentState); the input state
-    is not mutated.  s, u, p may be arrays or Vars; pass Vars to take
-    gradients with respect to them.
-    """
-    _check_step_inputs(params, state, s, u, p)
-    mean, logvar, nodes = _step_nodes(
-        params, _wrap_state(state), as_var(u), as_var(s), as_var(p), tape)
-    pred = GaussianPrediction(
-        mean=mean.value,
-        variance=np.exp(logvar.value),
-        mean_node=mean,
-        logvar_node=logvar,
-    )
-    new_state = RecurrentState(*(n.value for n in nodes))
-    return pred, new_state
-
-
-def rollout(params, state, s_t, u_seq, p, tape):
-    """Closed-loop rollout feeding each predicted mean back as the next state.
-
-    The whole rollout lives on one tape, so gradients of anything built
-    from the returned predictions flow to u_seq (and p).  Returns one
-    GaussianPrediction per command.
-    """
-    u_seq = list(u_seq)
-    if not u_seq:
-        raise ValueError("rollout needs at least one command")
-    _check_step_inputs(params, state, s_t, u_seq[0], p)
-    nodes = _wrap_state(state)
-    p = as_var(p)
-    s_node = as_var(s_t)
-    preds = []
-    for u in u_seq:
-        u = as_var(u)
-        if u.value.shape != (params.config.n_u,):
-            raise ShapeError(f"command input must have shape ({params.config.n_u},)")
-        mean, logvar, nodes = _step_nodes(params, nodes, u, s_node, p, tape)
-        preds.append(GaussianPrediction(
-            mean=mean.value,
-            variance=np.exp(logvar.value),
-            mean_node=mean,
-            logvar_node=logvar,
-        ))
-        s_node = mean
-    return preds
-
-
-def rollout_batch(params, state, s_t, u_batch, p):
-    """Closed-loop rollouts of K command sequences from one shared state.
-
-    The tape-free counterpart of rollout for scoring many candidate plans
-    at once: u_batch is (K, n_seq, n_u), every sequence starts from the
-    same recurrent state, s_t, and bias p, and plain numpy carries the K
-    rows through the network together.  Returns (means, variances), each
-    (K, n_seq, n_s), equal to K separate rollouts up to rounding.
+    u_batch is (K, n_seq, n_u); each row starts from state, s_t and p,
+    and each step's predicted mean is the next step's state input.
+    Returns (means, variances, (h1, c1, h2, c2), steps): the recurrent
+    state after the last step, each part (K, H), and, when keep is set,
+    the activations _reverse needs per step (else None).
     """
     u_batch = np.asarray(u_batch, dtype=np.float64)
     cfg = params.config
@@ -329,21 +241,108 @@ def rollout_batch(params, state, s_t, u_batch, p):
     s, p_rows = rows(s_t), rows(p)
     means = np.empty((K, n_seq, n_s))
     logvars = np.empty((K, n_seq, n_s))
+    steps = [] if keep else None
     for t in range(n_seq):
         x = np.concatenate((u_batch[:, t], s, p_rows), axis=1)
+        dense_in = []
         for layer in params.dense_in:
             x = np.tanh(x @ layer.W.value.T + layer.b.value)
-        h1, c1, _, _ = lstm_gates_batch(params.lstm1, x @ params.lstm1.Wx.value.T, h1, c1)
-        h2, c2, _, _ = lstm_gates_batch(params.lstm2, h1 @ params.lstm2.Wx.value.T, h2, c2)
+            dense_in.append(x)
+        c1_prev, c2_prev = c1, c2
+        h1, c1, act1, tc1 = lstm_gates_batch(params.lstm1, x @ params.lstm1.Wx.value.T, h1, c1)
+        h2, c2, act2, tc2 = lstm_gates_batch(params.lstm2, h1 @ params.lstm2.Wx.value.T, h2, c2)
         x = h2
+        dense_out = []
         for layer in params.dense_out[:-1]:
             x = np.tanh(x @ layer.W.value.T + layer.b.value)
+            dense_out.append(x)
         last = params.dense_out[-1]
         out = x @ last.W.value.T + last.b.value
         means[:, t] = out[:, :n_s]
         s = means[:, t]
         logvars[:, t] = np.clip(out[:, n_s:], LOGVAR_MIN, LOGVAR_MAX)
-    return means, np.exp(logvars)
+        if keep:
+            kept = (out[:, n_s:] >= LOGVAR_MIN) & (out[:, n_s:] <= LOGVAR_MAX)
+            steps.append((dense_in, ((act1, c1_prev, tc1), (act2, c2_prev, tc2)),
+                          dense_out, kept))
+    return means, np.exp(logvars), (h1, c1, h2, c2), steps
+
+
+def _reverse(params, steps, variances, d_means, d_variances):
+    """Backpropagation through time over _run's kept activations.
+
+    Carries d loss/d means and d loss/d variances, each (K, n_seq, n_s),
+    back to d loss/d u (K, n_seq, n_u).  Every step runs the last dense
+    layer, the logvar clamp (clamped entries pass no gradient), the
+    output tanh stack, LSTM2, LSTM1 and the input tanh stack in reverse.
+    A step's gradient at its state input joins the previous step's
+    d_mean, since that mean was fed back as the state.
+    """
+    cfg = params.config
+    n_s, n_u = cfg.n_s, cfg.n_u
+    K, n_seq, _ = variances.shape
+    cells = (params.lstm1, params.lstm2)
+    carries = [(np.zeros((K, c.hidden)), np.zeros((K, c.hidden))) for c in cells]
+    d_u = np.empty((K, n_seq, n_u))
+    d_s = np.zeros((K, n_s))
+    for t in range(n_seq - 1, -1, -1):
+        dense_in, lstms, dense_out, kept = steps[t]
+        d_logvar = d_variances[:, t] * variances[:, t] * kept
+        g = np.concatenate((d_means[:, t] + d_s, d_logvar), axis=1) @ params.dense_out[-1].W.value
+        for layer, y in zip(params.dense_out[-2::-1], dense_out[::-1]):
+            g = (g * (1.0 - y * y)) @ layer.W.value
+        for k in (1, 0):
+            cell, (act, c_prev, tc), (dh, dc) = cells[k], lstms[k], carries[k]
+            H = cell.hidden
+            fac, dc_dh = lstm_gate_factors(act, c_prev, tc)
+            dz = np.empty((K, 4, H))
+            carries[k] = lstm_step_back(g + dh, dc, fac, dc_dh, act[:, H:2 * H], cell.Wh.value, dz)
+            g = dz.reshape(K, -1) @ cell.Wx.value
+        for layer, y in zip(params.dense_in[::-1], dense_in[::-1]):
+            g = (g * (1.0 - y * y)) @ layer.W.value
+        d_u[:, t] = g[:, :n_u]
+        d_s = g[:, n_u:n_u + n_s]
+    return d_u
+
+
+def forward(params, state, s, u, p):
+    """One prediction step from normalized inputs.
+
+    Returns (GaussianPrediction, advanced RecurrentState); the input state
+    is not mutated.  This is the one-row, one-step case of the forward
+    loop that rollout_batch runs.
+    """
+    means, variances, (h1, c1, h2, c2), _ = _run(
+        params, state, s, np.asarray(u, dtype=np.float64)[None, None], p)
+    return (GaussianPrediction(mean=means[0, 0], variance=variances[0, 0]),
+            RecurrentState(h1[0], c1[0], h2[0], c2[0]))
+
+
+def rollout_batch(params, state, s_t, u_batch, p):
+    """Closed-loop rollouts of K command sequences from one shared state.
+
+    u_batch is (K, n_seq, n_u); every sequence starts from the same
+    recurrent state, s_t, and bias p, and feeds each predicted mean back
+    as the next state.  Returns (means, variances), each (K, n_seq, n_s).
+    """
+    means, variances, _, _ = _run(params, state, s_t, u_batch, p)
+    return means, variances
+
+
+def rollout_vjp(params, state, s_t, u_batch, p):
+    """rollout_batch plus its reverse pass.
+
+    Returns (means, variances, vjp), where vjp(d_means, d_variances)
+    maps gradients of a loss with respect to the (K, n_seq, n_s) means
+    and variances to its gradient with respect to u_batch (K, n_seq, n_u).
+    """
+    means, variances, _, steps = _run(params, state, s_t, u_batch, p, keep=True)
+
+    def vjp(d_means, d_variances):
+        return _reverse(params, steps, variances, np.asarray(d_means, dtype=np.float64),
+                        np.asarray(d_variances, dtype=np.float64))
+
+    return means, variances, vjp
 
 
 # ---------------------------------------------------------------------------

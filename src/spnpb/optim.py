@@ -7,6 +7,8 @@ can be constructed before the parameter shapes are known.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .autodiff import ShapeError
@@ -25,6 +27,8 @@ class AdamState:
 
 class MomentumState:
     def __init__(self, lr=0.01, momentum=0.9):
+        if not (math.isfinite(lr) and lr > 0):
+            raise ValueError(f"momentum learning rate must be finite and positive, got {lr}")
         self.lr = lr
         self.momentum = momentum
         self.velocity = None

@@ -13,7 +13,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spnpb.autodiff import Tape
 from spnpb.dataset import TimedSample, Trial, load_trials, save_trials
 from spnpb.evaluate import (
     check_gradient_integrity,
@@ -92,7 +91,7 @@ def test_2_nll_oracle():
     u_n = stats.normalize_command(trial.commands)
     manual = 0.0
     for t in range(T - 1):
-        pred, track = forward(params, track, s_n[t], u_n[t], p, Tape())
+        pred, track = forward(params, track, s_n[t], u_n[t], p)
         for d in range(2):
             manual += nll_element(pred.mean[d], pred.variance[d], s_n[t + 1][d])
     sum_err = abs(total - manual)
@@ -180,8 +179,8 @@ def test_9_persistence(trained, tmp_path):
     rng = np.random.default_rng(0)
     s_n, u_n = rng.normal(size=2), rng.normal(size=2)
     state = RecurrentState.zeros(params.config.layer_widths[4])
-    pred_a, _ = forward(params, state, s_n, u_n, params.pb_table[0], Tape())
-    pred_b, _ = forward(reloaded, state, s_n, u_n, reloaded.pb_table[0], Tape())
+    pred_a, _ = forward(params, state, s_n, u_n, params.pb_table[0])
+    pred_b, _ = forward(reloaded, state, s_n, u_n, reloaded.pb_table[0])
     forward_ok = np.array_equal(pred_a.mean, pred_b.mean) and np.array_equal(
         pred_a.variance, pred_b.variance)
 

@@ -198,3 +198,41 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.strip()
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    """A one-epoch model trained on one environment, for flag-validation tests."""
+    root = tmp_path_factory.mktemp("tiny")
+    data, model = root / "d.csv", root / "m.json"
+    assert run(["collect", "--out", str(data), "--alphas", "0.5", "--betas", "1.0",
+                "--trials-per-config", "1", "--steps", "12"]) == 0
+    assert run(["train", "--data", str(data), "--out", str(model), "--epochs", "1",
+                "--log-every", "0"]) == 0
+    return str(model)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--c-variance", "nan"],     # every tick used to end in a safe stop, exit 0
+    ["--c-variance", "-30"],     # used to maximise the variance, exit 0
+    ["--c-orig", "inf"],
+], ids=["c-variance-nan", "c-variance-negative", "c-orig-inf"])
+def test_control_rejects_meaningless_loss_weights(tiny_model, flags, capsys):
+    assert run(["control", "--model", tiny_model, "--ticks", "2", *flags]) == 2
+    assert "must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["control", "--seeds", "0"],
+    ["control", "--ticks", "0"],
+    ["control", "--ticks", "-3"],
+    ["adapt", "--alpha", "0.5", "--beta", "1.0", "--ticks", "-1"],
+    ["adapt", "--alpha", "0.5", "--beta", "1.0", "--lr", "-1"],
+], ids=["control-no-seeds", "control-zero-ticks", "control-negative-ticks",
+        "adapt-negative-ticks", "adapt-negative-lr"])
+def test_empty_or_backward_runs_exit_2(tiny_model, argv, capsys):
+    # these used to exit 0 after printing nan, or after gradient ascent
+    assert run([argv[0], "--model", tiny_model, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "nan" not in captured.out

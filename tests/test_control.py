@@ -7,12 +7,15 @@ from spnpb.control import (
     Controller,
     ControllerError,
     control_loss,
+    control_loss_grad,
     gamma_schedule,
     line_search_minimize,
     optimize,
     warm_start,
 )
-from spnpb.model import ModelConfig, ModelParams, NormStats, RecurrentState
+from spnpb.evaluate import finite_diff, rel_err
+from spnpb.model import (
+    ModelConfig, ModelParams, NormStats, RecurrentState, rollout_batch, rollout_vjp)
 
 
 def unit_stats():
@@ -94,10 +97,8 @@ def test_control_loss_per_state_mode_oracle():
 @pytest.mark.parametrize("mode", ["absolute", "per_state"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_loss_node_matches_numeric_loss(mode, seed):
-    from spnpb.autodiff import Tape, Var
-    from spnpb.control import _control_loss_node
-    from spnpb.model import rollout
-
+    # control_loss_grad against central differences of control_loss itself,
+    # at a plan rolled out by the model
     params = make_params(seed)
     cfg = ControlConfig(n_seq=4, c_variance=0.7, c_orig=0.3, variance_mode=mode)
     rng = np.random.default_rng(seed + 100)
@@ -107,15 +108,94 @@ def test_loss_node_matches_numeric_loss(mode, seed):
     s0 = rng.normal(size=2)
     p = np.zeros(2)
 
-    tape = Tape()
-    u_vars = [Var(u_seq[i].copy()) for i in range(4)]
-    preds = rollout(params, RecurrentState.zeros(), s0, u_vars, p, tape)
-    node = _control_loss_node(tape, preds, u_vars, s_ref, u_orig, cfg)
+    means, variances = rollout_batch(params, RecurrentState.zeros(), s0, u_seq[None], p)
+    means, variances = means[0], variances[0]
+    analytic = control_loss_grad(means, variances, u_seq, s_ref, u_orig, cfg)
 
-    means = np.array([pr.mean for pr in preds])
-    variances = np.array([pr.variance for pr in preds])
-    numeric = control_loss(means, variances, u_seq, s_ref, u_orig, cfg)
-    assert abs(float(node.value) - numeric) < 1e-12
+    def loss():
+        return float(control_loss(means, variances, u_seq, s_ref, u_orig, cfg))
+
+    for got, x in zip(analytic, (means, variances, u_seq)):
+        assert got.shape == x.shape
+        numeric = finite_diff(loss, x)
+        for a, n in zip(got.ravel(), numeric.ravel()):
+            assert rel_err(a, n) <= 1e-4
+
+
+def test_loss_gradient_of_a_norm_is_its_unit_direction():
+    cfg = ControlConfig(n_seq=1)
+    zeros = np.zeros((1, 2))
+    d_means, d_variances, d_u = control_loss_grad(
+        zeros, zeros, zeros, np.array([[3.0, 4.0]]), zeros, cfg)
+    np.testing.assert_allclose(d_means, [[-0.6, -0.8]], rtol=1e-15)
+    np.testing.assert_array_equal(d_variances, zeros)
+    np.testing.assert_array_equal(d_u, zeros)
+    # a zero residual has a zero gradient, not a NaN
+    d_means, _, _ = control_loss_grad(zeros, zeros, zeros, zeros, zeros, cfg)
+    np.testing.assert_array_equal(d_means, zeros)
+
+
+def reverse_pass_gradient(params, state, s_t, u_seq, p, s_ref, u_orig, cfg):
+    """The controller's gradient: loss gradient carried back by rollout_vjp."""
+    means, variances, vjp = rollout_vjp(params, state, s_t, u_seq[None], p)
+    d_means, d_variances, d_u = control_loss_grad(
+        means, variances, u_seq[None], s_ref, u_orig, cfg)
+    return (vjp(d_means, d_variances) + d_u)[0]
+
+
+def scored_loss(params, state, s_t, u_seq, p, s_ref, u_orig, cfg):
+    """The loss the line search scores: rollout_batch plus control_loss."""
+    means, variances = rollout_batch(params, state, s_t, u_seq[None], p)
+    return float(control_loss(means, variances, u_seq[None], s_ref, u_orig, cfg)[0])
+
+
+@pytest.mark.parametrize("n_seq", [1, 10])
+@pytest.mark.parametrize("mode", ["absolute", "per_state"])
+def test_reverse_pass_matches_finite_differences(mode, n_seq):
+    rng = np.random.default_rng(40 + n_seq)
+    for _ in range(3):
+        params = ModelParams.init(ModelConfig(n_s=2, n_u=2), unit_stats(), rng)
+        state = RecurrentState(*rng.normal(scale=0.5, size=(4, 10)))
+        cfg = ControlConfig(n_seq=n_seq, c_variance=rng.uniform(1.0, 30.0), c_orig=0.3,
+                            variance_mode=mode)
+        s_t, p = rng.normal(size=2), rng.normal(scale=0.5, size=2)
+        s_ref, u_orig, u_seq = (rng.normal(size=(n_seq, 2)) for _ in range(3))
+        args = (params, state, s_t, u_seq, p, s_ref, u_orig, cfg)
+
+        analytic = reverse_pass_gradient(*args)
+        numeric = finite_diff(lambda: scored_loss(*args), u_seq)
+        assert analytic.shape == (n_seq, 2)
+        worst = max(rel_err(a, n) for a, n in zip(analytic.ravel(), numeric.ravel()))
+        assert worst <= 1e-4, f"reverse pass off by {worst}"
+
+
+def test_clamped_logvar_passes_no_gradient():
+    # the second logvar sits far above the clamp at every step, so its
+    # variance is constant: a loss on it alone has exactly zero gradient
+    rng = np.random.default_rng(77)
+    params = ModelParams.init(ModelConfig(n_s=2, n_u=2), unit_stats(), rng)
+    params.dense_out[-1].b.value[3] = 50.0
+    state = RecurrentState(*rng.normal(scale=0.5, size=(4, 10)))
+    s_t, p, u_seq = rng.normal(size=2), rng.normal(size=2), rng.normal(size=(1, 5, 2))
+
+    means, variances, vjp = rollout_vjp(params, state, s_t, u_seq, p)
+    np.testing.assert_array_equal(variances[..., 1], np.exp(10.0))
+    assert np.all(variances[..., 0] < np.exp(10.0))
+    d_variances = np.zeros_like(variances)
+    d_variances[..., 1] = rng.normal(size=5)
+    np.testing.assert_array_equal(vjp(np.zeros_like(means), d_variances), 0.0)
+    # the unclamped entry does pass gradient
+    d_variances = np.zeros_like(variances)
+    d_variances[..., 0] = 1.0
+    assert np.any(vjp(np.zeros_like(means), d_variances) != 0.0)
+
+    cfg = ControlConfig(n_seq=5, c_variance=2.0, c_orig=0.3)
+    args = (params, state, s_t, u_seq[0], p, rng.normal(size=(5, 2)),
+            rng.normal(size=(5, 2)), cfg)
+    numeric = finite_diff(lambda: scored_loss(*args), u_seq[0])
+    analytic = reverse_pass_gradient(*args)
+    worst = max(rel_err(a, n) for a, n in zip(analytic.ravel(), numeric.ravel()))
+    assert worst <= 1e-4, f"reverse pass off by {worst}"
 
 
 def test_line_search_quadratic_oracle():
@@ -336,3 +416,15 @@ def test_config_validation():
         ControlConfig(variance_mode="other")
     with pytest.raises(ValueError):
         ControlConfig(command_low=3.0, command_high=-3.0)
+    # weights that make the loss meaningless
+    for bad in (-30.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ControlConfig(c_variance=bad)
+        with pytest.raises(ValueError):
+            ControlConfig(c_orig=bad)
+    for bad in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ControlConfig(per_state_eps=bad)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ControlConfig(gamma_max=bad)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from spnpb.autodiff import ShapeError, Tape, Var, add_n, affine, backward, mul, sum_
+from spnpb.autodiff import ShapeError, Tape, Var, affine_batch, backward
 from spnpb.layers import (
     DenseLayer,
     LstmCell,
     glorot_uniform,
-    lstm_apply,
+    lstm_gate_factors,
+    lstm_gates_batch,
     lstm_sequence,
+    lstm_step_back,
 )
 
 
@@ -37,22 +39,22 @@ def sigmoid(z):
 def test_dense_identity_passes_input_through():
     layer = DenseLayer(np.eye(3), np.zeros(3))
     tape = Tape()
-    x = Var(np.array([1.5, -2.0, 0.25]))
-    y = affine(tape, layer.W, layer.b, x)
+    x = Var(np.array([[1.5, -2.0, 0.25]]))
+    y = affine_batch(tape, layer.W, layer.b, x)
     np.testing.assert_array_equal(y.value, x.value)
 
 
 def test_dense_hand_arithmetic():
     layer = DenseLayer(np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([0.5, 0.0]))
     tape = Tape()
-    y = affine(tape, layer.W, layer.b, Var(np.array([3.0, 1.0])))
-    np.testing.assert_array_equal(y.value, [5.5, -1.0])
+    y = affine_batch(tape, layer.W, layer.b, Var(np.array([[3.0, 1.0]])))
+    np.testing.assert_array_equal(y.value, [[5.5, -1.0]])
 
 
 def test_dense_rejects_wrong_input_width():
     layer = DenseLayer.init(4, 2, np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        affine(Tape(), layer.W, layer.b, Var(np.zeros(3)))
+        affine_batch(Tape(), layer.W, layer.b, Var(np.zeros((1, 3))))
 
 
 def test_glorot_bounds_and_determinism():
@@ -75,13 +77,19 @@ def test_lstm_init_shapes_and_forget_bias():
     np.testing.assert_array_equal(cell.b.value[:10], np.zeros(10))
 
 
+def lstm_step(cell, x, h_prev, c_prev):
+    """One step of one vector through the batch gate helper; returns (h, c)."""
+    h, c, _, _ = lstm_gates_batch(cell, np.atleast_2d(x) @ cell.Wx.value.T,
+                                  np.atleast_2d(h_prev), np.atleast_2d(c_prev))
+    return h[0], c[0]
+
+
 def test_lstm_zero_parameters_give_zero_output():
     cell = LstmCell(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
-    tape = Tape()
-    h, c = lstm_apply(cell, Var(np.ones(3)), Var(np.zeros(2)), Var(np.zeros(2)), tape)
+    h, c = lstm_step(cell, np.ones(3), np.zeros(2), np.zeros(2))
     # all gates at 0.5, candidate tanh(0)=0, so c=0 and h=0
-    np.testing.assert_array_equal(h.value, np.zeros(2))
-    np.testing.assert_array_equal(c.value, np.zeros(2))
+    np.testing.assert_array_equal(h, np.zeros(2))
+    np.testing.assert_array_equal(c, np.zeros(2))
 
 
 def test_lstm_saturated_gates_preserve_cell_state():
@@ -91,11 +99,8 @@ def test_lstm_saturated_gates_preserve_cell_state():
     b[H : 2 * H] = 50.0  # forget gate wide open
     cell = LstmCell(np.zeros((4 * H, 2)), np.zeros((4 * H, H)), b)
     c_prev = np.array([0.7, -1.2, 0.05])
-    tape = Tape()
-    h, c = lstm_apply(
-        cell, Var(np.ones(2)), Var(np.zeros(H)), Var(c_prev.copy()), tape
-    )
-    np.testing.assert_allclose(c.value, c_prev, atol=1e-10)
+    h, c = lstm_step(cell, np.ones(2), np.zeros(H), c_prev.copy())
+    np.testing.assert_allclose(c, c_prev, atol=1e-10)
 
 
 def test_lstm_single_unit_matches_scalar_oracle():
@@ -112,59 +117,55 @@ def test_lstm_single_unit_matches_scalar_oracle():
     c_exp = f * c_prev + i * g
     h_exp = o * np.tanh(c_exp)
 
-    tape = Tape()
-    h, c = lstm_apply(
-        cell, Var(np.array([x])), Var(np.array([h_prev])), Var(np.array([c_prev])), tape
-    )
-    assert abs(float(c.value[0]) - c_exp) < 1e-14
-    assert abs(float(h.value[0]) - h_exp) < 1e-14
+    h, c = lstm_step(cell, np.array([x]), np.array([h_prev]), np.array([c_prev]))
+    assert abs(float(c[0]) - c_exp) < 1e-14
+    assert abs(float(h[0]) - h_exp) < 1e-14
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_lstm_gradients_match_finite_differences(seed):
+    # the shared reverse step (lstm_gate_factors + lstm_step_back) against
+    # central differences of one lstm_gates_batch step, for the step's
+    # input, both previous states, and a batch of two rows
     rng = np.random.default_rng(seed)
-    n_in, H = 4, 3
+    n_in, H, B = 4, 3, 2
     cell = LstmCell.init(n_in, H, rng)
-    x = Var(rng.normal(size=n_in))
-    h0 = Var(rng.normal(scale=0.5, size=H))
-    c0 = Var(rng.normal(scale=0.5, size=H))
-    weight = rng.normal(size=H)  # fixed projection so the output is scalar
+    x = rng.normal(size=(B, n_in))
+    h0 = rng.normal(scale=0.5, size=(B, H))
+    c0 = rng.normal(scale=0.5, size=(B, H))
+    w_h = rng.normal(size=(B, H))  # fixed projections so the output is scalar
+    w_c = rng.normal(size=(B, H))
 
     def value():
-        tape = Tape()
-        h, c = lstm_apply(cell, x, h0, c0, tape)
-        return float(np.dot(weight, h.value) + 0.5 * np.dot(weight, c.value))
+        h, c, _, _ = lstm_gates_batch(cell, x @ cell.Wx.value.T, h0, c0)
+        return float(np.sum(w_h * h) + np.sum(w_c * c))
 
-    from spnpb.autodiff import add, affine, scale
+    _, _, act, tc = lstm_gates_batch(cell, x @ cell.Wx.value.T, h0, c0)
+    fac, dc_dh = lstm_gate_factors(act, c0, tc)
+    dz = np.empty((B, 4, H))
+    dh_prev, dc_prev = lstm_step_back(w_h, w_c, fac, dc_dh, act[:, H:2 * H], cell.Wh.value, dz)
+    analytic = {"x": dz.reshape(B, 4 * H) @ cell.Wx.value, "h0": dh_prev, "c0": dc_prev}
 
-    tape = Tape()
-    h, c = lstm_apply(cell, x, h0, c0, tape)
-    wv = Var(np.vstack([weight]))
-    bv = Var(np.zeros(1))
-    out = add(
-        tape,
-        affine(tape, wv, bv, h),
-        scale(tape, affine(tape, wv, bv, c), 0.5),
-    )
-    grads = backward(tape, np.ones(1), output=out)
-
-    for leaf in (x, h0, c0, cell.Wx, cell.Wh, cell.b):
-        numeric = finite_diff(value, leaf.value)
+    for name, leaf in (("x", x), ("h0", h0), ("c0", c0)):
+        numeric = finite_diff(value, leaf)
         worst = max(
-            rel_err(a, n) for a, n in zip(grads[leaf].ravel(), numeric.ravel())
+            rel_err(a, n) for a, n in zip(analytic[name].ravel(), numeric.ravel())
         )
-        assert worst <= 1e-4, f"lstm grad off by {worst}"
+        assert worst <= 1e-4, f"lstm grad for {name} off by {worst}"
 
 
 def test_lstm_rejects_mismatched_state_width():
     cell = LstmCell.init(3, 5, np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        lstm_apply(cell, Var(np.zeros(3)), Var(np.zeros(4)), Var(np.zeros(5)), Tape())
+        lstm_sequence(cell, Var(np.zeros((1, 3))), 1, 1, np.zeros((1, 4)), np.zeros((1, 5)),
+                      Tape())
 
 
 def test_lstm_batch_matches_per_row_apply():
     # lstm_sequence over B rows and T steps equals B separate chains of
-    # lstm_apply from the same starting states, values and gradients
+    # one-row steps from the same starting states in value, and in its
+    # gradients the B=1 runs of each row: per row for the input, summed
+    # over rows for the weights
     rng = np.random.default_rng(11)
     cell = LstmCell.init(3, 4, rng)
     B, T = 5, 6
@@ -180,20 +181,15 @@ def test_lstm_batch_matches_per_row_apply():
 
     total = None
     for b in range(B):
+        hv, cv = h0[b], c0[b]
+        for t in range(T):
+            hv, cv = lstm_step(cell, x[b * T + t], hv, cv)
+            np.testing.assert_allclose(h.value[b * T + t], hv, rtol=1e-13, atol=1e-15)
         t2 = Tape()
-        xs = [Var(x[b * T + t]) for t in range(T)]
-        hv, cv = Var(h0[b]), Var(c0[b])
-        outs = []
-        for xt in xs:
-            hv, cv = lstm_apply(cell, xt, hv, cv, t2)
-            outs.append(hv)
-        for t, out in enumerate(outs):
-            np.testing.assert_allclose(h.value[b * T + t], out.value, rtol=1e-13, atol=1e-15)
-        # one scalar per row: the seeded projection of every step's output
-        terms = [sum_(t2, mul(t2, out, Var(seed[b * T + t]))) for t, out in enumerate(outs)]
-        gr = backward(t2, 1.0, output=add_n(t2, terms))
-        for t, xt in enumerate(xs):
-            np.testing.assert_allclose(grads[xb][b * T + t], gr[xt], rtol=1e-12, atol=1e-15)
+        xr = Var(x[b * T:(b + 1) * T])
+        hr = lstm_sequence(cell, xr, 1, T, h0[b:b + 1], c0[b:b + 1], t2)
+        gr = backward(t2, seed[b * T:(b + 1) * T], output=hr)
+        np.testing.assert_allclose(grads[xb][b * T:(b + 1) * T], gr[xr], rtol=1e-12, atol=1e-15)
         part = [gr[cell.Wx], gr[cell.Wh], gr[cell.b]]
         total = part if total is None else [a + b for a, b in zip(total, part)]
     # weight grads accumulate across the batch

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spnpb.autodiff import ShapeError, Tape, Var, backward, sum_
+from spnpb.autodiff import ShapeError
 from spnpb.model import (
     ModelConfig,
     ModelParams,
@@ -9,8 +9,8 @@ from spnpb.model import (
     RecurrentState,
     forward,
     load_model,
-    rollout,
     rollout_batch,
+    rollout_vjp,
     save_model,
 )
 
@@ -42,7 +42,7 @@ def test_layer_widths_follow_the_fixed_pattern():
 def test_zero_weights_give_zero_mean_unit_variance():
     params = zero_weights(make_params())
     pred, _state = forward(
-        params, RecurrentState.zeros(), np.ones(2), np.ones(2), np.ones(2), Tape()
+        params, RecurrentState.zeros(), np.ones(2), np.ones(2), np.ones(2)
     )
     np.testing.assert_array_equal(pred.mean, np.zeros(2))
     np.testing.assert_array_equal(pred.variance, np.ones(2))
@@ -56,7 +56,7 @@ def test_variance_is_always_positive():
         s = rng.normal(scale=3.0, size=2)
         u = rng.normal(scale=3.0, size=2)
         p = rng.normal(scale=2.0, size=2)
-        pred, state = forward(params, state, s, u, p, Tape())
+        pred, state = forward(params, state, s, u, p)
         assert np.all(pred.variance > 0)
         assert np.all(np.isfinite(pred.mean))
 
@@ -67,7 +67,7 @@ def test_forward_matches_frozen_golden_vector():
     s = np.array([0.25, -0.5])
     u = np.array([1.0, -0.75])
     p = np.array([0.1, -0.2])
-    pred1, st = forward(params, RecurrentState.zeros(), s, u, p, Tape())
+    pred1, st = forward(params, RecurrentState.zeros(), s, u, p)
     np.testing.assert_allclose(
         pred1.mean,
         [-0.0037923958685253919, 0.00049870010409637641],
@@ -78,7 +78,7 @@ def test_forward_matches_frozen_golden_vector():
         [1.0032886659419402, 1.0057541446524412],
         rtol=0, atol=1e-14,
     )
-    pred2, _ = forward(params, st, s, u, p, Tape())
+    pred2, _ = forward(params, st, s, u, p)
     np.testing.assert_allclose(
         pred2.mean,
         [-0.0085378236794865919, 0.0010771400715352901],
@@ -96,11 +96,22 @@ def test_forward_does_not_mutate_its_input_state():
     state = RecurrentState.zeros()
     h1_before = state.h1.copy()
     pred, new_state = forward(
-        params, state, np.ones(2), np.ones(2), np.zeros(2), Tape()
+        params, state, np.ones(2), np.ones(2), np.zeros(2)
     )
     np.testing.assert_array_equal(state.h1, h1_before)
     assert new_state is not state
     assert np.any(new_state.h1 != 0)
+
+
+def forward_chain(params, state, s, u_seq, p):
+    """Reference closed loop: one forward call per command, mean fed back."""
+    means, variances = [], []
+    for u in u_seq:
+        pred, state = forward(params, state, s, u, p)
+        means.append(pred.mean)
+        variances.append(pred.variance)
+        s = pred.mean
+    return np.array(means), np.array(variances)
 
 
 def test_single_step_rollout_equals_forward():
@@ -108,35 +119,37 @@ def test_single_step_rollout_equals_forward():
     s = np.array([0.2, 0.4])
     u = np.array([-0.3, 0.8])
     p = np.array([0.05, -0.05])
-    pred_f, _ = forward(params, RecurrentState.zeros(), s, u, p, Tape())
-    preds_r = rollout(params, RecurrentState.zeros(), s, [u], p, Tape())
-    assert len(preds_r) == 1
-    np.testing.assert_array_equal(preds_r[0].mean, pred_f.mean)
-    np.testing.assert_array_equal(preds_r[0].variance, pred_f.variance)
+    pred_f, _ = forward(params, RecurrentState.zeros(), s, u, p)
+    means, variances = rollout_batch(params, RecurrentState.zeros(), s, u[None, None], p)
+    assert means.shape == (1, 1, 2)
+    np.testing.assert_array_equal(means[0, 0], pred_f.mean)
+    np.testing.assert_array_equal(variances[0, 0], pred_f.variance)
 
 
 def test_rollout_feeds_mean_back_as_next_state():
     params = make_params(seed=5)
     s = np.array([0.1, -0.1])
     p = np.zeros(2)
-    u_seq = [np.array([0.5, 0.5]), np.array([-0.5, 0.25])]
-    preds = rollout(params, RecurrentState.zeros(), s, u_seq, p, Tape())
+    u_seq = np.array([[0.5, 0.5], [-0.5, 0.25]])
+    means, _ = rollout_batch(params, RecurrentState.zeros(), s, u_seq[None], p)
 
     # manual two-step replay with explicit state threading
-    pred1, st1 = forward(params, RecurrentState.zeros(), s, u_seq[0], p, Tape())
-    pred2, _ = forward(params, st1, pred1.mean, u_seq[1], p, Tape())
-    np.testing.assert_allclose(preds[0].mean, pred1.mean, atol=1e-15)
-    np.testing.assert_allclose(preds[1].mean, pred2.mean, atol=1e-12)
+    pred1, st1 = forward(params, RecurrentState.zeros(), s, u_seq[0], p)
+    pred2, _ = forward(params, st1, pred1.mean, u_seq[1], p)
+    np.testing.assert_allclose(means[0, 0], pred1.mean, atol=1e-15)
+    np.testing.assert_allclose(means[0, 1], pred2.mean, atol=1e-12)
 
 
 def test_rollout_rejects_empty_command_sequence():
     params = make_params(seed=6)
     with pytest.raises(ValueError):
-        rollout(params, RecurrentState.zeros(), np.zeros(2), [], np.zeros(2), Tape())
+        rollout_batch(params, RecurrentState.zeros(), np.zeros(2), np.zeros((1, 0, 2)),
+                      np.zeros(2))
 
 
 @pytest.mark.parametrize("K", [1, 3, 10])
 def test_rollout_batch_matches_per_sequence_taped_rollout(K):
+    # reference: each sequence as a chain of one-step forward calls
     rng = np.random.default_rng(100 + K)
     params = ModelParams.init(ModelConfig(n_s=2, n_u=2, n_p=2), unit_stats(), rng)
     state = RecurrentState(*rng.normal(scale=0.5, size=(4, 10)))
@@ -147,10 +160,9 @@ def test_rollout_batch_matches_per_sequence_taped_rollout(K):
     means, variances = rollout_batch(params, state, s_t, u_batch, p)
     assert means.shape == variances.shape == (K, 6, 2)
     for k in range(K):
-        preds = rollout(params, state, s_t, list(u_batch[k]), p, Tape())
-        np.testing.assert_allclose(means[k], [pr.mean for pr in preds], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(variances[k], [pr.variance for pr in preds],
-                                   rtol=1e-12, atol=0)
+        want_means, want_variances = forward_chain(params, state, s_t, u_batch[k], p)
+        np.testing.assert_allclose(means[k], want_means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(variances[k], want_variances, rtol=1e-12, atol=0)
 
 
 def test_rollout_batch_rejects_bad_shapes():
@@ -173,40 +185,32 @@ def test_rollout_gradient_wrt_commands_matches_finite_differences():
     u_flat = np.random.default_rng(8).normal(size=6)
 
     def value():
-        u_seq = [u_flat[0:2], u_flat[2:4], u_flat[4:6]]
-        preds = rollout(params, RecurrentState.zeros(), s, u_seq, p, Tape())
-        return float(sum(np.sum(pr.mean**2) for pr in preds))
+        means, _ = rollout_batch(params, RecurrentState.zeros(), s, u_flat.reshape(1, 3, 2), p)
+        return float(np.sum(means**2))
 
-    tape = Tape()
-    u_vars = [Var(u_flat[0:2]), Var(u_flat[2:4]), Var(u_flat[4:6])]
-    preds = rollout(params, RecurrentState.zeros(), s, u_vars, p, tape)
-    from spnpb.autodiff import add_n, mul
-
-    sq = [sum_(tape, mul(tape, pr.mean_node, pr.mean_node)) for pr in preds]
-    loss = add_n(tape, sq)
-    grads = backward(tape, 1.0, output=loss)
+    means, variances, vjp = rollout_vjp(params, RecurrentState.zeros(), s,
+                                        u_flat.reshape(1, 3, 2), p)
+    grads = vjp(2.0 * means, np.zeros_like(variances)).ravel()
 
     h = 1e-5
-    for k, uv in enumerate(u_vars):
-        for j in range(2):
-            idx = 2 * k + j
-            keep = u_flat[idx]
-            u_flat[idx] = keep + h
-            hi = value()
-            u_flat[idx] = keep - h
-            lo = value()
-            u_flat[idx] = keep
-            numeric = (hi - lo) / (2 * h)
-            analytic = grads[uv][j]
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-            assert err <= 1e-4, f"u[{k}][{j}] grad err {err}"
+    for idx in range(6):
+        keep = u_flat[idx]
+        u_flat[idx] = keep + h
+        hi = value()
+        u_flat[idx] = keep - h
+        lo = value()
+        u_flat[idx] = keep
+        numeric = (hi - lo) / (2 * h)
+        analytic = grads[idx]
+        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+        assert err <= 1e-4, f"u[{idx // 2}][{idx % 2}] grad err {err}"
 
 
 def test_parametric_bias_changes_the_prediction():
     params = make_params(seed=9)
     s, u = np.array([0.2, 0.2]), np.array([0.5, -0.5])
-    pred_a, _ = forward(params, RecurrentState.zeros(), s, u, np.array([1.0, 0.0]), Tape())
-    pred_b, _ = forward(params, RecurrentState.zeros(), s, u, np.array([-1.0, 0.0]), Tape())
+    pred_a, _ = forward(params, RecurrentState.zeros(), s, u, np.array([1.0, 0.0]))
+    pred_b, _ = forward(params, RecurrentState.zeros(), s, u, np.array([-1.0, 0.0]))
     assert np.max(np.abs(pred_a.mean - pred_b.mean)) > 1e-6
 
 
@@ -214,11 +218,11 @@ def test_input_shape_validation():
     params = make_params(seed=10)
     st = RecurrentState.zeros()
     with pytest.raises(ShapeError):
-        forward(params, st, np.zeros(3), np.zeros(2), np.zeros(2), Tape())
+        forward(params, st, np.zeros(3), np.zeros(2), np.zeros(2))
     with pytest.raises(ShapeError):
-        forward(params, st, np.zeros(2), np.zeros(1), np.zeros(2), Tape())
+        forward(params, st, np.zeros(2), np.zeros(1), np.zeros(2))
     with pytest.raises(ShapeError):
-        forward(params, st, np.zeros(2), np.zeros(2), np.zeros(3), Tape())
+        forward(params, st, np.zeros(2), np.zeros(2), np.zeros(3))
 
 
 def test_normalization_round_trip():
@@ -269,8 +273,8 @@ def test_save_load_round_trip_is_bit_exact(tmp_path):
 
     # a forward pass through the loaded model must agree bitwise
     s, u, p = np.array([0.3, 0.1]), np.array([-0.2, 0.9]), np.array([0.0, 0.5])
-    pred_a, _ = forward(params, RecurrentState.zeros(), s, u, p, Tape())
-    pred_b, _ = forward(loaded, RecurrentState.zeros(), s, u, p, Tape())
+    pred_a, _ = forward(params, RecurrentState.zeros(), s, u, p)
+    pred_b, _ = forward(loaded, RecurrentState.zeros(), s, u, p)
     assert np.array_equal(pred_a.mean, pred_b.mean)
     assert np.array_equal(pred_a.variance, pred_b.variance)
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spnpb.autodiff import Tape, Var, add_n, backward, gaussian_nll, stack_rows
+from spnpb.autodiff import Tape, Var, backward, stack_rows
 from spnpb.dataset import TimedSample, Trial
-from spnpb.model import ModelConfig, ModelParams, RecurrentState, _step_nodes, _wrap_state, forward
+from spnpb.evaluate import NLL_FD_STEP, finite_diff, rel_err
+from spnpb.model import ModelConfig, ModelParams, RecurrentState, forward
 from spnpb.training import (
     TrainConfig,
     TrainingDivergedError,
@@ -114,7 +115,7 @@ def test_trial_loss_equals_sum_of_elementwise_terms():
     state = RecurrentState.zeros()
     manual = 0.0
     for i in range(len(t) - 1):
-        pred, state = forward(params, state, s_n[i], u_n[i], p, Tape())
+        pred, state = forward(params, state, s_n[i], u_n[i], p)
         for d in range(2):
             manual += nll_element(pred.mean[d], pred.variance[d], s_n[i + 1][d])
     assert abs(total - manual) < 1e-10
@@ -347,11 +348,10 @@ def test_batched_loss_and_grads_match_sequential_reference():
 
 @pytest.mark.parametrize("B", [1, 3])
 def test_batch_nll_with_init_state_matches_per_step_forward(B):
-    # reference: the per-vector forward on one tape, every sequence started
-    # from the same non-zero state, one gaussian_nll term per step.  It
-    # threads the state as nodes (_step_nodes, the core of model.forward),
-    # because forward hands the state back as values and so would cut the
-    # gradient through the recurrence.
+    # every sequence starts from the same non-zero state.  Values: the
+    # one-step forward chain with one nll_element per step and dimension.
+    # Gradients: each row's B=1 run (per row for p, summed over rows for the
+    # weights), and central differences of the batched loss.
     rng = np.random.default_rng(20 + B)
     T = 9
     stats = compute_norm_stats([random_trial(60 + B, n=T)])
@@ -362,29 +362,53 @@ def test_batch_nll_with_init_state_matches_per_step_forward(B):
     init = RecurrentState(*(rng.normal(scale=0.4, size=10) for _ in range(4)))
     weight_vars = params.weight_vars()
 
-    tape = Tape()
-    ref_p = [Var(p_rows[b]) for b in range(B)]
-    terms = []
+    ref = 0.0
     for b in range(B):
-        nodes = _wrap_state(init)
+        state = init
         for t in range(T - 1):
-            mean, logvar, nodes = _step_nodes(
-                params, nodes, Var(commands_n[b, t]), Var(states_n[b, t]), ref_p[b], tape)
-            terms.append(gaussian_nll(tape, mean, logvar, states_n[b, t + 1]))
-    ref = add_n(tape, terms)
-    ref_g = backward(tape, 1.0)
+            pred, state = forward(params, state, states_n[b, t], commands_n[b, t], p_rows[b])
+            for d in range(2):
+                ref += nll_element(pred.mean[d], pred.variance[d], states_n[b, t + 1, d])
+
+    def batch_loss(tape, p_node, rows=slice(None)):
+        return batch_nll_node(params, p_node, states_n[rows], commands_n[rows], tape,
+                              init_state=init)
 
     tape = Tape()
     rows = [Var(p_rows[b]) for b in range(B)]
-    node = batch_nll_node(params, stack_rows(tape, rows), states_n, commands_n, tape,
-                          init_state=init)
+    node = batch_loss(tape, stack_rows(tape, rows))
     g = backward(tape, 1.0)
+    assert abs(float(node.value) - ref) <= 1e-10 * abs(ref)
 
-    assert abs(float(node.value) - float(ref.value)) <= 1e-10 * abs(float(ref.value))
+    ref_w = None
+    for b in range(B):
+        tape = Tape()
+        row = Var(p_rows[b])
+        batch_loss(tape, stack_rows(tape, [row]), slice(b, b + 1))
+        g_b = backward(tape, 1.0)
+        assert_allclose(g[rows[b]], g_b[row], rtol=1e-10, atol=1e-13)
+        ws = [g_b[v] for v in weight_vars]
+        ref_w = ws if ref_w is None else [a + w for a, w in zip(ref_w, ws)]
+    for v, want in zip(weight_vars, ref_w):
+        assert_allclose(g[v], want, rtol=1e-10, atol=1e-13)
+
+    def loss_value():
+        return float(batch_loss(Tape(), Var(p_rows)).value)
+
+    numeric = finite_diff(loss_value, p_rows, h=NLL_FD_STEP)
+    for b in range(B):
+        for a, n in zip(g[rows[b]], numeric[b]):
+            assert rel_err(a, n) <= 1e-4
     for v in weight_vars:
-        assert_allclose(g[v], ref_g[v], rtol=1e-10, atol=1e-13)
-    for row, want in zip(rows, ref_p):
-        assert_allclose(g[row], ref_g[want], rtol=1e-10, atol=1e-13)
+        flat, analytic = v.value.ravel(), g[v].ravel()
+        for i in rng.choice(flat.size, size=min(2, flat.size), replace=False):
+            keep = flat[i]
+            flat[i] = keep + NLL_FD_STEP
+            hi = loss_value()
+            flat[i] = keep - NLL_FD_STEP
+            lo = loss_value()
+            flat[i] = keep
+            assert rel_err(analytic[i], (hi - lo) / (2 * NLL_FD_STEP)) <= 1e-4
 
 
 def test_first_epoch_loss_equals_sum_of_initial_trial_losses():
