@@ -8,8 +8,8 @@ vector p: the whole buffer is replayed teacher-forced from the oldest
 snapshot under the current p, and only p receives the gradient.  The
 network weights are never touched.  The replay is the training NLL
 itself (training.batch_nll_node, through sequence_nll_node as a batch of
-one), so a tick records one tape entry per LSTM sequence rather than a
-chain of per-step records.
+one), so a tick's replay is one fused tape record whose hand-written
+reverse yields p's gradient.
 
 The objective is the mean NLL per replayed step, not the sum: the buffer
 grows from n_thre to n_max during an episode, and a sum-based gradient

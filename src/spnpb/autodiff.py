@@ -7,12 +7,13 @@ Tape.  backward() replays the records in exact reverse order and
 accumulates gradients into a map keyed by leaf Var.
 
 The tape serves one computation: the teacher-forced Gaussian NLL that
-training and the adaptation replay share (training.batch_nll_node), so
-its ops are the batched ones that NLL is built from.  The control
-gradient does not use it; the model computes that with a hand-written
-reverse pass.  All arithmetic is float64.  Records operate on whole
-matrices; ops are fused where the closed-form local gradient is standard
-(the LSTM sequence, the Gaussian log-likelihood).
+training and the adaptation replay share.  That whole network is one
+fused record (training.batch_nll_node, with a hand-written reverse), so
+the only ops left here are the ones that assemble its inputs and combine
+its outputs: stack_rows for the per-sequence bias rows, add_n for the
+sum over length buckets and scale for a mean.  The control gradient does
+not use the tape; the model computes it with a hand-written reverse
+pass.  All arithmetic is float64.
 
 Tapes hold references to the arrays captured at forward time, not copies.
 Run backward() before mutating parameter arrays in place.
@@ -21,8 +22,6 @@ Run backward() before mutating parameter arrays in place.
 from __future__ import annotations
 
 import numpy as np
-
-LOG_2PI = 1.8378770664093453  # log(2*pi)
 
 
 class ShapeError(ValueError):
@@ -116,36 +115,6 @@ def backward(tape, output_grads, output=None):
 # primitive operations
 
 
-def tanh_(tape, x):
-    y = np.tanh(x.value)
-    out = Var(y)
-
-    def vjp(g):
-        return (g * (1.0 - y * y),)
-
-    tape.record((out,), (x,), vjp)
-    return out
-
-
-
-def clip_(tape, x, lo, hi):
-    """Clamp to [lo, hi]; gradient passes only where the value was kept."""
-    xv = x.value
-    out = Var(np.clip(xv, lo, hi))
-    mask = (xv >= lo) & (xv <= hi)
-
-    def vjp(g):
-        return (g * mask,)
-
-    tape.record((out,), (x,), vjp)
-    return out
-
-
-
-
-
-
-
 def scale(tape, x, c):
     """c * x for a plain float constant c."""
     c = float(c)
@@ -156,8 +125,6 @@ def scale(tape, x, c):
 
     tape.record((out,), (x,), vjp)
     return out
-
-
 
 
 def add_n(tape, parts):
@@ -181,62 +148,6 @@ def add_n(tape, parts):
     return out
 
 
-
-
-
-
-def affine_batch(tape, w, b, x):
-    """x @ w.T + b with w (out, in), b (out,), x (batch, in)."""
-    wv, bv, xv = w.value, b.value, x.value
-    if wv.ndim != 2 or xv.ndim != 2 or wv.shape[1] != xv.shape[1]:
-        raise ShapeError(f"affine_batch: weight {wv.shape} incompatible with input {xv.shape}")
-    if bv.shape != (wv.shape[0],):
-        raise ShapeError(f"affine_batch: bias {bv.shape} incompatible with weight {wv.shape}")
-    out = Var(xv @ wv.T + bv)
-
-    def vjp(g):
-        return g.T @ xv, g.sum(axis=0), g @ wv
-
-    tape.record((out,), (w, b, x), vjp)
-    return out
-
-
-def concat_cols(tape, parts):
-    """Concatenate (batch, n_i) blocks along the feature axis."""
-    parts = tuple(parts)
-    if not parts:
-        raise ValueError("concat_cols needs at least one operand")
-    rows = parts[0].value.shape[0]
-    for p in parts:
-        if p.value.ndim != 2 or p.value.shape[0] != rows:
-            raise ShapeError("concat_cols: operands must share the batch dimension")
-    sizes = [p.value.shape[1] for p in parts]
-    out = Var(np.concatenate([p.value for p in parts], axis=1))
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-
-    tape.record((out,), parts, vjp)
-    return out
-
-
-def slice_cols(tape, x, start, stop):
-    xv = x.value
-    if xv.ndim != 2 or not (0 <= start <= stop <= xv.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] out of range for shape {xv.shape}")
-    out = Var(xv[:, start:stop].copy())
-    shape = xv.shape
-
-    def vjp(g):
-        full = np.zeros(shape)
-        full[:, start:stop] = g
-        return (full,)
-
-    tape.record((out,), (x,), vjp)
-    return out
-
-
 def stack_rows(tape, parts):
     """Stack equal-length vectors into a (batch, n) matrix."""
     parts = tuple(parts)
@@ -252,39 +163,4 @@ def stack_rows(tape, parts):
         return tuple(g[i] for i in range(len(parts)))
 
     tape.record((out,), parts, vjp)
-    return out
-
-
-def tile_rows(tape, x, reps):
-    """Repeat each row of x (B, n) reps times: out[b*reps + r] = x[b]."""
-    xv = x.value
-    if xv.ndim != 2 or reps < 1:
-        raise ShapeError(f"tile_rows needs a matrix and reps >= 1, got {xv.shape}, {reps}")
-    B, n = xv.shape
-    out = Var(np.repeat(xv, reps, axis=0))
-
-    def vjp(g):
-        return (g.reshape(B, reps, n).sum(axis=1),)
-
-    tape.record((out,), (x,), vjp)
-    return out
-
-
-def gaussian_nll(tape, mean, logvar, target):
-    """Sum over dims of the Gaussian negative log density of target.
-
-    Parameterized by log variance so the exp head's clamp is shared with
-    the prediction path:  0.5 * sum(log(2*pi) + lv + (m - t)^2 * exp(-lv)).
-    """
-    mv, lv = mean.value, logvar.value
-    if mv.shape != lv.shape or mv.shape != np.shape(target):
-        raise ShapeError("gaussian_nll: mean, logvar, and target shapes must match")
-    r = mv - target
-    e = np.exp(-lv)
-    out = Var(0.5 * np.sum(LOG_2PI + lv + r * r * e))
-
-    def vjp(g):
-        return g * (r * e), g * 0.5 * (1.0 - r * r * e)
-
-    tape.record((out,), (mean, logvar), vjp)
     return out

@@ -28,7 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ShapeError
-from .layers import DenseLayer, LstmCell, lstm_gate_factors, lstm_gates_batch, lstm_step_back
+from .layers import (
+    DenseLayer,
+    LstmCell,
+    lstm_gate_factors,
+    lstm_step,
+    lstm_step_back,
+    lstm_step_weights,
+)
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -237,8 +244,10 @@ def _run(params, state, s_t, u_batch, p, keep=False):
     def rows(v):
         return np.tile(np.asarray(v, dtype=np.float64), (K, 1))
 
-    h1, c1, h2, c2 = (rows(v) for v in (state.h1, state.c1, state.h2, state.c2))
+    # the LSTM helpers take the K rows as columns
+    h1, c1, h2, c2 = (rows(v).T for v in (state.h1, state.c1, state.h2, state.c2))
     s, p_rows = rows(s_t), rows(p)
+    w1, w2 = lstm_step_weights(params.lstm1), lstm_step_weights(params.lstm2)
     means = np.empty((K, n_seq, n_s))
     logvars = np.empty((K, n_seq, n_s))
     steps = [] if keep else None
@@ -249,9 +258,9 @@ def _run(params, state, s_t, u_batch, p, keep=False):
             x = np.tanh(x @ layer.W.value.T + layer.b.value)
             dense_in.append(x)
         c1_prev, c2_prev = c1, c2
-        h1, c1, act1, tc1 = lstm_gates_batch(params.lstm1, x @ params.lstm1.Wx.value.T, h1, c1)
-        h2, c2, act2, tc2 = lstm_gates_batch(params.lstm2, h1 @ params.lstm2.Wx.value.T, h2, c2)
-        x = h2
+        h1, c1, act1, tc1 = _lstm_step(w1, x.T, h1, c1)
+        h2, c2, act2, tc2 = _lstm_step(w2, h1, h2, c2)
+        x = h2.T
         dense_out = []
         for layer in params.dense_out[:-1]:
             x = np.tanh(x @ layer.W.value.T + layer.b.value)
@@ -265,7 +274,17 @@ def _run(params, state, s_t, u_batch, p, keep=False):
             kept = (out[:, n_s:] >= LOGVAR_MIN) & (out[:, n_s:] <= LOGVAR_MAX)
             steps.append((dense_in, ((act1, c1_prev, tc1), (act2, c2_prev, tc2)),
                           dense_out, kept))
-    return means, np.exp(logvars), (h1, c1, h2, c2), steps
+    return means, np.exp(logvars), (h1.T, c1.T, h2.T, c2.T), steps
+
+
+def _lstm_step(weights, x, h_prev, c_prev):
+    """lstm_step on fresh (·, K) columns; returns (h, c, gate activations, tanh(c))."""
+    wx, wh, b = weights
+    z = wx @ x
+    z += b
+    h, c, tc = np.empty((3,) + h_prev.shape)
+    lstm_step(z, h_prev, c_prev, wh, h, c, tc)
+    return h, c, z, tc
 
 
 def _reverse(params, steps, variances, d_means, d_variances):
@@ -282,7 +301,7 @@ def _reverse(params, steps, variances, d_means, d_variances):
     n_s, n_u = cfg.n_s, cfg.n_u
     K, n_seq, _ = variances.shape
     cells = (params.lstm1, params.lstm2)
-    carries = [(np.zeros((K, c.hidden)), np.zeros((K, c.hidden))) for c in cells]
+    carries = [(np.zeros((c.hidden, K)), np.zeros((c.hidden, K))) for c in cells]
     d_u = np.empty((K, n_seq, n_u))
     d_s = np.zeros((K, n_s))
     for t in range(n_seq - 1, -1, -1):
@@ -291,13 +310,18 @@ def _reverse(params, steps, variances, d_means, d_variances):
         g = np.concatenate((d_means[:, t] + d_s, d_logvar), axis=1) @ params.dense_out[-1].W.value
         for layer, y in zip(params.dense_out[-2::-1], dense_out[::-1]):
             g = (g * (1.0 - y * y)) @ layer.W.value
+        g = g.T  # columns, as the LSTM helpers take them
         for k in (1, 0):
             cell, (act, c_prev, tc), (dh, dc) = cells[k], lstms[k], carries[k]
             H = cell.hidden
-            fac, dc_dh = lstm_gate_factors(act, c_prev, tc)
-            dz = np.empty((K, 4, H))
-            carries[k] = lstm_step_back(g + dh, dc, fac, dc_dh, act[:, H:2 * H], cell.Wh.value, dz)
-            g = dz.reshape(K, -1) @ cell.Wx.value
+            fac, dz = np.empty((2, 4 * H, K))
+            dc_dh = np.empty((H, K))
+            lstm_gate_factors(act, c_prev, tc, fac, dc_dh)
+            dh = g + dh
+            lstm_step_back(dh, dc, fac, dc_dh, act[H:2 * H], cell.Wh.value, dz)
+            carries[k] = (dh, dc)
+            g = cell.Wx.value.T @ dz
+        g = g.T
         for layer, y in zip(params.dense_in[::-1], dense_in[::-1]):
             g = (g * (1.0 - y * y)) @ layer.W.value
         d_u[:, t] = g[:, :n_u]

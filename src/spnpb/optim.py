@@ -91,10 +91,11 @@ def clip_grad_norm(grads, max_norm):
     """Scale the list of grads so their global L2 norm is at most max_norm.
 
     Raises NonFiniteGradientError when the norm is NaN or infinite, which
-    no rescaling could repair.
+    no rescaling could repair, and ValueError for a max_norm that is not
+    finite and positive (a NaN threshold would silently never clip).
     """
-    if max_norm <= 0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
+    if not (math.isfinite(max_norm) and max_norm > 0):
+        raise ValueError(f"max_norm must be finite and positive, got {max_norm}")
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if not np.isfinite(total):
         raise NonFiniteGradientError(f"gradient norm is not finite ({total})")

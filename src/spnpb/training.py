@@ -10,8 +10,11 @@ weights and one on each trial's own bias vector p_k.
 
 batch_nll_node is the one teacher-forced NLL in the package: training,
 the adaptation replay (a batch of one started from the buffer's
-snapshot), trial_nll and the gradient checks all run it, and each of its
-two LSTMs is a single tape record per sequence (layers.lstm_sequence).
+snapshot), trial_nll and the gradient checks all run it.  It is a single
+tape record per batch: a plain numpy forward through the input dense
+stack, both LSTMs, the output stack and the Gaussian head, and a
+hand-written reverse through the same stages, both working in the
+buffers of an NllWorkspace that train() allocates once per length bucket.
 """
 
 from __future__ import annotations
@@ -21,23 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tape,
-    Var,
-    add_n,
-    affine_batch,
-    backward,
-    clip_,
-    concat_cols,
-    gaussian_nll,
-    slice_cols,
-    stack_rows,
-    tanh_,
-    tile_rows,
+from .autodiff import ShapeError, Tape, Var, add_n, backward, stack_rows
+from .layers import (
+    LstmBuffers,
+    dense_affine,
+    dense_stack_forward,
+    dense_stack_reverse,
+    lstm_sequence_forward,
+    lstm_sequence_reverse,
 )
-from .layers import lstm_sequence
 from .model import LOGVAR_MAX, LOGVAR_MIN, ModelConfig, ModelParams, NormStats, RecurrentState
 from .optim import AdamState, NonFiniteGradientError, adam_update, clip_grad_norm
+
+LOG_2PI = 1.8378770664093453  # log(2*pi)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -63,12 +62,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
-        if self.lr_weights <= 0 or self.lr_pb <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("lr_weights", "lr_pb", "grad_clip"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0.0 < self.lr_decay <= 1.0 or not 0.0 < self.lr_decay_pb <= 1.0:
             raise ValueError("decay factors must lie in (0, 1]")
-        if self.grad_clip <= 0:
-            raise ValueError("grad_clip must be positive")
 
     def lr_factor(self, epoch, decay=None):
         """Learning-rate multiplier for a 0-indexed epoch; decays from 1 to decay."""
@@ -120,7 +119,100 @@ def trial_nll(params, p_k, trial, stats):
     return float(loss.value)
 
 
-def batch_nll_node(params, p_batch, states_n, commands_n, tape, init_state=None):
+class GaussianHeadBuffers:
+    """Output layer, clamped logvar and Gaussian NLL terms of n rows."""
+
+    def __init__(self, n, n_s):
+        self.out = np.empty((n, 2 * n_s))    # the output layer: mean | raw logvar
+        self.r = np.empty((n, n_s))          # mean - target
+        self.lv = np.empty((n, n_s))         # clamped logvar
+        self.kept = np.empty((n, n_s), dtype=bool)  # logvar inside the clamp
+        self.e = np.empty((n, n_s))          # exp(-logvar)
+        self.q = np.empty((n, n_s))          # r * r * e
+        self.d_out = np.empty((n, 2 * n_s))
+
+
+def gaussian_head_forward(last, y, targets, head):
+    """The linear output layer and the summed Gaussian NLL of targets.
+
+    last is the output DenseLayer, y (n, n_in) its input and targets
+    (n, n_s).  The first n_s outputs are the mean and the rest the log
+    variance, clamped to [LOGVAR_MIN, LOGVAR_MAX]; the loss is
+    0.5 * sum(log(2*pi) + lv + (mean - target)^2 * exp(-lv)).  Fills head
+    and returns the loss as a float.
+    """
+    n_s = targets.shape[1]
+    out = dense_affine(last, y, head.out)
+    raw = out[:, n_s:]
+    np.subtract(out[:, :n_s], targets, out=head.r)
+    np.clip(raw, LOGVAR_MIN, LOGVAR_MAX, out=head.lv)
+    np.equal(head.lv, raw, out=head.kept)
+    np.negative(head.lv, out=head.e)
+    np.exp(head.e, out=head.e)
+    np.multiply(head.r, head.r, out=head.q)
+    head.q *= head.e
+    return 0.5 * (LOG_2PI * head.lv.size + float(head.lv.sum()) + float(head.q.sum()))
+
+
+def gaussian_head_reverse(last, y, head, g, dy):
+    """Reverse of gaussian_head_forward for a loss gradient g.
+
+    A clamped logvar entry passes no gradient.  Writes the gradient of y
+    into dy and returns the output layer's (dW, db).
+    """
+    n_s = head.r.shape[1]
+    d_mean, d_lv = head.d_out[:, :n_s], head.d_out[:, n_s:]
+    np.multiply(head.r, head.e, out=d_mean)
+    d_mean *= g
+    np.subtract(1.0, head.q, out=d_lv)
+    d_lv *= g * 0.5
+    d_lv *= head.kept
+    np.matmul(head.d_out, last.W.value, out=dy)
+    return head.d_out.T @ y, head.d_out.sum(axis=0)
+
+
+class NllWorkspace:
+    """Every buffer of batch_nll_node for one model config and (B, T).
+
+    Rows are time-major: row t*B + b is step t of sequence b.  A workspace
+    serves one pending record at a time: a forward claims it, and the
+    record's backward releases it, so a second forward before that
+    backward raises instead of overwriting activations still needed.
+    """
+
+    def __init__(self, config, B, T):
+        if B < 1 or T < 2:
+            raise ValueError(f"need B >= 1 sequences of T >= 2 samples, got {B}, {T}")
+        self.config, self.B, self.T = config, B, T
+        steps = T - 1
+        n = steps * B
+        w = config.layer_widths
+        self.x = np.empty((n, config.n_in))
+        self.targets = np.empty((n, config.n_s))
+        self.dense_in = [np.empty((n, k)) for k in w[:4]]
+        self.d_dense_in = [np.empty((n, k)) for k in w[:4]]
+        self.lstm1 = LstmBuffers(steps, B, w[4])
+        self.lstm2 = LstmBuffers(steps, B, w[5])
+        self.d_lstm1 = np.empty((n, w[4]))
+        self.d_lstm2 = np.empty((n, w[5]))
+        self.dense_out = [np.empty((n, k)) for k in w[6:9]]
+        self.d_dense_out = [np.empty((n, k)) for k in w[6:9]]
+        self.head = GaussianHeadBuffers(n, config.n_s)
+        self.pending = False
+
+    def claim(self, config, B, T):
+        if (self.config, self.B, self.T) != (config, B, T):
+            raise ShapeError(
+                f"workspace for B={self.B}, T={self.T} and {self.config} cannot hold "
+                f"B={B}, T={T} and {config}")
+        if self.pending:
+            raise RuntimeError("workspace still holds the activations of a record "
+                               "whose backward has not run")
+        self.pending = True
+
+
+def batch_nll_node(params, p_batch, states_n, commands_n, tape, init_state=None,
+                   workspace=None):
     """Summed teacher-forced NLL of a batch of equal-length sequences.
 
     states_n (B, T, n_s) and commands_n (B, T, n_u) are normalized;
@@ -129,37 +221,63 @@ def batch_nll_node(params, p_batch, states_n, commands_n, tape, init_state=None)
     zeros by default), so the total equals the sum of the per-sequence
     losses up to summation order.
 
-    Only the two LSTMs depend on the recurrence, so the dense stacks run
-    once over all B*(T-1) step inputs and each LSTM runs its whole
-    sequence as one lstm_sequence record.
+    The whole network is one tape record whose inputs are every weight
+    Var and p_batch.  Its forward runs the input dense stack over all
+    B*(T-1) step inputs at once, each LSTM over its whole sequence, the
+    output stack and the Gaussian head in plain numpy; its vjp is the
+    hand-written reverse through the same stages.  All of it works in
+    workspace, an NllWorkspace for these shapes: train() keeps one per
+    length bucket, and every other caller gets a fresh one per call.
     """
+    cfg = params.config
+    n_s, n_u = cfg.n_s, cfg.n_u
+    states_n = np.asarray(states_n, dtype=np.float64)
+    commands_n = np.asarray(commands_n, dtype=np.float64)
     B, T = states_n.shape[:2]
     if T < 2:
         raise ValueError("need at least two samples to form a prediction target")
-    steps = T - 1
-    n_s, n_u = params.config.n_s, params.config.n_u
-
-    u_flat = Var(np.ascontiguousarray(commands_n[:, :steps]).reshape(B * steps, n_u))
-    s_flat = Var(np.ascontiguousarray(states_n[:, :steps]).reshape(B * steps, n_s))
-    targets = np.ascontiguousarray(states_n[:, 1:]).reshape(B * steps, n_s)
-
-    x = concat_cols(tape, (u_flat, s_flat, tile_rows(tape, p_batch, steps)))
-    for layer in params.dense_in:
-        x = tanh_(tape, affine_batch(tape, layer.W, layer.b, x))
-
+    if states_n.shape != (B, T, n_s) or commands_n.shape != (B, T, n_u):
+        raise ShapeError(f"states {states_n.shape} and commands {commands_n.shape} must be "
+                         f"(B, T, {n_s}) and (B, T, {n_u})")
+    if p_batch.value.shape != (B, cfg.n_p):
+        raise ShapeError(f"bias batch must be ({B}, {cfg.n_p}), got {p_batch.value.shape}")
     if init_state is None:
-        init_state = RecurrentState.zeros(params.config.layer_widths[4])
-    h1, c1, h2, c2 = (np.tile(np.asarray(v, dtype=np.float64), (B, 1))
-                      for v in (init_state.h1, init_state.c1, init_state.h2, init_state.c2))
-    y = lstm_sequence(params.lstm1, x, B, steps, h1, c1, tape)
-    y = lstm_sequence(params.lstm2, y, B, steps, h2, c2, tape)
-    for layer in params.dense_out[:-1]:
-        y = tanh_(tape, affine_batch(tape, layer.W, layer.b, y))
-    last = params.dense_out[-1]
-    out = affine_batch(tape, last.W, last.b, y)
-    mean = slice_cols(tape, out, 0, n_s)
-    logvar = clip_(tape, slice_cols(tape, out, n_s, 2 * n_s), LOGVAR_MIN, LOGVAR_MAX)
-    return gaussian_nll(tape, mean, logvar, targets)
+        init_state = RecurrentState.zeros(cfg.layer_widths[4])
+    ws = NllWorkspace(cfg, B, T) if workspace is None else workspace
+    ws.claim(cfg, B, T)
+    steps = T - 1
+
+    x = ws.x.reshape(steps, B, cfg.n_in)
+    x[..., :n_u] = commands_n[:, :steps].transpose(1, 0, 2)
+    x[..., n_u:n_u + n_s] = states_n[:, :steps].transpose(1, 0, 2)
+    x[..., n_u + n_s:] = p_batch.value
+    ws.targets.reshape(steps, B, n_s)[...] = states_n[:, 1:].transpose(1, 0, 2)
+
+    y = dense_stack_forward(params.dense_in, ws.x, ws.dense_in)
+    y1 = lstm_sequence_forward(params.lstm1, y, init_state.h1, init_state.c1, ws.lstm1)
+    y2 = lstm_sequence_forward(params.lstm2, y1, init_state.h2, init_state.c2, ws.lstm2)
+    y = dense_stack_forward(params.dense_out[:-1], y2, ws.dense_out)
+    out = Var(gaussian_head_forward(params.dense_out[-1], y, ws.targets, ws.head))
+
+    def vjp(g):
+        if not ws.pending:
+            raise RuntimeError("this record's workspace was already released")
+        head = gaussian_head_reverse(params.dense_out[-1], y, ws.head, g, ws.d_dense_out[-1])
+        d_out = dense_stack_reverse(params.dense_out[:-1], y2, ws.dense_out, ws.d_dense_out,
+                                    dx=ws.d_lstm2)
+        d_lstm2 = lstm_sequence_reverse(params.lstm2, y1, ws.lstm2, ws.d_lstm2, ws.d_lstm1)
+        d_lstm1 = lstm_sequence_reverse(params.lstm1, ws.dense_in[-1], ws.lstm1, ws.d_lstm1,
+                                        ws.d_dense_in[-1])
+        d_in = dense_stack_reverse(params.dense_in, ws.x, ws.dense_in, ws.d_dense_in)
+        # only p's columns of the input need a gradient, summed over steps
+        w_p = params.dense_in[0].W.value[:, n_u + n_s:]
+        d_p = ws.d_dense_in[0].reshape(steps, B, -1).sum(axis=0) @ w_p
+        ws.pending = False
+        return (*(d for pair in d_in for d in pair), *d_lstm1, *d_lstm2,
+                *(d for pair in d_out for d in pair), *head, d_p)
+
+    tape.record((out,), (*params.weight_vars(), p_batch), vjp)
+    return out
 
 
 def train(trials, config, model_config=None, on_epoch=None):
@@ -169,7 +287,9 @@ def train(trials, config, model_config=None, on_epoch=None):
     ever touches its own pb_table row (each row has its own Adam moments).
     Trials of equal length run as one batched forward, so each epoch costs
     one backward pass and applies one weight step plus one step per bias
-    row, all from gradients taken at the same parameters.  Returns a
+    row, all from gradients taken at the same parameters.  Each length
+    bucket keeps one NllWorkspace for the whole run, so an epoch
+    allocates no activations.  Returns a
     ModelParams whose pb_table rows align with the trial order given here
     and whose labels are preserved for later analysis.
     """
@@ -192,8 +312,9 @@ def train(trials, config, model_config=None, on_epoch=None):
         by_length.setdefault(len(t), []).append(k)
     buckets = [
         (ks, np.stack([stats.normalize_state(trials[k].states) for k in ks]),
-         np.stack([stats.normalize_command(trials[k].commands) for k in ks]))
-        for ks in by_length.values()
+         np.stack([stats.normalize_command(trials[k].commands) for k in ks]),
+         NllWorkspace(model_config, len(ks), length))
+        for length, ks in by_length.items()
     ]
     weight_vars = params.weight_vars()
     weight_arrays = [v.value for v in weight_vars]
@@ -208,11 +329,12 @@ def train(trials, config, model_config=None, on_epoch=None):
         tape = Tape()
         p_vars = {}
         parts = []
-        for ks, states_n, commands_n in buckets:
+        for ks, states_n, commands_n, workspace in buckets:
             rows = [Var(params.pb_table[k]) for k in ks]
             p_vars.update(zip(ks, rows))
             p_batch = stack_rows(tape, rows)
-            parts.append(batch_nll_node(params, p_batch, states_n, commands_n, tape))
+            parts.append(batch_nll_node(params, p_batch, states_n, commands_n, tape,
+                                        workspace=workspace))
         loss = add_n(tape, parts) if len(parts) > 1 else parts[0]
         epoch_loss = float(loss.value)
         if not math.isfinite(epoch_loss):

@@ -131,6 +131,23 @@ def test_invalid_hyperparameters_exit_2(tmp_path):
                 "--epochs", "1", "--lr-decay", "0"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--grad-clip", "nan"],      # used to exit 0 with clipping silently off
+    ["--lr-weights", "nan"],     # used to run an epoch, then exit 3
+    ["--lr-pb", "inf"],
+], ids=["grad-clip-nan", "lr-weights-nan", "lr-pb-inf"])
+def test_non_finite_training_settings_exit_2(tmp_path, flags, capsys):
+    data = tmp_path / "d.csv"
+    assert run(["collect", "--out", str(data), "--alphas", "0.5",
+                "--betas", "0.2", "--trials-per-config", "1",
+                "--steps", "10"]) == 0
+    model = tmp_path / "m.json"
+    assert run(["train", "--data", str(data), "--out", str(model),
+                "--epochs", "1", "--log-every", "0", *flags]) == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not model.exists()
+
+
 def test_training_divergence_exits_3(tmp_path):
     data = tmp_path / "d.csv"
     assert run(["collect", "--out", str(data), "--alphas", "0.5",

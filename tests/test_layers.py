@@ -1,35 +1,23 @@
 import numpy as np
 import pytest
 
-from spnpb.autodiff import ShapeError, Tape, Var, affine_batch, backward
+from spnpb.autodiff import ShapeError
+from spnpb.evaluate import finite_diff, rel_err
 from spnpb.layers import (
     DenseLayer,
+    LstmBuffers,
     LstmCell,
+    dense_affine,
+    dense_stack_forward,
+    dense_stack_reverse,
     glorot_uniform,
     lstm_gate_factors,
-    lstm_gates_batch,
-    lstm_sequence,
+    lstm_sequence_forward,
+    lstm_sequence_reverse,
+    lstm_step,
     lstm_step_back,
+    lstm_step_weights,
 )
-
-
-def finite_diff(f, x, h=1e-5):
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat, gflat = x.ravel(), grad.ravel()
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + h
-        hi = f()
-        flat[i] = keep - h
-        lo = f()
-        flat[i] = keep
-        gflat[i] = (hi - lo) / (2.0 * h)
-    return grad
-
-
-def rel_err(a, b):
-    return abs(a - b) / max(abs(a), abs(b), 1e-6)
 
 
 def sigmoid(z):
@@ -38,23 +26,50 @@ def sigmoid(z):
 
 def test_dense_identity_passes_input_through():
     layer = DenseLayer(np.eye(3), np.zeros(3))
-    tape = Tape()
-    x = Var(np.array([[1.5, -2.0, 0.25]]))
-    y = affine_batch(tape, layer.W, layer.b, x)
-    np.testing.assert_array_equal(y.value, x.value)
+    x = np.array([[1.5, -2.0, 0.25]])
+    y = dense_affine(layer, x, np.empty((1, 3)))
+    np.testing.assert_array_equal(y, x)
 
 
 def test_dense_hand_arithmetic():
     layer = DenseLayer(np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([0.5, 0.0]))
-    tape = Tape()
-    y = affine_batch(tape, layer.W, layer.b, Var(np.array([[3.0, 1.0]])))
-    np.testing.assert_array_equal(y.value, [[5.5, -1.0]])
+    y = dense_affine(layer, np.array([[3.0, 1.0]]), np.empty((1, 2)))
+    np.testing.assert_array_equal(y, [[5.5, -1.0]])
 
 
 def test_dense_rejects_wrong_input_width():
     layer = DenseLayer.init(4, 2, np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        affine_batch(Tape(), layer.W, layer.b, Var(np.zeros((1, 3))))
+        dense_affine(layer, np.zeros((1, 3)), np.empty((1, 2)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dense_stack_gradients_match_finite_differences(seed):
+    # dense_stack_reverse against central differences of dense_stack_forward,
+    # for the input and every layer's weight and bias
+    rng = np.random.default_rng(200 + seed)
+    widths = (3, 5, 4, 2)
+    layers = [DenseLayer.init(i, o, rng) for i, o in zip(widths, widths[1:])]
+    x = rng.normal(size=(6, 3))
+    weight = rng.normal(size=(6, 2))  # fixed projection so the output is scalar
+
+    def value():
+        ys = [np.empty((6, w)) for w in widths[1:]]
+        return float(np.sum(weight * dense_stack_forward(layers, x, ys)))
+
+    ys = [np.empty((6, w)) for w in widths[1:]]
+    dense_stack_forward(layers, x, ys)
+    d_ys = [np.empty((6, w)) for w in widths[1:]]
+    d_ys[-1][...] = weight
+    dx = np.empty((6, 3))
+    grads = dense_stack_reverse(layers, x, ys, d_ys, dx=dx)
+
+    pairs = [(x, dx)] + [(layer.W.value, dw) for layer, (dw, _) in zip(layers, grads)]
+    pairs += [(layer.b.value, db) for layer, (_, db) in zip(layers, grads)]
+    for leaf, analytic in pairs:
+        numeric = finite_diff(value, leaf)
+        worst = max(rel_err(a, n) for a, n in zip(analytic.ravel(), numeric.ravel()))
+        assert worst <= 1e-4, f"dense stack grad off by {worst}"
 
 
 def test_glorot_bounds_and_determinism():
@@ -77,16 +92,18 @@ def test_lstm_init_shapes_and_forget_bias():
     np.testing.assert_array_equal(cell.b.value[:10], np.zeros(10))
 
 
-def lstm_step(cell, x, h_prev, c_prev):
-    """One step of one vector through the batch gate helper; returns (h, c)."""
-    h, c, _, _ = lstm_gates_batch(cell, np.atleast_2d(x) @ cell.Wx.value.T,
-                                  np.atleast_2d(h_prev), np.atleast_2d(c_prev))
-    return h[0], c[0]
+def one_step(cell, x, h_prev, c_prev):
+    """One step of one vector through lstm_step; returns (h, c)."""
+    wx, wh, b = lstm_step_weights(cell)
+    z = wx @ np.reshape(x, (-1, 1)) + b
+    h, c, tc = np.empty((3, cell.hidden, 1))
+    lstm_step(z, np.reshape(h_prev, (-1, 1)), np.reshape(c_prev, (-1, 1)), wh, h, c, tc)
+    return h[:, 0], c[:, 0]
 
 
 def test_lstm_zero_parameters_give_zero_output():
     cell = LstmCell(np.zeros((8, 3)), np.zeros((8, 2)), np.zeros(8))
-    h, c = lstm_step(cell, np.ones(3), np.zeros(2), np.zeros(2))
+    h, c = one_step(cell, np.ones(3), np.zeros(2), np.zeros(2))
     # all gates at 0.5, candidate tanh(0)=0, so c=0 and h=0
     np.testing.assert_array_equal(h, np.zeros(2))
     np.testing.assert_array_equal(c, np.zeros(2))
@@ -99,7 +116,7 @@ def test_lstm_saturated_gates_preserve_cell_state():
     b[H : 2 * H] = 50.0  # forget gate wide open
     cell = LstmCell(np.zeros((4 * H, 2)), np.zeros((4 * H, H)), b)
     c_prev = np.array([0.7, -1.2, 0.05])
-    h, c = lstm_step(cell, np.ones(2), np.zeros(H), c_prev.copy())
+    h, c = one_step(cell, np.ones(2), np.zeros(H), c_prev.copy())
     np.testing.assert_allclose(c, c_prev, atol=1e-10)
 
 
@@ -117,7 +134,7 @@ def test_lstm_single_unit_matches_scalar_oracle():
     c_exp = f * c_prev + i * g
     h_exp = o * np.tanh(c_exp)
 
-    h, c = lstm_step(cell, np.array([x]), np.array([h_prev]), np.array([c_prev]))
+    h, c = one_step(cell, np.array([x]), np.array([h_prev]), np.array([c_prev]))
     assert abs(float(c[0]) - c_exp) < 1e-14
     assert abs(float(h[0]) - h_exp) < 1e-14
 
@@ -125,26 +142,35 @@ def test_lstm_single_unit_matches_scalar_oracle():
 @pytest.mark.parametrize("seed", range(5))
 def test_lstm_gradients_match_finite_differences(seed):
     # the shared reverse step (lstm_gate_factors + lstm_step_back) against
-    # central differences of one lstm_gates_batch step, for the step's
-    # input, both previous states, and a batch of two rows
+    # central differences of one lstm_step, for the step's input, both
+    # previous states, and a batch of two rows
     rng = np.random.default_rng(seed)
     n_in, H, B = 4, 3, 2
     cell = LstmCell.init(n_in, H, rng)
-    x = rng.normal(size=(B, n_in))
-    h0 = rng.normal(scale=0.5, size=(B, H))
-    c0 = rng.normal(scale=0.5, size=(B, H))
-    w_h = rng.normal(size=(B, H))  # fixed projections so the output is scalar
-    w_c = rng.normal(size=(B, H))
+    wx, wh, b = lstm_step_weights(cell)
+    x = rng.normal(size=(n_in, B))
+    h0 = rng.normal(scale=0.5, size=(H, B))
+    c0 = rng.normal(scale=0.5, size=(H, B))
+    w_h = rng.normal(size=(H, B))  # fixed projections so the output is scalar
+    w_c = rng.normal(size=(H, B))
+
+    def step():
+        z = wx @ x + b
+        h, c, tc = np.empty((3, H, B))
+        lstm_step(z, h0, c0, wh, h, c, tc)
+        return z, h, c, tc
 
     def value():
-        h, c, _, _ = lstm_gates_batch(cell, x @ cell.Wx.value.T, h0, c0)
+        _, h, c, _ = step()
         return float(np.sum(w_h * h) + np.sum(w_c * c))
 
-    _, _, act, tc = lstm_gates_batch(cell, x @ cell.Wx.value.T, h0, c0)
-    fac, dc_dh = lstm_gate_factors(act, c0, tc)
-    dz = np.empty((B, 4, H))
-    dh_prev, dc_prev = lstm_step_back(w_h, w_c, fac, dc_dh, act[:, H:2 * H], cell.Wh.value, dz)
-    analytic = {"x": dz.reshape(B, 4 * H) @ cell.Wx.value, "h0": dh_prev, "c0": dc_prev}
+    act, _, _, tc = step()
+    fac, dz = np.empty((2, 4 * H, B))
+    dc_dh = np.empty((H, B))
+    lstm_gate_factors(act, c0, tc, fac, dc_dh)
+    dh, dc = w_h.copy(), w_c.copy()
+    lstm_step_back(dh, dc, fac, dc_dh, act[H:2 * H], cell.Wh.value, dz)
+    analytic = {"x": cell.Wx.value.T @ dz, "h0": dh, "c0": dc}
 
     for name, leaf in (("x", x), ("h0", h0), ("c0", c0)):
         numeric = finite_diff(value, leaf)
@@ -157,59 +183,63 @@ def test_lstm_gradients_match_finite_differences(seed):
 def test_lstm_rejects_mismatched_state_width():
     cell = LstmCell.init(3, 5, np.random.default_rng(0))
     with pytest.raises(ShapeError):
-        lstm_sequence(cell, Var(np.zeros((1, 3))), 1, 1, np.zeros((1, 4)), np.zeros((1, 5)),
-                      Tape())
+        lstm_sequence_forward(cell, np.zeros((1, 3)), np.zeros(4), np.zeros(5),
+                              LstmBuffers(1, 1, 5))
+
+
+def sequence_grads(cell, x, h0, c0, gh, T, B):
+    """Forward then reverse of one batch; returns (output, dx, dWx, dWh, db)."""
+    buf = LstmBuffers(T, B, cell.hidden)
+    out = lstm_sequence_forward(cell, x, h0, c0, buf).copy()
+    dx = np.empty_like(x)
+    return (out, dx, *lstm_sequence_reverse(cell, x, buf, gh, dx))
 
 
 def test_lstm_batch_matches_per_row_apply():
-    # lstm_sequence over B rows and T steps equals B separate chains of
-    # one-row steps from the same starting states in value, and in its
-    # gradients the B=1 runs of each row: per row for the input, summed
-    # over rows for the weights
+    # lstm_sequence_forward over B rows and T steps equals B separate
+    # chains of one-row steps from the same starting states in value, and
+    # its reverse equals the B=1 runs of each row: per row for the input,
+    # summed over rows for the weights.  Rows are time-major (t*B + b).
     rng = np.random.default_rng(11)
     cell = LstmCell.init(3, 4, rng)
     B, T = 5, 6
-    x = rng.normal(size=(B * T, 3))
+    x = rng.normal(size=(T * B, 3))
     h0 = rng.normal(size=(B, 4)) * 0.5
     c0 = rng.normal(size=(B, 4)) * 0.5
-    seed = np.cos(np.arange(B * T * 4, dtype=float)).reshape(B * T, 4)
+    seed = np.cos(np.arange(T * B * 4, dtype=float)).reshape(T * B, 4)
 
-    tape = Tape()
-    xb = Var(x)
-    h = lstm_sequence(cell, xb, B, T, h0, c0, tape)
-    grads = backward(tape, seed, output=h)
+    out, dx, *weights = sequence_grads(cell, x, h0, c0, seed, T, B)
 
     total = None
     for b in range(B):
         hv, cv = h0[b], c0[b]
         for t in range(T):
-            hv, cv = lstm_step(cell, x[b * T + t], hv, cv)
-            np.testing.assert_allclose(h.value[b * T + t], hv, rtol=1e-13, atol=1e-15)
-        t2 = Tape()
-        xr = Var(x[b * T:(b + 1) * T])
-        hr = lstm_sequence(cell, xr, 1, T, h0[b:b + 1], c0[b:b + 1], t2)
-        gr = backward(t2, seed[b * T:(b + 1) * T], output=hr)
-        np.testing.assert_allclose(grads[xb][b * T:(b + 1) * T], gr[xr], rtol=1e-12, atol=1e-15)
-        part = [gr[cell.Wx], gr[cell.Wh], gr[cell.b]]
-        total = part if total is None else [a + b for a, b in zip(total, part)]
+            hv, cv = one_step(cell, x[t * B + b], hv, cv)
+            np.testing.assert_allclose(out[t * B + b], hv, rtol=1e-13, atol=1e-15)
+        _, dx_b, *part = sequence_grads(cell, x[b::B].copy(), h0[b], c0[b], seed[b::B], T, 1)
+        np.testing.assert_allclose(dx[b::B], dx_b, rtol=1e-12, atol=1e-15)
+        total = part if total is None else [a + w for a, w in zip(total, part)]
     # weight grads accumulate across the batch
-    for got, want in zip((grads[cell.Wx], grads[cell.Wh], grads[cell.b]), total):
+    for got, want in zip(weights, total):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 def test_lstm_batch_rejects_bad_shapes():
     cell = LstmCell.init(3, 4, np.random.default_rng(0))
     zeros = np.zeros((2, 4))
-    with pytest.raises(ShapeError):  # input is a vector, not (B*T, n_in)
-        lstm_sequence(cell, Var(np.zeros(3)), 1, 1, zeros[:1], zeros[:1], Tape())
-    with pytest.raises(ShapeError):  # rows do not factor as B*T
-        lstm_sequence(cell, Var(np.zeros((5, 3))), 2, 3, zeros, zeros, Tape())
+    buf = LstmBuffers(3, 2, 4)
+    with pytest.raises(ShapeError):  # input is a vector, not (T*B, n_in)
+        lstm_sequence_forward(cell, np.zeros(3), zeros, zeros, buf)
+    with pytest.raises(ShapeError):  # rows are not T*B
+        lstm_sequence_forward(cell, np.zeros((5, 3)), zeros, zeros, buf)
     with pytest.raises(ShapeError):  # wrong input width
-        lstm_sequence(cell, Var(np.zeros((6, 2))), 2, 3, zeros, zeros, Tape())
+        lstm_sequence_forward(cell, np.zeros((6, 2)), zeros, zeros, buf)
     with pytest.raises(ShapeError):  # state width is not the hidden size
-        lstm_sequence(cell, Var(np.zeros((6, 3))), 2, 3, np.zeros((2, 5)), zeros, Tape())
+        lstm_sequence_forward(cell, np.zeros((6, 3)), np.zeros((2, 5)), zeros, buf)
     with pytest.raises(ShapeError):  # state rows are not the batch size
-        lstm_sequence(cell, Var(np.zeros((6, 3))), 2, 3, zeros, np.zeros((3, 4)), Tape())
+        lstm_sequence_forward(cell, np.zeros((6, 3)), zeros, np.zeros((3, 4)), buf)
+    with pytest.raises(ShapeError):  # buffers of another hidden size
+        lstm_sequence_forward(cell, np.zeros((6, 3)), zeros, zeros, LstmBuffers(3, 2, 5))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -217,22 +247,20 @@ def test_lstm_sequence_gradients_match_finite_differences(seed):
     rng = np.random.default_rng(100 + seed)
     n_in, H, B, T = 3, 4, 2, 5
     cell = LstmCell.init(n_in, H, rng)
-    x = Var(rng.normal(size=(B * T, n_in)))
+    x = rng.normal(size=(T * B, n_in))
     h0 = rng.normal(scale=0.5, size=(B, H))
     c0 = rng.normal(scale=0.5, size=(B, H))
-    weight = rng.normal(size=(B * T, H))  # fixed projection so the output is scalar
+    weight = rng.normal(size=(T * B, H))  # fixed projection so the output is scalar
 
     def value():
-        h = lstm_sequence(cell, x, B, T, h0, c0, Tape())
-        return float(np.sum(weight * h.value))
+        out = lstm_sequence_forward(cell, x, h0, c0, LstmBuffers(T, B, H))
+        return float(np.sum(weight * out))
 
-    tape = Tape()
-    h = lstm_sequence(cell, x, B, T, h0, c0, tape)
-    grads = backward(tape, weight, output=h)
-
-    for leaf in (x, cell.Wx, cell.Wh, cell.b):
-        numeric = finite_diff(value, leaf.value)
+    _, dx, dwx, dwh, db = sequence_grads(cell, x, h0, c0, weight, T, B)
+    for leaf, analytic in ((x, dx), (cell.Wx.value, dwx), (cell.Wh.value, dwh),
+                           (cell.b.value, db)):
+        numeric = finite_diff(value, leaf)
         worst = max(
-            rel_err(a, n) for a, n in zip(grads[leaf].ravel(), numeric.ravel())
+            rel_err(a, n) for a, n in zip(analytic.ravel(), numeric.ravel())
         )
         assert worst <= 1e-4, f"lstm sequence grad off by {worst}"

@@ -112,3 +112,10 @@ def test_clip_grad_norm_rejects_nonpositive_threshold():
 def test_clip_grad_norm_rejects_non_finite_gradients(bad):
     with pytest.raises(NonFiniteGradientError):
         clip_grad_norm([np.ones(2), np.array([1.0, bad])], 10.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_clip_grad_norm_rejects_non_finite_threshold(bad):
+    # a NaN threshold used to return the gradient unscaled: clipping silently off
+    with pytest.raises(ValueError):
+        clip_grad_norm([np.full(2, 100.0)], bad)

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spnpb.autodiff import Tape, Var, backward, stack_rows
+from spnpb.autodiff import ShapeError, Tape, Var, backward, stack_rows
 from spnpb.dataset import TimedSample, Trial
 from spnpb.evaluate import NLL_FD_STEP, finite_diff, rel_err
 from spnpb.model import ModelConfig, ModelParams, RecurrentState, forward
 from spnpb.training import (
+    NllWorkspace,
     TrainConfig,
     TrainingDivergedError,
     batch_nll_node,
@@ -276,6 +277,10 @@ def test_config_validation():
         TrainConfig(lr_pb=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(grad_clip=0.0)
+    for name in ("lr_weights", "lr_pb", "grad_clip"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: bad})
     with pytest.raises(ValueError):
         TrainConfig(lr_decay=0.0)
     with pytest.raises(ValueError):
@@ -437,3 +442,104 @@ def test_training_handles_mixed_trial_lengths():
                    on_epoch=lambda e, loss: losses.append(loss))
     assert losses[-1] < losses[0]
     assert np.all(params.pb_table != 0.0)
+
+
+def nll_problem(seed, B=3, T=7):
+    rng = np.random.default_rng(seed)
+    stats = compute_norm_stats([random_trial(seed, n=T)])
+    params = ModelParams.init(ModelConfig(n_s=2, n_u=2), stats, rng)
+    states_n, commands_n = rng.normal(size=(B, T, 2)), rng.normal(size=(B, T, 2))
+    init = RecurrentState(*(rng.normal(scale=0.4, size=10) for _ in range(4)))
+    return params, states_n, commands_n, init, rng
+
+
+def nll_and_grads(params, p, states_n, commands_n, init, workspace=None):
+    tape = Tape()
+    pv = Var(p)
+    node = batch_nll_node(params, pv, states_n, commands_n, tape, init_state=init,
+                          workspace=workspace)
+    g = backward(tape, 1.0)
+    return float(node.value), [g[v] for v in (*params.weight_vars(), pv)]
+
+
+def test_clamped_logvar_entries_get_exactly_zero_gradient():
+    # the first logvar output is driven far above the clamp on every row, so
+    # its output-layer row and bias get exactly zero; the rest still match
+    # central differences
+    params, states_n, commands_n, init, rng = nll_problem(70)
+    last = params.dense_out[-1]
+    last.b.value[2] = 40.0
+    p = rng.normal(scale=0.5, size=(3, 2))
+    _, grads = nll_and_grads(params, p, states_n, commands_n, init)
+    w_grads = dict(zip(params.weight_vars(), grads))
+    assert np.all(w_grads[last.W][2] == 0.0) and w_grads[last.b][2] == 0.0
+    assert np.all(w_grads[last.W][3] != 0.0) and w_grads[last.b][3] != 0.0
+
+    def loss_value():
+        return float(batch_nll_node(params, Var(p), states_n, commands_n, Tape(),
+                                    init_state=init).value)
+
+    numeric = finite_diff(loss_value, p, h=NLL_FD_STEP)
+    for a, n in zip(grads[-1].ravel(), numeric.ravel()):
+        assert rel_err(a, n) <= 1e-4
+    for i in (2, 3):
+        keep = last.b.value[i]
+        last.b.value[i] = keep + NLL_FD_STEP
+        hi = loss_value()
+        last.b.value[i] = keep - NLL_FD_STEP
+        lo = loss_value()
+        last.b.value[i] = keep
+        assert rel_err(w_grads[last.b][i], (hi - lo) / (2 * NLL_FD_STEP)) <= 1e-4
+
+
+def test_reused_workspace_matches_fresh_bitwise():
+    # two calls through one workspace, with different weights and p, give
+    # the bytes of two calls with fresh workspaces
+    params, states_n, commands_n, init, rng = nll_problem(71)
+    workspace = NllWorkspace(params.config, 3, 7)
+    for _ in range(2):
+        for v in params.weight_vars():
+            v.value += rng.normal(scale=0.05, size=v.value.shape)
+        p = rng.normal(scale=0.5, size=(3, 2))
+        fresh_loss, fresh = nll_and_grads(params, p, states_n, commands_n, init)
+        loss, grads = nll_and_grads(params, p, states_n, commands_n, init, workspace)
+        assert loss == fresh_loss
+        for a, b in zip(grads, fresh):
+            assert np.array_equal(a, b)
+
+
+def test_workspace_holds_one_pending_record_of_its_own_shape():
+    params, states_n, commands_n, init, _ = nll_problem(72)
+    workspace = NllWorkspace(params.config, 3, 7)
+    p = Var(np.zeros((3, 2)))
+    tape = Tape()
+    batch_nll_node(params, p, states_n, commands_n, tape, workspace=workspace)
+    with pytest.raises(RuntimeError):  # the first record still needs its activations
+        batch_nll_node(params, p, states_n, commands_n, Tape(), workspace=workspace)
+    backward(tape, 1.0)
+    batch_nll_node(params, p, states_n, commands_n, Tape(), workspace=workspace)
+
+    with pytest.raises(ShapeError):  # another sequence length
+        batch_nll_node(params, p, states_n[:, :6], commands_n[:, :6], Tape(),
+                       workspace=NllWorkspace(params.config, 3, 7))
+    with pytest.raises(ShapeError):  # another batch size
+        batch_nll_node(params, Var(np.zeros((2, 2))), states_n[:2], commands_n[:2], Tape(),
+                       workspace=NllWorkspace(params.config, 3, 7))
+    with pytest.raises(ShapeError):  # another model
+        batch_nll_node(params, p, states_n, commands_n, Tape(),
+                       workspace=NllWorkspace(ModelConfig(n_s=2, n_u=2, n_p=3), 3, 7))
+
+
+def test_batch_nll_rejects_bad_shapes():
+    params, states_n, commands_n, _, _ = nll_problem(73)
+    p = Var(np.zeros((3, 2)))
+    with pytest.raises(ShapeError):  # one bias row short
+        batch_nll_node(params, Var(np.zeros((2, 2))), states_n, commands_n, Tape())
+    with pytest.raises(ShapeError):  # bias rows of the wrong width
+        batch_nll_node(params, Var(np.zeros((3, 3))), states_n, commands_n, Tape())
+    with pytest.raises(ShapeError):  # commands of another length
+        batch_nll_node(params, p, states_n, commands_n[:, :6], Tape())
+    with pytest.raises(ShapeError):  # states of the wrong width
+        batch_nll_node(params, p, states_n[..., :1], commands_n, Tape())
+    with pytest.raises(ValueError):  # no prediction target
+        batch_nll_node(params, p, states_n[:, :1], commands_n[:, :1], Tape())
