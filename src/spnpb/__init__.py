@@ -7,7 +7,7 @@ receding-horizon control, demonstrated on a noisy mobile-base simulator.
 __version__ = "0.1.0"
 
 from .adaptation import AdaptBuffer, LivePB, adapt_step
-from .autodiff import ShapeError, Tape, Var, backward
+from .autodiff import ShapeError
 from .control import ControlConfig, ControlPlan, Controller, gamma_schedule, optimize, warm_start
 from .dataset import TimedSample, Trial, load_trials, save_trials
 from .layers import DenseLayer, LstmCell

@@ -7,8 +7,7 @@ samples, every new tick triggers one momentum-SGD step on the live bias
 vector p: the whole buffer is replayed teacher-forced from the oldest
 snapshot under the current p, and only p receives the gradient.  The
 network weights are never touched.  The replay is the training NLL
-itself (training.batch_nll_node, through sequence_nll_node as a batch of
-one), so a tick's replay is one fused tape record whose hand-written
+itself (training.batch_nll with a batch of one), and its hand-written
 reverse yields p's gradient.
 
 The objective is the mean NLL per replayed step, not the sum: the buffer
@@ -25,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Var, backward, scale
 from .optim import MomentumState, clip_grad_norm, momentum_update
-from .training import sequence_nll_node
+from .training import batch_nll
 
 # Momentum amplifies a persistent gradient by 1/(1-momentum), so the cap
 # on a single step must be well under the width of a bias basin (~0.3);
@@ -98,15 +96,17 @@ class AdaptBuffer:
         return np.array([e[0].u for e in self._entries])
 
 
-def buffer_nll(params, p, buffer):
-    """Mean per-step NLL of the buffered window replayed from its snapshot."""
+def _replay(params, p, buffer):
+    """batch_nll of the buffered window as one sequence from its snapshot."""
     states_n = params.stats.normalize_state(buffer.states())
     commands_n = params.stats.normalize_command(buffer.commands())
-    tape = Tape()
-    loss = sequence_nll_node(params, Var(np.asarray(p, dtype=np.float64)),
-                             states_n, commands_n, tape,
-                             init_state=buffer.snapshot)
-    return float(loss.value) / (len(buffer) - 1)
+    return batch_nll(params, np.asarray(p, dtype=np.float64)[None], states_n[None],
+                     commands_n[None], init_state=buffer.snapshot)
+
+
+def buffer_nll(params, p, buffer):
+    """Mean per-step NLL of the buffered window replayed from its snapshot."""
+    return _replay(params, p, buffer)[0] / (len(buffer) - 1)
 
 
 def adapt_step(params, buffer, live):
@@ -121,14 +121,8 @@ def adapt_step(params, buffer, live):
     if not buffer.update_ready():
         raise NotReadyError(
             f"buffer holds {len(buffer)} samples, threshold is {buffer.n_thre}")
-    states_n = params.stats.normalize_state(buffer.states())
-    commands_n = params.stats.normalize_command(buffer.commands())
-    tape = Tape()
-    p_var = Var(live.p)
-    total = sequence_nll_node(params, p_var, states_n, commands_n, tape,
-                              init_state=buffer.snapshot)
-    mean_nll = scale(tape, total, 1.0 / (len(buffer) - 1))
-    grads = backward(tape, 1.0, output=mean_nll)
-    grad = clip_grad_norm([grads[p_var]], GRAD_CLIP)
+    _, reverse = _replay(params, live.p, buffer)
+    _, d_p = reverse(1.0 / (len(buffer) - 1))  # the gradient of the mean NLL
+    grad = clip_grad_norm([d_p[0]], GRAD_CLIP)
     momentum_update([live.p], grad, live.momentum)
     return live

@@ -152,6 +152,8 @@ def _cmd_collect(args):
 
 def _cmd_train(args):
     trials = load_trials(args.data)
+    if not trials:
+        raise ValueError(f"{args.data} holds no trials")
     config = TrainConfig(
         epochs=args.epochs, lr_weights=args.lr_weights, lr_pb=args.lr_pb,
         lr_decay=args.lr_decay, lr_decay_pb=args.lr_decay_pb,

@@ -7,9 +7,8 @@ gradient of the loss per round, a log-spaced ladder of step sizes tried
 as candidates, best candidate kept.  The previous iterate always competes
 too, so the returned loss can never exceed the warm-start loss.
 
-No tape is involved.  The warm start, and then all n_batch step sizes of
-each round together, are scored by one batched rollout_batch call; each
-round's gradient is a one-row forward through the same loop
+The warm start, and then all n_batch step sizes of each round together,
+are scored by one batched rollout_batch call; each round's gradient is a one-row forward through the same loop
 (rollout_vjp), the closed-form gradient of the loss (control_loss_grad),
 and the model's hand-written reverse pass.  A default tick (3 rounds of
 10 step sizes) thus runs 4 batched scoring rollouts and 3 one-row

@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import cluster_distances, linearly_separable, nearest_row, pca_project
-from .autodiff import Tape, Var, backward, stack_rows
 from .control import (
     ControlConfig, control_loss, control_loss_grad, gamma_schedule, line_search_minimize)
 from .dataset import parse_env_label
 from .experiments import prediction_trace, run_adaptation_episode, run_control_batch, run_control_episode
-from .model import ModelConfig, ModelParams, NormStats, RecurrentState, rollout_batch, rollout_vjp
+from .model import (
+    LOGVAR_MAX, ModelConfig, ModelParams, NormStats, RecurrentState, rollout_batch, rollout_vjp)
 from .simulator import SimConfig, SimState, sim_step
-from .training import batch_nll_node, trial_nll
+from .training import batch_nll, trial_nll
 
 
 @dataclass
@@ -79,16 +79,54 @@ def finite_diff(f, x, h=1e-5):
 NLL_FD_STEP = 1e-4
 
 
+# Logvar output bias of the clamped NLL instances.  A random layer adds
+# well under 1 to it, so every raw log variance lies far outside the clamp,
+# and no finite-difference step brings one back inside.
+CLAMP_PUSH = LOGVAR_MAX + 15.0
+
+
+def _nll_grad_error(params, p, states_n, commands_n, init_state, draw, coords_per_tensor):
+    """Worst rel_err of batch_nll's reverse against central differences.
+
+    Covers every entry of p and coords_per_tensor entries of each weight
+    array, drawn from draw.
+    """
+    def loss_value():
+        return batch_nll(params, p, states_n, commands_n, init_state=init_state)[0]
+
+    _, reverse = batch_nll(params, p, states_n, commands_n, init_state=init_state)
+    w_grads, d_p = reverse(1.0)
+    worst = 0.0
+    numeric = finite_diff(loss_value, p, h=NLL_FD_STEP)
+    for a, n in zip(d_p.ravel(), numeric.ravel()):
+        worst = max(worst, rel_err(a, n))
+    for w, analytic in zip(params.weight_arrays(), w_grads):
+        flat, analytic = w.ravel(), analytic.ravel()
+        for i in draw.choice(flat.size, size=min(coords_per_tensor, flat.size), replace=False):
+            keep = flat[i]
+            flat[i] = keep + NLL_FD_STEP
+            hi = loss_value()
+            flat[i] = keep - NLL_FD_STEP
+            lo = loss_value()
+            flat[i] = keep
+            worst = max(worst, rel_err(analytic[i], (hi - lo) / (2 * NLL_FD_STEP)))
+    return worst
+
+
 def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
     """Analytic NLL and control-loss gradients vs central finite differences.
 
-    Each NLL instance runs training's batch_nll_node twice: one sequence
-    from a zero state, as trial_nll and a one-trial bucket of train, and
-    two sequences with distinct p rows from a shared non-zero state, as a
-    multi-trial bucket and the adaptation replay's snapshot start.
+    Each NLL instance runs training's batch_nll twice: one sequence from a
+    zero state, as trial_nll and a one-trial bucket of train, and two
+    sequences with distinct p rows from a shared non-zero state, as a
+    multi-trial bucket and the adaptation replay's snapshot start.  Four
+    more instances set one logvar output bias to +-CLAMP_PUSH, so the
+    clamp's zero gradient is checked on each side; they draw from their
+    own generator and report their own error.
     """
     rng = np.random.default_rng(seed)
     batch_rng = np.random.default_rng([seed, 2])  # keeps rng's draws those of B=1 alone
+    clamp_rng = np.random.default_rng([seed, 3])
     worst = 0.0
     t0 = time.time()
     for _ in range(n_instances):
@@ -99,35 +137,22 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
             states_n = draw.normal(size=(B, 6, 2))
             commands_n = draw.normal(size=(B, 6, 2))
             p = draw.normal(scale=0.5, size=(B, 2))
+            worst = max(worst, _nll_grad_error(params, p, states_n, commands_n, init_state,
+                                               draw, coords_per_tensor))
 
-            def loss_value():
-                node = batch_nll_node(params, Var(p), states_n, commands_n, Tape(),
-                                      init_state=init_state)
-                return float(node.value)
-
-            tape = Tape()
-            rows = [Var(p[b].copy()) for b in range(B)]
-            batch_nll_node(params, stack_rows(tape, rows), states_n, commands_n, tape,
-                           init_state=init_state)
-            grads = backward(tape, 1.0)
-
-            analytic = np.array([grads[v] for v in rows])
-            numeric = finite_diff(loss_value, p, h=NLL_FD_STEP)
-            for a, n in zip(analytic.ravel(), numeric.ravel()):
-                worst = max(worst, rel_err(a, n))
-
-            for w in params.weight_vars():
-                flat = w.value.ravel()
-                idxs = draw.choice(flat.size, size=min(coords_per_tensor, flat.size), replace=False)
-                analytic = grads[w].ravel()
-                for i in idxs:
-                    keep = flat[i]
-                    flat[i] = keep + NLL_FD_STEP
-                    hi = loss_value()
-                    flat[i] = keep - NLL_FD_STEP
-                    lo = loss_value()
-                    flat[i] = keep
-                    worst = max(worst, rel_err(analytic[i], (hi - lo) / (2 * NLL_FD_STEP)))
+    clamp_worst = 0.0
+    for side in (1.0, -1.0):
+        for dim in range(2):
+            params = _random_params(clamp_rng)
+            cfg = params.config
+            params.dense_out[-1].b[cfg.n_s + dim] = side * CLAMP_PUSH
+            shared = RecurrentState(*(clamp_rng.normal(scale=0.4, size=cfg.layer_widths[4])
+                                      for _ in range(4)))
+            states_n = clamp_rng.normal(size=(2, 6, 2))
+            commands_n = clamp_rng.normal(size=(2, 6, 2))
+            p = clamp_rng.normal(scale=0.5, size=(2, 2))
+            clamp_worst = max(clamp_worst, _nll_grad_error(
+                params, p, states_n, commands_n, shared, clamp_rng, coords_per_tensor))
 
     for inst in range(n_instances):
         params = _random_params(rng)
@@ -142,7 +167,7 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
         u_seq = rng.normal(size=(4, 2))
 
         def loss_value():
-            # the tape-free path the line search scores candidates with
+            # the batched path the line search scores candidates with
             means, variances = rollout_batch(params, state, s_t, u_seq[None], p)
             return float(control_loss(means, variances, u_seq[None], s_ref, u_orig, cfg)[0])
 
@@ -156,12 +181,13 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
             worst = max(worst, rel_err(a, n))
 
     elapsed = time.time() - t0
-    passed = worst <= 1e-4 and elapsed < 60.0
+    passed = worst <= 1e-4 and clamp_worst <= 1e-4 and elapsed < 60.0
     return CheckResult(
         "gradient-integrity",
         passed,
         f"max relative error {worst:.3e} over {n_instances} NLL (B=1 and B=2) + "
-        f"{n_instances} control instances in {elapsed:.1f}s",
+        f"{n_instances} control instances, {clamp_worst:.3e} over 4 clamped-logvar "
+        f"NLL instances, in {elapsed:.1f}s",
     )
 
 

@@ -1,11 +1,9 @@
 """Dense and LSTM building blocks.
 
-Weights live in Var nodes with stable identity, so the same layer can be
-run on many tapes and its gradient looked up in each backward() map by
-the Var object itself.
+Weights are plain float64 arrays, which the optimizers update in place.
 
-The teacher-forced NLL (training.batch_nll_node, one fused tape record)
-runs its stages through the named forward/reverse pairs here:
+The teacher-forced NLL (training.batch_nll, a forward that returns its
+own reverse) runs its stages through the named forward/reverse pairs here:
 dense_stack_forward/_reverse and lstm_sequence_forward/_reverse, which
 work in preallocated, time-major buffers.  The model's closed-loop
 forward and reverse step through the same two LSTM helpers, lstm_step
@@ -17,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import ShapeError, Var
+from .autodiff import ShapeError
 
 
 def glorot_uniform(n_in, n_out, rng):
@@ -34,8 +32,8 @@ class DenseLayer:
         b = np.asarray(b, dtype=np.float64)
         if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
             raise ShapeError(f"dense layer: weight {w.shape} with bias {b.shape}")
-        self.W = Var(w)
-        self.b = Var(b)
+        self.W = w
+        self.b = b
 
     @classmethod
     def init(cls, n_in, n_out, rng):
@@ -43,11 +41,11 @@ class DenseLayer:
 
     @property
     def n_in(self):
-        return self.W.value.shape[1]
+        return self.W.shape[1]
 
     @property
     def n_out(self):
-        return self.W.value.shape[0]
+        return self.W.shape[0]
 
 
 class LstmCell:
@@ -71,9 +69,9 @@ class LstmCell:
             raise ShapeError(
                 f"lstm cell: wx {wx.shape}, wh {wh.shape}, b {b.shape} inconsistent"
             )
-        self.Wx = Var(wx)
-        self.Wh = Var(wh)
-        self.b = Var(b)
+        self.Wx = wx
+        self.Wh = wh
+        self.b = b
         self.hidden = hidden
 
     @classmethod
@@ -86,7 +84,7 @@ class LstmCell:
 
     @property
     def n_in(self):
-        return self.Wx.value.shape[1]
+        return self.Wx.shape[1]
 
 
 def dense_affine(layer, x, out):
@@ -97,8 +95,8 @@ def dense_affine(layer, x, out):
     """
     if x.ndim != 2 or x.shape[1] != layer.n_in:
         raise ShapeError(f"dense layer takes (n, {layer.n_in}) input, got {x.shape}")
-    np.matmul(x, layer.W.value.T, out=out)
-    out += layer.b.value
+    np.matmul(x, layer.W.T, out=out)
+    out += layer.b
     return out
 
 
@@ -130,7 +128,7 @@ def dense_stack_reverse(layers, x, ys, d_ys, dx=None):
         grads.append((d.T @ (ys[k - 1] if k else x), d.sum(axis=0)))
         target = d_ys[k - 1] if k else dx
         if target is not None:
-            np.matmul(d, layers[k].W.value, out=target)
+            np.matmul(d, layers[k].W, out=target)
     return grads[::-1]
 
 
@@ -143,7 +141,7 @@ def lstm_step_weights(cell):
     """
     half = np.ones((4 * cell.hidden, 1))
     half[:3 * cell.hidden] = 0.5
-    return cell.Wx.value * half, cell.Wh.value * half, cell.b.value[:, None] * half
+    return cell.Wx * half, cell.Wh * half, cell.b[:, None] * half
 
 
 def lstm_step(z, h_prev, c_prev, wh, h, c, tc):
@@ -277,7 +275,7 @@ def lstm_sequence_reverse(cell, x, buf, gh, dx):
     lstm_gate_factors(buf.acts, buf.cs[:-1], buf.tcs, buf.fac, buf.dc_dh)
     np.copyto(buf.gh, gh.reshape(T, B, H).transpose(0, 2, 1))
     f = buf.acts[:, H:2 * H]
-    dh, dc, wh = buf.dh, buf.dc, cell.Wh.value
+    dh, dc, wh = buf.dh, buf.dc, cell.Wh
     dh.fill(0.0)
     dc.fill(0.0)
     for t in range(T - 1, -1, -1):
@@ -285,6 +283,6 @@ def lstm_sequence_reverse(cell, x, buf, gh, dx):
         lstm_step_back(dh, dc, buf.fac[t], buf.dc_dh[t], f[t], wh, buf.dz[t])
     dz = buf.fac.reshape(T * B, H4)  # the factors are spent; dz as time-major rows
     np.copyto(dz.reshape(T, B, H4), buf.dz.transpose(0, 2, 1))
-    np.matmul(dz, cell.Wx.value, out=dx)
+    np.matmul(dz, cell.Wx, out=dx)
     dwh = dz[B:].T @ buf.out[:-B] + dz[:B].T @ buf.hs[0].T
     return dz.T @ x, dwh, buf.ones @ dz

@@ -13,11 +13,12 @@ The first n_s outputs are the predicted mean; the last n_s are log
 variance, clamped to [-10, 10] before exponentiation.  All values are in
 normalized (z-scored) units; NormStats carries the transform.
 
-The model has one tape-free numpy forward loop.  rollout_batch runs it
-for K closed-loop candidate plans, forward for one step of the live
-state, and rollout_vjp keeps its activations for a hand-written reverse
-that gives the control gradient.  The tape serves only the
-teacher-forced NLL of training and adaptation (training.batch_nll_node).
+The model has one numpy forward loop.  rollout_batch runs it for K
+closed-loop candidate plans, forward for one step of the live state, and
+rollout_vjp keeps its activations for a hand-written reverse that gives
+the control gradient.  The teacher-forced NLL of training and adaptation
+(training.batch_nll) has its own forward and reverse over the same
+layer helpers.
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ class ModelParams:
         return cls(config, dense_in, lstm1, lstm2, dense_out, stats,
                    pb_table=np.zeros((n_trials, config.n_p)), pb_labels=pb_labels)
 
-    def weight_vars(self):
-        """All weight Vars in the declared (serialization) order."""
+    def weight_arrays(self):
+        """All weight arrays in the declared (serialization) order."""
         out = []
         for layer in self.dense_in:
             out.extend((layer.W, layer.b))
@@ -197,9 +198,6 @@ class ModelParams:
         for layer in self.dense_out:
             out.extend((layer.W, layer.b))
         return out
-
-    def weight_arrays(self):
-        return [v.value for v in self.weight_vars()]
 
     def pb_for_label(self, label):
         """Centroid of the PB rows trained under the given environment label."""
@@ -255,7 +253,7 @@ def _run(params, state, s_t, u_batch, p, keep=False):
         x = np.concatenate((u_batch[:, t], s, p_rows), axis=1)
         dense_in = []
         for layer in params.dense_in:
-            x = np.tanh(x @ layer.W.value.T + layer.b.value)
+            x = np.tanh(x @ layer.W.T + layer.b)
             dense_in.append(x)
         c1_prev, c2_prev = c1, c2
         h1, c1, act1, tc1 = _lstm_step(w1, x.T, h1, c1)
@@ -263,10 +261,10 @@ def _run(params, state, s_t, u_batch, p, keep=False):
         x = h2.T
         dense_out = []
         for layer in params.dense_out[:-1]:
-            x = np.tanh(x @ layer.W.value.T + layer.b.value)
+            x = np.tanh(x @ layer.W.T + layer.b)
             dense_out.append(x)
         last = params.dense_out[-1]
-        out = x @ last.W.value.T + last.b.value
+        out = x @ last.W.T + last.b
         means[:, t] = out[:, :n_s]
         s = means[:, t]
         logvars[:, t] = np.clip(out[:, n_s:], LOGVAR_MIN, LOGVAR_MAX)
@@ -307,9 +305,9 @@ def _reverse(params, steps, variances, d_means, d_variances):
     for t in range(n_seq - 1, -1, -1):
         dense_in, lstms, dense_out, kept = steps[t]
         d_logvar = d_variances[:, t] * variances[:, t] * kept
-        g = np.concatenate((d_means[:, t] + d_s, d_logvar), axis=1) @ params.dense_out[-1].W.value
+        g = np.concatenate((d_means[:, t] + d_s, d_logvar), axis=1) @ params.dense_out[-1].W
         for layer, y in zip(params.dense_out[-2::-1], dense_out[::-1]):
-            g = (g * (1.0 - y * y)) @ layer.W.value
+            g = (g * (1.0 - y * y)) @ layer.W
         g = g.T  # columns, as the LSTM helpers take them
         for k in (1, 0):
             cell, (act, c_prev, tc), (dh, dc) = cells[k], lstms[k], carries[k]
@@ -318,12 +316,12 @@ def _reverse(params, steps, variances, d_means, d_variances):
             dc_dh = np.empty((H, K))
             lstm_gate_factors(act, c_prev, tc, fac, dc_dh)
             dh = g + dh
-            lstm_step_back(dh, dc, fac, dc_dh, act[H:2 * H], cell.Wh.value, dz)
+            lstm_step_back(dh, dc, fac, dc_dh, act[H:2 * H], cell.Wh, dz)
             carries[k] = (dh, dc)
-            g = cell.Wx.value.T @ dz
+            g = cell.Wx.T @ dz
         g = g.T
         for layer, y in zip(params.dense_in[::-1], dense_in[::-1]):
-            g = (g * (1.0 - y * y)) @ layer.W.value
+            g = (g * (1.0 - y * y)) @ layer.W
         d_u[:, t] = g[:, :n_u]
         d_s = g[:, n_u:n_u + n_s]
     return d_u
@@ -374,14 +372,14 @@ def rollout_vjp(params, state, s_t, u_batch, p):
 
 
 def _dense_to_dict(layer):
-    return {"w": layer.W.value.tolist(), "b": layer.b.value.tolist()}
+    return {"w": layer.W.tolist(), "b": layer.b.tolist()}
 
 
 def _lstm_to_dict(cell):
     return {
-        "wx": cell.Wx.value.tolist(),
-        "wh": cell.Wh.value.tolist(),
-        "b": cell.b.value.tolist(),
+        "wx": cell.Wx.tolist(),
+        "wh": cell.Wh.tolist(),
+        "b": cell.b.tolist(),
     }
 
 

@@ -100,8 +100,15 @@ def collect_trials(configs, steps_per_trial=200, trials_per_config=1):
 
     Repetition r of a config uses a generator seeded from (config.seed, r),
     so distinct repetitions are independent and the whole collection is
-    reproducible.
+    reproducible.  A trial needs two steps to give one prediction target,
+    so fewer steps, no repetitions or no configs raise ValueError.
     """
+    if not configs:
+        raise ValueError("no simulator configs to collect from")
+    if steps_per_trial < 2:
+        raise ValueError(f"a trial needs at least 2 steps, got {steps_per_trial}")
+    if trials_per_config < 1:
+        raise ValueError(f"need at least 1 trial per config, got {trials_per_config}")
     trials = []
     trial_id = 0
     for config in configs:

@@ -8,13 +8,13 @@ evaluates the summed loss of all trials in one batched pass (trials of
 equal length share a forward), then takes one Adam step on the shared
 weights and one on each trial's own bias vector p_k.
 
-batch_nll_node is the one teacher-forced NLL in the package: training,
-the adaptation replay (a batch of one started from the buffer's
-snapshot), trial_nll and the gradient checks all run it.  It is a single
-tape record per batch: a plain numpy forward through the input dense
-stack, both LSTMs, the output stack and the Gaussian head, and a
-hand-written reverse through the same stages, both working in the
-buffers of an NllWorkspace that train() allocates once per length bucket.
+batch_nll is the one teacher-forced NLL in the package: training, the
+adaptation replay (a batch of one started from the buffer's snapshot),
+trial_nll and the gradient checks all run it.  It is a plain numpy
+forward through the input dense stack, both LSTMs, the output stack and
+the Gaussian head that returns the loss with its hand-written reverse
+through the same stages.  Both work in the buffers of an NllWorkspace,
+which train() allocates once per length bucket.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeError, Tape, Var, add_n, backward, stack_rows
+from .autodiff import ShapeError, Var
 from .layers import (
     LstmBuffers,
     dense_affine,
@@ -97,26 +97,13 @@ def nll_element(pred_mean, pred_var, target):
     return 0.5 * math.log(2.0 * math.pi * pred_var) + (pred_mean - target) ** 2 / (2.0 * pred_var)
 
 
-def sequence_nll_node(params, p_var, states_n, commands_n, tape, init_state=None):
-    """Teacher-forced NLL over one normalized sequence, as a tape node.
-
-    states_n/commands_n are (T, n_s)/(T, n_u) arrays in normalized units.
-    Pair t feeds the network and pair t+1's state is the target, so a
-    sequence of length T contributes T-1 steps.  This is batch_nll_node
-    with a batch of one.
-    """
-    return batch_nll_node(
-        params, stack_rows(tape, (p_var,)), np.asarray(states_n)[None],
-        np.asarray(commands_n)[None], tape, init_state=init_state)
-
-
 def trial_nll(params, p_k, trial, stats):
     """Total NLL of one trial with the recurrent state zeroed at its start."""
     states_n = stats.normalize_state(trial.states)
     commands_n = stats.normalize_command(trial.commands)
-    tape = Tape()
-    loss = sequence_nll_node(params, Var(p_k), states_n, commands_n, tape)
-    return float(loss.value)
+    loss, _ = batch_nll(params, np.asarray(p_k, dtype=np.float64)[None], states_n[None],
+                        commands_n[None])
+    return loss
 
 
 class GaussianHeadBuffers:
@@ -167,17 +154,17 @@ def gaussian_head_reverse(last, y, head, g, dy):
     np.subtract(1.0, head.q, out=d_lv)
     d_lv *= g * 0.5
     d_lv *= head.kept
-    np.matmul(head.d_out, last.W.value, out=dy)
+    np.matmul(head.d_out, last.W, out=dy)
     return head.d_out.T @ y, head.d_out.sum(axis=0)
 
 
 class NllWorkspace:
-    """Every buffer of batch_nll_node for one model config and (B, T).
+    """Every buffer of batch_nll for one model config and (B, T).
 
     Rows are time-major: row t*B + b is step t of sequence b.  A workspace
-    serves one pending record at a time: a forward claims it, and the
-    record's backward releases it, so a second forward before that
-    backward raises instead of overwriting activations still needed.
+    serves one pending forward at a time: a forward claims it, and its
+    reverse releases it, so a second forward before that reverse raises
+    instead of overwriting activations still needed.
     """
 
     def __init__(self, config, B, T):
@@ -206,31 +193,33 @@ class NllWorkspace:
                 f"workspace for B={self.B}, T={self.T} and {self.config} cannot hold "
                 f"B={B}, T={T} and {config}")
         if self.pending:
-            raise RuntimeError("workspace still holds the activations of a record "
-                               "whose backward has not run")
+            raise RuntimeError("workspace still holds the activations of a forward "
+                               "whose reverse has not run")
         self.pending = True
 
 
-def batch_nll_node(params, p_batch, states_n, commands_n, tape, init_state=None,
-                   workspace=None):
+def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=None):
     """Summed teacher-forced NLL of a batch of equal-length sequences.
 
     states_n (B, T, n_s) and commands_n (B, T, n_u) are normalized;
-    p_batch is a (B, n_p) node whose row b conditions sequence b.  Every
+    p_batch is a (B, n_p) array whose row b conditions sequence b.  Every
     sequence starts from init_state (a RecurrentState shared by all rows,
     zeros by default), so the total equals the sum of the per-sequence
     losses up to summation order.
 
-    The whole network is one tape record whose inputs are every weight
-    Var and p_batch.  Its forward runs the input dense stack over all
-    B*(T-1) step inputs at once, each LSTM over its whole sequence, the
-    output stack and the Gaussian head in plain numpy; its vjp is the
-    hand-written reverse through the same stages.  All of it works in
+    Returns (loss, reverse).  The forward runs the input dense stack over
+    all B*(T-1) step inputs at once, each LSTM over its whole sequence,
+    the output stack and the Gaussian head in plain numpy.  reverse(g),
+    for a loss gradient g, runs the hand-written reverse through the same
+    stages and returns (weight_grads, d_p): the weight gradients in
+    ModelParams.weight_arrays() order and d_p (B, n_p).  reverse reads the
+    weights, so call it before they change.  All of it works in
     workspace, an NllWorkspace for these shapes: train() keeps one per
     length bucket, and every other caller gets a fresh one per call.
     """
     cfg = params.config
     n_s, n_u = cfg.n_s, cfg.n_u
+    p_batch = np.asarray(p_batch, dtype=np.float64)
     states_n = np.asarray(states_n, dtype=np.float64)
     commands_n = np.asarray(commands_n, dtype=np.float64)
     B, T = states_n.shape[:2]
@@ -239,8 +228,8 @@ def batch_nll_node(params, p_batch, states_n, commands_n, tape, init_state=None,
     if states_n.shape != (B, T, n_s) or commands_n.shape != (B, T, n_u):
         raise ShapeError(f"states {states_n.shape} and commands {commands_n.shape} must be "
                          f"(B, T, {n_s}) and (B, T, {n_u})")
-    if p_batch.value.shape != (B, cfg.n_p):
-        raise ShapeError(f"bias batch must be ({B}, {cfg.n_p}), got {p_batch.value.shape}")
+    if p_batch.shape != (B, cfg.n_p):
+        raise ShapeError(f"bias batch must be ({B}, {cfg.n_p}), got {p_batch.shape}")
     if init_state is None:
         init_state = RecurrentState.zeros(cfg.layer_widths[4])
     ws = NllWorkspace(cfg, B, T) if workspace is None else workspace
@@ -250,18 +239,18 @@ def batch_nll_node(params, p_batch, states_n, commands_n, tape, init_state=None,
     x = ws.x.reshape(steps, B, cfg.n_in)
     x[..., :n_u] = commands_n[:, :steps].transpose(1, 0, 2)
     x[..., n_u:n_u + n_s] = states_n[:, :steps].transpose(1, 0, 2)
-    x[..., n_u + n_s:] = p_batch.value
+    x[..., n_u + n_s:] = p_batch
     ws.targets.reshape(steps, B, n_s)[...] = states_n[:, 1:].transpose(1, 0, 2)
 
     y = dense_stack_forward(params.dense_in, ws.x, ws.dense_in)
     y1 = lstm_sequence_forward(params.lstm1, y, init_state.h1, init_state.c1, ws.lstm1)
     y2 = lstm_sequence_forward(params.lstm2, y1, init_state.h2, init_state.c2, ws.lstm2)
     y = dense_stack_forward(params.dense_out[:-1], y2, ws.dense_out)
-    out = Var(gaussian_head_forward(params.dense_out[-1], y, ws.targets, ws.head))
+    loss = gaussian_head_forward(params.dense_out[-1], y, ws.targets, ws.head)
 
-    def vjp(g):
+    def reverse(g):
         if not ws.pending:
-            raise RuntimeError("this record's workspace was already released")
+            raise RuntimeError("this forward's workspace was already released")
         head = gaussian_head_reverse(params.dense_out[-1], y, ws.head, g, ws.d_dense_out[-1])
         d_out = dense_stack_reverse(params.dense_out[:-1], y2, ws.dense_out, ws.d_dense_out,
                                     dx=ws.d_lstm2)
@@ -270,14 +259,21 @@ def batch_nll_node(params, p_batch, states_n, commands_n, tape, init_state=None,
                                         ws.d_dense_in[-1])
         d_in = dense_stack_reverse(params.dense_in, ws.x, ws.dense_in, ws.d_dense_in)
         # only p's columns of the input need a gradient, summed over steps
-        w_p = params.dense_in[0].W.value[:, n_u + n_s:]
+        w_p = params.dense_in[0].W[:, n_u + n_s:]
         d_p = ws.d_dense_in[0].reshape(steps, B, -1).sum(axis=0) @ w_p
         ws.pending = False
-        return (*(d for pair in d_in for d in pair), *d_lstm1, *d_lstm2,
-                *(d for pair in d_out for d in pair), *head, d_p)
+        return [*(d for pair in d_in for d in pair), *d_lstm1, *d_lstm2,
+                *(d for pair in d_out for d in pair), *head], d_p
 
-    tape.record((out,), (*params.weight_vars(), p_batch), vjp)
-    return out
+    return loss, reverse
+
+
+def batch_nll_node(params, p_batch, states_n, commands_n, tape, init_state=None):
+    """batch_nll's loss for perfbench/spnpb_bench.py's heldout_nll, its one caller.
+
+    ROADMAP item 3's benchmark-only change deletes it with autodiff.Var and Tape.
+    """
+    return Var(batch_nll(params, p_batch.value, states_n, commands_n, init_state)[0])
 
 
 def train(trials, config, model_config=None, on_epoch=None):
@@ -286,12 +282,12 @@ def train(trials, config, model_config=None, on_epoch=None):
     Biases start at zero and stay per-trial: each trial's gradient only
     ever touches its own pb_table row (each row has its own Adam moments).
     Trials of equal length run as one batched forward, so each epoch costs
-    one backward pass and applies one weight step plus one step per bias
-    row, all from gradients taken at the same parameters.  Each length
-    bucket keeps one NllWorkspace for the whole run, so an epoch
-    allocates no activations.  Returns a
-    ModelParams whose pb_table rows align with the trial order given here
-    and whose labels are preserved for later analysis.
+    one forward and one reverse per length bucket and applies one weight
+    step plus one step per bias row, all from gradients taken at the same
+    parameters.  Each length bucket keeps one NllWorkspace for the whole
+    run, so an epoch allocates no activations.  Returns a ModelParams
+    whose pb_table rows align with the trial order given here and whose
+    labels are preserved for later analysis.
     """
     if not trials:
         raise ValueError("no trials to train on")
@@ -316,8 +312,7 @@ def train(trials, config, model_config=None, on_epoch=None):
          NllWorkspace(model_config, len(ks), length))
         for length, ks in by_length.items()
     ]
-    weight_vars = params.weight_vars()
-    weight_arrays = [v.value for v in weight_vars]
+    weight_arrays = params.weight_arrays()
     adam_w = AdamState(lr=config.lr_weights)
     adam_p = [AdamState(lr=config.lr_pb) for _ in trials]
 
@@ -326,24 +321,24 @@ def train(trials, config, model_config=None, on_epoch=None):
         pb_lr = config.lr_pb * config.lr_factor(epoch, config.lr_decay_pb)
         for state in adam_p:
             state.lr = pb_lr
-        tape = Tape()
-        p_vars = {}
-        parts = []
+        losses, reverses = [], []
         for ks, states_n, commands_n, workspace in buckets:
-            rows = [Var(params.pb_table[k]) for k in ks]
-            p_vars.update(zip(ks, rows))
-            p_batch = stack_rows(tape, rows)
-            parts.append(batch_nll_node(params, p_batch, states_n, commands_n, tape,
-                                        workspace=workspace))
-        loss = add_n(tape, parts) if len(parts) > 1 else parts[0]
-        epoch_loss = float(loss.value)
+            loss, reverse = batch_nll(params, params.pb_table[ks], states_n, commands_n,
+                                      workspace=workspace)
+            losses.append(loss)
+            reverses.append(reverse)
+        epoch_loss = sum(losses)
         if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch)
-        grads = backward(tape, 1.0)
+        # last bucket first: the summation order fixes the trained weights' last bits
+        w_grads, d_p = None, {}
+        for (ks, *_), reverse in zip(buckets[::-1], reverses[::-1]):
+            grads, rows = reverse(1.0)
+            w_grads = grads if w_grads is None else [a + b for a, b in zip(w_grads, grads)]
+            d_p.update(zip(ks, rows))
         try:
-            w_grads = clip_grad_norm([grads[v] for v in weight_vars], config.grad_clip)
-            p_grads = {k: clip_grad_norm([grads[p_var]], config.grad_clip)
-                       for k, p_var in p_vars.items()}
+            w_grads = clip_grad_norm(w_grads, config.grad_clip)
+            p_grads = {k: clip_grad_norm([g], config.grad_clip) for k, g in d_p.items()}
         except NonFiniteGradientError as err:
             raise TrainingDivergedError(epoch) from err
         adam_update(weight_arrays, w_grads, adam_w)

@@ -8,7 +8,7 @@ import pytest
 
 from spnpb.cli import main
 from spnpb.csvio import read_csv
-from spnpb.dataset import load_trials
+from spnpb.dataset import load_trials, save_trials
 from spnpb.model import load_model, save_model
 
 
@@ -169,7 +169,7 @@ def test_non_finite_adaptation_gradient_exits_3(tmp_path):
     run(["train", "--data", str(data), "--out", str(model), "--epochs", "1",
          "--log-every", "0"])
     params = load_model(model)
-    params.dense_in[0].W.value[0, 0] = np.nan
+    params.dense_in[0].W[0, 0] = np.nan
     save_model(params, model)
     with np.errstate(all="ignore"):
         code = run(["adapt", "--model", str(model), "--alpha", "0.5",
@@ -253,3 +253,26 @@ def test_empty_or_backward_runs_exit_2(tiny_model, argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--steps", "0"],
+    ["--steps", "1"],
+    ["--trials-per-config", "0"],
+    ["--alphas", ""],
+    ["--betas", ","],
+], ids=["zero-steps", "one-step", "no-trials", "no-alphas", "no-betas"])
+def test_collect_rejects_degenerate_datasets(tmp_path, flags, capsys):
+    # these used to write an untrainable dataset and exit 0
+    out = tmp_path / "data.json"
+    assert run(["collect", "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_train_on_empty_dataset_exits_2(tmp_path, capsys):
+    # this used to end in an IndexError traceback, exit 1
+    data = tmp_path / "empty.json"
+    save_trials([], data)
+    assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
+    assert "holds no trials" in capsys.readouterr().err

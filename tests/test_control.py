@@ -174,7 +174,7 @@ def test_clamped_logvar_passes_no_gradient():
     # variance is constant: a loss on it alone has exactly zero gradient
     rng = np.random.default_rng(77)
     params = ModelParams.init(ModelConfig(n_s=2, n_u=2), unit_stats(), rng)
-    params.dense_out[-1].b.value[3] = 50.0
+    params.dense_out[-1].b[3] = 50.0
     state = RecurrentState(*rng.normal(scale=0.5, size=(4, 10)))
     s_t, p, u_seq = rng.normal(size=2), rng.normal(size=2), rng.normal(size=(1, 5, 2))
 
@@ -381,7 +381,7 @@ def test_controller_step_is_deterministic_and_bounded():
 
 def test_controller_survives_nan_weights_with_safe_stop():
     params = make_params(seed=5)
-    params.dense_out[-1].W.value[...] = np.nan
+    params.dense_out[-1].W[...] = np.nan
     ctl = Controller(params, ControlConfig(n_seq=3), np.zeros(2))
     with np.errstate(all="ignore"):
         cmd = ctl.step(np.zeros(2), np.zeros((3, 2)))

@@ -64,8 +64,8 @@ def test_dense_stack_gradients_match_finite_differences(seed):
     dx = np.empty((6, 3))
     grads = dense_stack_reverse(layers, x, ys, d_ys, dx=dx)
 
-    pairs = [(x, dx)] + [(layer.W.value, dw) for layer, (dw, _) in zip(layers, grads)]
-    pairs += [(layer.b.value, db) for layer, (_, db) in zip(layers, grads)]
+    pairs = [(x, dx)] + [(layer.W, dw) for layer, (dw, _) in zip(layers, grads)]
+    pairs += [(layer.b, db) for layer, (_, db) in zip(layers, grads)]
     for leaf, analytic in pairs:
         numeric = finite_diff(value, leaf)
         worst = max(rel_err(a, n) for a, n in zip(analytic.ravel(), numeric.ravel()))
@@ -85,11 +85,11 @@ def test_glorot_bounds_and_determinism():
 
 def test_lstm_init_shapes_and_forget_bias():
     cell = LstmCell.init(6, 10, np.random.default_rng(1))
-    assert cell.Wx.value.shape == (40, 6)
-    assert cell.Wh.value.shape == (40, 10)
-    assert cell.b.value.shape == (40,)
-    np.testing.assert_array_equal(cell.b.value[10:20], np.ones(10))
-    np.testing.assert_array_equal(cell.b.value[:10], np.zeros(10))
+    assert cell.Wx.shape == (40, 6)
+    assert cell.Wh.shape == (40, 10)
+    assert cell.b.shape == (40,)
+    np.testing.assert_array_equal(cell.b[10:20], np.ones(10))
+    np.testing.assert_array_equal(cell.b[:10], np.zeros(10))
 
 
 def one_step(cell, x, h_prev, c_prev):
@@ -169,8 +169,8 @@ def test_lstm_gradients_match_finite_differences(seed):
     dc_dh = np.empty((H, B))
     lstm_gate_factors(act, c0, tc, fac, dc_dh)
     dh, dc = w_h.copy(), w_c.copy()
-    lstm_step_back(dh, dc, fac, dc_dh, act[H:2 * H], cell.Wh.value, dz)
-    analytic = {"x": cell.Wx.value.T @ dz, "h0": dh, "c0": dc}
+    lstm_step_back(dh, dc, fac, dc_dh, act[H:2 * H], cell.Wh, dz)
+    analytic = {"x": cell.Wx.T @ dz, "h0": dh, "c0": dc}
 
     for name, leaf in (("x", x), ("h0", h0), ("c0", c0)):
         numeric = finite_diff(value, leaf)
@@ -257,8 +257,8 @@ def test_lstm_sequence_gradients_match_finite_differences(seed):
         return float(np.sum(weight * out))
 
     _, dx, dwx, dwh, db = sequence_grads(cell, x, h0, c0, weight, T, B)
-    for leaf, analytic in ((x, dx), (cell.Wx.value, dwx), (cell.Wh.value, dwh),
-                           (cell.b.value, db)):
+    for leaf, analytic in ((x, dx), (cell.Wx, dwx), (cell.Wh, dwh),
+                           (cell.b, db)):
         numeric = finite_diff(value, leaf)
         worst = max(
             rel_err(a, n) for a, n in zip(analytic.ravel(), numeric.ravel())

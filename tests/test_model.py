@@ -28,8 +28,8 @@ def make_params(seed=0, n_s=2, n_u=2, n_p=2, n_trials=0, labels=None):
 
 
 def zero_weights(params):
-    for v in params.weight_vars():
-        v.value[...] = 0.0
+    for w in params.weight_arrays():
+        w[...] = 0.0
     return params
 
 

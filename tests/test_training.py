@@ -4,18 +4,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spnpb.autodiff import ShapeError, Tape, Var, backward, stack_rows
+from spnpb.autodiff import ShapeError
 from spnpb.dataset import TimedSample, Trial
 from spnpb.evaluate import NLL_FD_STEP, finite_diff, rel_err
+from spnpb.layers import DenseLayer
 from spnpb.model import ModelConfig, ModelParams, RecurrentState, forward
 from spnpb.training import (
+    LOG_2PI,
+    GaussianHeadBuffers,
     NllWorkspace,
     TrainConfig,
     TrainingDivergedError,
-    batch_nll_node,
+    batch_nll,
     compute_norm_stats,
+    gaussian_head_forward,
+    gaussian_head_reverse,
     nll_element,
-    sequence_nll_node,
     train,
     trial_nll,
 )
@@ -96,8 +100,8 @@ def test_zero_model_on_constant_data_gives_closed_form_loss():
     stats = compute_norm_stats([t])
     cfg = ModelConfig(n_s=2, n_u=2)
     params = ModelParams.init(cfg, stats, np.random.default_rng(0), n_trials=1)
-    for v in params.weight_vars():
-        v.value[...] = 0.0
+    for w in params.weight_arrays():
+        w[...] = 0.0
     loss = trial_nll(params, np.zeros(2), t, stats)
     assert abs(loss - (T - 1) * 2 * HALF_LOG_2PI) < 1e-10
 
@@ -131,10 +135,8 @@ def test_sequence_nll_gradient_wrt_bias_matches_finite_differences():
     s_n = stats.normalize_state(t.states)
     u_n = stats.normalize_command(t.commands)
 
-    tape = Tape()
-    pv = Var(p.copy())
-    loss = sequence_nll_node(params, pv, s_n, u_n, tape)
-    grad = backward(tape, 1.0, output=loss)[pv]
+    _, reverse = batch_nll(params, p[None], s_n[None], u_n[None])
+    grad = reverse(1.0)[1][0]
 
     h = 1e-5
     for j in range(2):
@@ -176,23 +178,27 @@ def test_training_on_constant_data_is_almost_monotone():
 
 
 def test_pb_rows_are_isolated_per_trial():
-    # a trial's loss tape carries its own bias Var and nothing else's, so
-    # backward() cannot produce a gradient for any other trial's row
+    # a batch's bias gradient row b depends on sequence b alone: trial a's
+    # row reads the same beside trial b, beside a different b, and alone
     a, b = random_trial(10, trial_id=0), random_trial(11, trial_id=1)
     stats = compute_norm_stats([a, b])
     cfg = ModelConfig(n_s=2, n_u=2)
     params = ModelParams.init(cfg, stats, np.random.default_rng(0), n_trials=2)
-    p_a, p_b = Var(params.pb_table[0]), Var(params.pb_table[1])
+    params.pb_table[:] = [[0.2, -0.1], [0.4, 0.3]]
 
-    tape = Tape()
-    loss = sequence_nll_node(
-        params, p_a,
-        stats.normalize_state(a.states), stats.normalize_command(a.commands),
-        tape,
-    )
-    grads = backward(tape, 1.0, output=loss)
-    assert p_a in grads and np.any(grads[p_a] != 0)
-    assert p_b not in grads
+    def d_p(trials, p):
+        _, reverse = batch_nll(
+            params, p, np.stack([stats.normalize_state(t.states) for t in trials]),
+            np.stack([stats.normalize_command(t.commands) for t in trials]))
+        return reverse(1.0)[1]
+
+    pair = d_p([a, b], params.pb_table)
+    assert np.all(pair != 0)
+    other = d_p([a, random_trial(12, trial_id=1)], params.pb_table * [[1.0], [-2.0]])
+    alone = d_p([a], params.pb_table[:1])
+    assert_allclose(other[0], pair[0], rtol=1e-12)
+    assert_allclose(alone[0], pair[0], rtol=1e-12)
+    assert np.all(other[1] != pair[1])
 
 
 def test_every_pb_row_moves_within_one_epoch():
@@ -227,21 +233,27 @@ def test_non_finite_gradient_stops_training_before_any_update(monkeypatch):
     # no Adam step of that epoch may run
     import spnpb.training as training
 
-    calls = {"backward": 0, "adam": 0}
-    real_backward, real_adam = training.backward, training.adam_update
+    calls = {"reverse": 0, "adam": 0}
+    real_nll, real_adam = training.batch_nll, training.adam_update
 
-    def poisoned_backward(tape, *args, **kwargs):
-        grads = real_backward(tape, *args, **kwargs)
-        calls["backward"] += 1
-        if calls["backward"] == 2:
-            grads = {v: np.full_like(g, np.nan) for v, g in grads.items()}
-        return grads
+    def poisoned_nll(*args, **kwargs):
+        loss, reverse = real_nll(*args, **kwargs)
+
+        def poisoned_reverse(g):
+            w_grads, d_p = reverse(g)
+            calls["reverse"] += 1
+            if calls["reverse"] == 2:
+                w_grads = [np.full_like(w, np.nan) for w in w_grads]
+                d_p = np.full_like(d_p, np.nan)
+            return w_grads, d_p
+
+        return loss, poisoned_reverse
 
     def counting_adam(*args, **kwargs):
         calls["adam"] += 1
         return real_adam(*args, **kwargs)
 
-    monkeypatch.setattr(training, "backward", poisoned_backward)
+    monkeypatch.setattr(training, "batch_nll", poisoned_nll)
     monkeypatch.setattr(training, "adam_update", counting_adam)
     trials = [random_trial(13, trial_id=0), random_trial(14, trial_id=1)]
     with pytest.raises(TrainingDivergedError) as err:
@@ -310,45 +322,37 @@ def test_lr_schedule_endpoints_and_shape():
 
 
 def test_batched_loss_and_grads_match_sequential_reference():
-    # the trainer's batched pass must agree with per-trial tapes at the
+    # the trainer's batched pass must agree with per-trial passes at the
     # same parameters: loss to summation order, every gradient to 1e-10
     trials = [random_trial(40 + k, n=12, trial_id=k) for k in range(3)]
     stats = compute_norm_stats(trials)
     cfg = ModelConfig(n_s=2, n_u=2)
     params = ModelParams.init(cfg, stats, np.random.default_rng(3), n_trials=3)
     params.pb_table[:] = np.random.default_rng(9).normal(size=(3, 2)) * 0.3
-    weight_vars = params.weight_vars()
 
     ref_loss = 0.0
     ref_w = None
     ref_p = []
     for k, t in enumerate(trials):
-        tape = Tape()
-        pv = Var(params.pb_table[k])
-        node = sequence_nll_node(
-            params, pv,
-            stats.normalize_state(t.states), stats.normalize_command(t.commands),
-            tape)
-        ref_loss += float(node.value)
-        g = backward(tape, 1.0)
-        ref_p.append(g[pv])
-        ws = [g[v] for v in weight_vars]
+        loss, reverse = batch_nll(
+            params, params.pb_table[k:k + 1],
+            stats.normalize_state(t.states)[None], stats.normalize_command(t.commands)[None])
+        ref_loss += loss
+        ws, d_p = reverse(1.0)
+        ref_p.append(d_p[0])
         ref_w = ws if ref_w is None else [a + b for a, b in zip(ref_w, ws)]
 
-    tape = Tape()
-    rows = [Var(params.pb_table[k]) for k in range(3)]
-    node = batch_nll_node(
-        params, stack_rows(tape, rows),
+    loss, reverse = batch_nll(
+        params, params.pb_table,
         np.stack([stats.normalize_state(t.states) for t in trials]),
-        np.stack([stats.normalize_command(t.commands) for t in trials]),
-        tape)
-    g = backward(tape, 1.0)
+        np.stack([stats.normalize_command(t.commands) for t in trials]))
+    w_grads, d_p = reverse(1.0)
 
-    assert abs(float(node.value) - ref_loss) <= 1e-10 * abs(ref_loss)
-    for v, want in zip(weight_vars, ref_w):
-        assert_allclose(g[v], want, rtol=1e-10, atol=1e-13)
-    for row, want in zip(rows, ref_p):
-        assert_allclose(g[row], want, rtol=1e-10, atol=1e-13)
+    assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+    for got, want in zip(w_grads, ref_w):
+        assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+    for got, want in zip(d_p, ref_p):
+        assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
 
 @pytest.mark.parametrize("B", [1, 3])
@@ -365,7 +369,6 @@ def test_batch_nll_with_init_state_matches_per_step_forward(B):
     commands_n = rng.normal(size=(B, T, 2))
     p_rows = rng.normal(scale=0.5, size=(B, 2))
     init = RecurrentState(*(rng.normal(scale=0.4, size=10) for _ in range(4)))
-    weight_vars = params.weight_vars()
 
     ref = 0.0
     for b in range(B):
@@ -375,37 +378,31 @@ def test_batch_nll_with_init_state_matches_per_step_forward(B):
             for d in range(2):
                 ref += nll_element(pred.mean[d], pred.variance[d], states_n[b, t + 1, d])
 
-    def batch_loss(tape, p_node, rows=slice(None)):
-        return batch_nll_node(params, p_node, states_n[rows], commands_n[rows], tape,
-                              init_state=init)
+    def batch_loss(rows=slice(None)):
+        return batch_nll(params, p_rows[rows], states_n[rows], commands_n[rows],
+                         init_state=init)
 
-    tape = Tape()
-    rows = [Var(p_rows[b]) for b in range(B)]
-    node = batch_loss(tape, stack_rows(tape, rows))
-    g = backward(tape, 1.0)
-    assert abs(float(node.value) - ref) <= 1e-10 * abs(ref)
+    loss, reverse = batch_loss()
+    w_grads, d_p = reverse(1.0)
+    assert abs(loss - ref) <= 1e-10 * abs(ref)
 
     ref_w = None
     for b in range(B):
-        tape = Tape()
-        row = Var(p_rows[b])
-        batch_loss(tape, stack_rows(tape, [row]), slice(b, b + 1))
-        g_b = backward(tape, 1.0)
-        assert_allclose(g[rows[b]], g_b[row], rtol=1e-10, atol=1e-13)
-        ws = [g_b[v] for v in weight_vars]
+        ws, d_p_b = batch_loss(slice(b, b + 1))[1](1.0)
+        assert_allclose(d_p[b], d_p_b[0], rtol=1e-10, atol=1e-13)
         ref_w = ws if ref_w is None else [a + w for a, w in zip(ref_w, ws)]
-    for v, want in zip(weight_vars, ref_w):
-        assert_allclose(g[v], want, rtol=1e-10, atol=1e-13)
+    for got, want in zip(w_grads, ref_w):
+        assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
     def loss_value():
-        return float(batch_loss(Tape(), Var(p_rows)).value)
+        return batch_loss()[0]
 
     numeric = finite_diff(loss_value, p_rows, h=NLL_FD_STEP)
     for b in range(B):
-        for a, n in zip(g[rows[b]], numeric[b]):
+        for a, n in zip(d_p[b], numeric[b]):
             assert rel_err(a, n) <= 1e-4
-    for v in weight_vars:
-        flat, analytic = v.value.ravel(), g[v].ravel()
+    for w, analytic in zip(params.weight_arrays(), w_grads):
+        flat, analytic = w.ravel(), analytic.ravel()
         for i in rng.choice(flat.size, size=min(2, flat.size), replace=False):
             keep = flat[i]
             flat[i] = keep + NLL_FD_STEP
@@ -454,12 +451,10 @@ def nll_problem(seed, B=3, T=7):
 
 
 def nll_and_grads(params, p, states_n, commands_n, init, workspace=None):
-    tape = Tape()
-    pv = Var(p)
-    node = batch_nll_node(params, pv, states_n, commands_n, tape, init_state=init,
-                          workspace=workspace)
-    g = backward(tape, 1.0)
-    return float(node.value), [g[v] for v in (*params.weight_vars(), pv)]
+    loss, reverse = batch_nll(params, p, states_n, commands_n, init_state=init,
+                              workspace=workspace)
+    w_grads, d_p = reverse(1.0)
+    return loss, [*w_grads, d_p]
 
 
 def test_clamped_logvar_entries_get_exactly_zero_gradient():
@@ -468,28 +463,27 @@ def test_clamped_logvar_entries_get_exactly_zero_gradient():
     # central differences
     params, states_n, commands_n, init, rng = nll_problem(70)
     last = params.dense_out[-1]
-    last.b.value[2] = 40.0
+    last.b[2] = 40.0
     p = rng.normal(scale=0.5, size=(3, 2))
     _, grads = nll_and_grads(params, p, states_n, commands_n, init)
-    w_grads = dict(zip(params.weight_vars(), grads))
-    assert np.all(w_grads[last.W][2] == 0.0) and w_grads[last.b][2] == 0.0
-    assert np.all(w_grads[last.W][3] != 0.0) and w_grads[last.b][3] != 0.0
+    g_w, g_b = grads[-3], grads[-2]  # the output layer's, just before p's
+    assert np.all(g_w[2] == 0.0) and g_b[2] == 0.0
+    assert np.all(g_w[3] != 0.0) and g_b[3] != 0.0
 
     def loss_value():
-        return float(batch_nll_node(params, Var(p), states_n, commands_n, Tape(),
-                                    init_state=init).value)
+        return batch_nll(params, p, states_n, commands_n, init_state=init)[0]
 
     numeric = finite_diff(loss_value, p, h=NLL_FD_STEP)
     for a, n in zip(grads[-1].ravel(), numeric.ravel()):
         assert rel_err(a, n) <= 1e-4
     for i in (2, 3):
-        keep = last.b.value[i]
-        last.b.value[i] = keep + NLL_FD_STEP
+        keep = last.b[i]
+        last.b[i] = keep + NLL_FD_STEP
         hi = loss_value()
-        last.b.value[i] = keep - NLL_FD_STEP
+        last.b[i] = keep - NLL_FD_STEP
         lo = loss_value()
-        last.b.value[i] = keep
-        assert rel_err(w_grads[last.b][i], (hi - lo) / (2 * NLL_FD_STEP)) <= 1e-4
+        last.b[i] = keep
+        assert rel_err(g_b[i], (hi - lo) / (2 * NLL_FD_STEP)) <= 1e-4
 
 
 def test_reused_workspace_matches_fresh_bitwise():
@@ -498,8 +492,8 @@ def test_reused_workspace_matches_fresh_bitwise():
     params, states_n, commands_n, init, rng = nll_problem(71)
     workspace = NllWorkspace(params.config, 3, 7)
     for _ in range(2):
-        for v in params.weight_vars():
-            v.value += rng.normal(scale=0.05, size=v.value.shape)
+        for w in params.weight_arrays():
+            w += rng.normal(scale=0.05, size=w.shape)
         p = rng.normal(scale=0.5, size=(3, 2))
         fresh_loss, fresh = nll_and_grads(params, p, states_n, commands_n, init)
         loss, grads = nll_and_grads(params, p, states_n, commands_n, init, workspace)
@@ -511,35 +505,64 @@ def test_reused_workspace_matches_fresh_bitwise():
 def test_workspace_holds_one_pending_record_of_its_own_shape():
     params, states_n, commands_n, init, _ = nll_problem(72)
     workspace = NllWorkspace(params.config, 3, 7)
-    p = Var(np.zeros((3, 2)))
-    tape = Tape()
-    batch_nll_node(params, p, states_n, commands_n, tape, workspace=workspace)
-    with pytest.raises(RuntimeError):  # the first record still needs its activations
-        batch_nll_node(params, p, states_n, commands_n, Tape(), workspace=workspace)
-    backward(tape, 1.0)
-    batch_nll_node(params, p, states_n, commands_n, Tape(), workspace=workspace)
+    p = np.zeros((3, 2))
+    _, reverse = batch_nll(params, p, states_n, commands_n, workspace=workspace)
+    with pytest.raises(RuntimeError):  # the first forward still needs its activations
+        batch_nll(params, p, states_n, commands_n, workspace=workspace)
+    reverse(1.0)
+    with pytest.raises(RuntimeError):  # one forward allows one reverse
+        reverse(1.0)
+    batch_nll(params, p, states_n, commands_n, workspace=workspace)
 
     with pytest.raises(ShapeError):  # another sequence length
-        batch_nll_node(params, p, states_n[:, :6], commands_n[:, :6], Tape(),
-                       workspace=NllWorkspace(params.config, 3, 7))
+        batch_nll(params, p, states_n[:, :6], commands_n[:, :6],
+                  workspace=NllWorkspace(params.config, 3, 7))
     with pytest.raises(ShapeError):  # another batch size
-        batch_nll_node(params, Var(np.zeros((2, 2))), states_n[:2], commands_n[:2], Tape(),
-                       workspace=NllWorkspace(params.config, 3, 7))
+        batch_nll(params, np.zeros((2, 2)), states_n[:2], commands_n[:2],
+                  workspace=NllWorkspace(params.config, 3, 7))
     with pytest.raises(ShapeError):  # another model
-        batch_nll_node(params, p, states_n, commands_n, Tape(),
-                       workspace=NllWorkspace(ModelConfig(n_s=2, n_u=2, n_p=3), 3, 7))
+        batch_nll(params, p, states_n, commands_n,
+                  workspace=NllWorkspace(ModelConfig(n_s=2, n_u=2, n_p=3), 3, 7))
 
 
 def test_batch_nll_rejects_bad_shapes():
     params, states_n, commands_n, _, _ = nll_problem(73)
-    p = Var(np.zeros((3, 2)))
+    p = np.zeros((3, 2))
     with pytest.raises(ShapeError):  # one bias row short
-        batch_nll_node(params, Var(np.zeros((2, 2))), states_n, commands_n, Tape())
+        batch_nll(params, np.zeros((2, 2)), states_n, commands_n)
     with pytest.raises(ShapeError):  # bias rows of the wrong width
-        batch_nll_node(params, Var(np.zeros((3, 3))), states_n, commands_n, Tape())
+        batch_nll(params, np.zeros((3, 3)), states_n, commands_n)
     with pytest.raises(ShapeError):  # commands of another length
-        batch_nll_node(params, p, states_n, commands_n[:, :6], Tape())
+        batch_nll(params, p, states_n, commands_n[:, :6])
     with pytest.raises(ShapeError):  # states of the wrong width
-        batch_nll_node(params, p, states_n[..., :1], commands_n, Tape())
+        batch_nll(params, p, states_n[..., :1], commands_n)
     with pytest.raises(ValueError):  # no prediction target
-        batch_nll_node(params, p, states_n[:, :1], commands_n[:, :1], Tape())
+        batch_nll(params, p, states_n[:, :1], commands_n[:, :1])
+
+
+def test_clip_masks_gradient_outside_bounds():
+    # the Gaussian head clamps the log variance to [-10, 10]; a clamped
+    # entry passes no gradient.  n_s = 1 and an identity output layer, so
+    # the input's columns are the mean and the raw log variance.
+    last = DenseLayer(np.eye(2), np.zeros(2))
+    y = np.array([[0.3, -12.0], [0.3, 0.5], [0.3, 12.0]])
+    head = GaussianHeadBuffers(3, 1)
+    gaussian_head_forward(last, y, np.zeros((3, 1)), head)
+    np.testing.assert_array_equal(head.lv[:, 0], [-10.0, 0.5, 10.0])
+    dy = np.empty((3, 2))
+    gaussian_head_reverse(last, y, head, 1.0, dy)
+    np.testing.assert_array_equal(dy[[0, 2], 1], [0.0, 0.0])
+    np.testing.assert_allclose(dy[1, 1], 0.5 * (1.0 - 0.09 * np.exp(-0.5)), rtol=1e-15)
+
+
+def test_gaussian_nll_value_matches_formula():
+    # identity output layer: the input row is (mean, logvar)
+    last = DenseLayer(np.eye(4), np.zeros(4))
+    mean = np.array([0.3, -0.1])
+    logvar = np.array([0.2, -0.4])
+    target = np.array([0.0, 0.5])
+    head = GaussianHeadBuffers(1, 2)
+    out = gaussian_head_forward(last, np.concatenate((mean, logvar))[None], target[None], head)
+    r = mean - target
+    expected = 0.5 * np.sum(LOG_2PI + logvar + r * r * np.exp(-logvar))
+    assert abs(out - expected) < 1e-15
