@@ -8,11 +8,14 @@ as candidates, best candidate kept.  The previous iterate always competes
 too, so the returned loss can never exceed the warm-start loss.
 
 The warm start, and then all n_batch step sizes of each round together,
-are scored by one batched rollout_batch call; each round's gradient is a one-row forward through the same loop
-(rollout_vjp), the closed-form gradient of the loss (control_loss_grad),
-and the model's hand-written reverse pass.  A default tick (3 rounds of
-10 step sizes) thus runs 4 batched scoring rollouts and 3 one-row
-forward/reverse gradient passes.
+are scored by one batched rollout_vjp call, which keeps the activations
+of every candidate.  A round's gradient is taken at the incumbent, which
+is always a row of a scored stack: the closed-form gradient of the loss
+(control_loss_grad) is carried back through that row alone by the
+model's hand-written reverse pass, with no forward of its own.  A
+default tick (3 rounds of 10 step sizes) thus runs 4 batched forwards and
+3 one-row reverses, plus the one-step forward that advances the live
+state.
 
 The loss is
     ||s_ref - s_pred||_2  +  c_variance * V  +  c_orig * ||u_orig - u||_2
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RecurrentState, forward, rollout_batch, rollout_vjp
+from .model import RecurrentState, forward, rollout_vjp
 
 # Guard of the L2-norm gradients: a zero-length residual gets gradient 0.
 NORM_FLOOR = 1e-12
@@ -154,6 +157,18 @@ def control_loss_grad(means, variances, u_seq, s_ref_seq, u_orig_seq, config):
     return d_means, d_variances, d_u
 
 
+def row_gradient(means, variances, vjp, row, u_seq, s_ref_seq, u_orig_seq, config):
+    """Gradient of control_loss at row `row` of a stack scored by rollout_vjp.
+
+    means, variances and vjp are rollout_vjp's; u_seq (n_seq, n_u) is the
+    stack's row.  The loss's closed form (control_loss_grad) is carried
+    back through that row's reverse pass alone.
+    """
+    d_means, d_variances, d_u = control_loss_grad(
+        means[row], variances[row], u_seq, s_ref_seq, u_orig_seq, config)
+    return vjp(d_means, d_variances, row=row) + d_u
+
+
 def line_search_minimize(value_fn, grad_fn, u0, gammas, n_epoch, clamp=None):
     """Batched line search: one gradient per round, all step sizes tried.
 
@@ -196,10 +211,11 @@ def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config):
     """Improve the warm-started plan; never returns a loss above the start.
 
     Each round computes one gradient of the loss with respect to the whole
-    command sequence by a one-row forward and reverse pass, then scores
-    n_batch step sizes from the gamma ladder (candidates clamped to the
-    command bounds) in one batched rollout.  The incumbent plan competes
-    implicitly; ties keep the smallest step.
+    command sequence by reversing the incumbent's row of the stack that
+    scored it, then scores n_batch step sizes from the gamma ladder
+    (candidates clamped to the command bounds) in one batched rollout.
+    The incumbent plan competes implicitly; ties keep the smallest step.
+    A gradient asked at a plan no stack scored raises ControllerError.
     """
     s_ref_seq = np.asarray(s_ref_seq, dtype=np.float64)
     u_orig_seq = np.asarray(u_orig_seq, dtype=np.float64)
@@ -211,16 +227,22 @@ def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config):
     lo = (config.command_low - params.stats.mean_u) / params.stats.std_u
     hi = (config.command_high - params.stats.mean_u) / params.stats.std_u
 
+    scored = []  # (u_stack, means, variances, vjp) of every stack scored this tick
+
     def value_fn(u_stack):
-        means, variances = rollout_batch(params, state, s_t, u_stack, p)
+        means, variances, vjp = rollout_vjp(params, state, s_t, u_stack, p)
+        scored.append((u_stack, means, variances, vjp))
         losses = control_loss(means, variances, u_stack, s_ref_seq, u_orig_seq, config)
         return losses, list(zip(means, variances))
 
     def grad_fn(u_seq):
-        means, variances, vjp = rollout_vjp(params, state, s_t, u_seq[None], p)
-        d_means, d_variances, d_u = control_loss_grad(
-            means, variances, u_seq[None], s_ref_seq, u_orig_seq, config)
-        return (vjp(d_means, d_variances) + d_u)[0]
+        # the line search asks only at its incumbent, a row it has scored
+        for u_stack, means, variances, vjp in reversed(scored):
+            hits = np.flatnonzero(np.all(u_stack == u_seq, axis=(1, 2)))
+            if hits.size:
+                return row_gradient(means, variances, vjp, int(hits[0]), u_seq,
+                                    s_ref_seq, u_orig_seq, config)
+        raise ControllerError("gradient asked at a plan that was never scored")
 
     u_cur, loss_cur, (means, variances), loss0 = line_search_minimize(
         value_fn, grad_fn, warm_start(prev_plan),
@@ -261,10 +283,10 @@ class Controller:
         if self._prev_pair is not None:
             prev_s, prev_u = self._prev_pair
             _, self.state = forward(self.params, self.state, prev_s, prev_u, self.p)
-        s_ref_n = np.array([stats.normalize_state(row) for row in np.asarray(s_ref_seq_raw)])
+        s_ref_n = stats.normalize_state(s_ref_seq_raw)
         if u_orig_seq_raw is None:
-            u_orig_seq_raw = np.asarray(s_ref_seq_raw)
-        u_orig_n = np.array([stats.normalize_command(row) for row in np.asarray(u_orig_seq_raw)])
+            u_orig_seq_raw = s_ref_seq_raw
+        u_orig_n = stats.normalize_command(u_orig_seq_raw)
         try:
             plan = optimize(self.params, self.p, self.state, s_n,
                             s_ref_n, u_orig_n, self.plan, self.config)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .analysis import cluster_distances, linearly_separable, nearest_row, pca_project
 from .control import (
-    ControlConfig, control_loss, control_loss_grad, gamma_schedule, line_search_minimize)
+    ControlConfig, control_loss, gamma_schedule, line_search_minimize, row_gradient)
 from .dataset import parse_env_label
 from .experiments import prediction_trace, run_adaptation_episode, run_control_batch, run_control_episode
 from .model import (
@@ -79,6 +79,10 @@ def finite_diff(f, x, h=1e-5):
 NLL_FD_STEP = 1e-4
 
 
+# Plans per stack of the control instances; each instance reverses one row.
+CONTROL_STACK = 3
+
+
 # Logvar output bias of the clamped NLL instances.  A random layer adds
 # well under 1 to it, so every raw log variance lies far outside the clamp,
 # and no finite-difference step brings one back inside.
@@ -96,10 +100,8 @@ def _nll_grad_error(params, p, states_n, commands_n, init_state, draw, coords_pe
 
     _, reverse = batch_nll(params, p, states_n, commands_n, init_state=init_state)
     w_grads, d_p = reverse(1.0)
-    worst = 0.0
-    numeric = finite_diff(loss_value, p, h=NLL_FD_STEP)
-    for a, n in zip(d_p.ravel(), numeric.ravel()):
-        worst = max(worst, rel_err(a, n))
+    errs = [rel_err(a, n) for a, n in zip(d_p.ravel(),
+                                          finite_diff(loss_value, p, h=NLL_FD_STEP).ravel())]
     for w, analytic in zip(params.weight_arrays(), w_grads):
         flat, analytic = w.ravel(), analytic.ravel()
         for i in draw.choice(flat.size, size=min(coords_per_tensor, flat.size), replace=False):
@@ -109,8 +111,13 @@ def _nll_grad_error(params, p, states_n, commands_n, init_state, draw, coords_pe
             flat[i] = keep - NLL_FD_STEP
             lo = loss_value()
             flat[i] = keep
-            worst = max(worst, rel_err(analytic[i], (hi - lo) / (2 * NLL_FD_STEP)))
-    return worst
+            errs.append(rel_err(analytic[i], (hi - lo) / (2 * NLL_FD_STEP)))
+    return _worst(errs)
+
+
+def _worst(errs):
+    """Largest of errs; NaN if any is NaN, so a non-finite gradient fails."""
+    return float(np.max(errs))
 
 
 def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
@@ -122,12 +129,16 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
     multi-trial bucket and the adaptation replay's snapshot start.  Four
     more instances set one logvar output bias to +-CLAMP_PUSH, so the
     clamp's zero gradient is checked on each side; they draw from their
-    own generator and report their own error.
+    own generator and report their own error.  Each control instance
+    takes its gradient as optimize does, from one row of a scored stack
+    of CONTROL_STACK plans, and also checks it against the reverse of a
+    one-plan stack.  Any non-finite error fails the check.
     """
     rng = np.random.default_rng(seed)
     batch_rng = np.random.default_rng([seed, 2])  # keeps rng's draws those of B=1 alone
     clamp_rng = np.random.default_rng([seed, 3])
-    worst = 0.0
+    stack_rng = np.random.default_rng([seed, 4])  # the other plans of each control stack
+    errs = []
     t0 = time.time()
     for _ in range(n_instances):
         params = _random_params(rng)
@@ -137,10 +148,10 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
             states_n = draw.normal(size=(B, 6, 2))
             commands_n = draw.normal(size=(B, 6, 2))
             p = draw.normal(scale=0.5, size=(B, 2))
-            worst = max(worst, _nll_grad_error(params, p, states_n, commands_n, init_state,
-                                               draw, coords_per_tensor))
+            errs.append(_nll_grad_error(params, p, states_n, commands_n, init_state,
+                                        draw, coords_per_tensor))
 
-    clamp_worst = 0.0
+    clamp_errs = []
     for side in (1.0, -1.0):
         for dim in range(2):
             params = _random_params(clamp_rng)
@@ -151,9 +162,10 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
             states_n = clamp_rng.normal(size=(2, 6, 2))
             commands_n = clamp_rng.normal(size=(2, 6, 2))
             p = clamp_rng.normal(scale=0.5, size=(2, 2))
-            clamp_worst = max(clamp_worst, _nll_grad_error(
+            clamp_errs.append(_nll_grad_error(
                 params, p, states_n, commands_n, shared, clamp_rng, coords_per_tensor))
 
+    row_errs = []
     for inst in range(n_instances):
         params = _random_params(rng)
         cfg = ControlConfig(
@@ -165,29 +177,36 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
         u_orig = rng.normal(size=(4, 2))
         p = rng.normal(scale=0.5, size=2)
         u_seq = rng.normal(size=(4, 2))
+        row = inst % CONTROL_STACK
+        u_stack = stack_rng.normal(size=(CONTROL_STACK, 4, 2))
+        u_stack[row] = u_seq
 
         def loss_value():
             # the batched path the line search scores candidates with
             means, variances = rollout_batch(params, state, s_t, u_seq[None], p)
             return float(control_loss(means, variances, u_seq[None], s_ref, u_orig, cfg)[0])
 
-        # the controller's gradient: the loss's closed form through the reverse pass
-        means, variances, vjp = rollout_vjp(params, state, s_t, u_seq[None], p)
-        d_means, d_variances, d_u = control_loss_grad(
-            means, variances, u_seq[None], s_ref, u_orig, cfg)
-        analytic = vjp(d_means, d_variances) + d_u
-        numeric = finite_diff(loss_value, u_seq)
-        for a, n in zip(analytic.ravel(), numeric.ravel()):
-            worst = max(worst, rel_err(a, n))
+        def gradient(stack, k):
+            means, variances, vjp = rollout_vjp(params, state, s_t, stack, p)
+            return row_gradient(means, variances, vjp, k, stack[k], s_ref, u_orig, cfg)
 
+        analytic = gradient(u_stack, row)
+        numeric = finite_diff(loss_value, u_seq)
+        errs.extend(rel_err(a, n) for a, n in zip(analytic.ravel(), numeric.ravel()))
+        alone = gradient(u_seq[None], 0)
+        row_errs.append(np.max(np.abs(analytic - alone)) / max(np.max(np.abs(alone)), 1e-300))
+
+    worst, clamp_worst, row_worst = _worst(errs), _worst(clamp_errs), _worst(row_errs)
     elapsed = time.time() - t0
-    passed = worst <= 1e-4 and clamp_worst <= 1e-4 and elapsed < 60.0
+    passed = (worst <= 1e-4 and clamp_worst <= 1e-4 and row_worst <= 1e-12
+              and elapsed < 60.0)
     return CheckResult(
         "gradient-integrity",
         passed,
         f"max relative error {worst:.3e} over {n_instances} NLL (B=1 and B=2) + "
         f"{n_instances} control instances, {clamp_worst:.3e} over 4 clamped-logvar "
-        f"NLL instances, in {elapsed:.1f}s",
+        f"NLL instances; control row of a {CONTROL_STACK}-plan stack vs one-plan "
+        f"reverse {row_worst:.1e}; in {elapsed:.1f}s",
     )
 
 

@@ -13,10 +13,15 @@ The first n_s outputs are the predicted mean; the last n_s are log
 variance, clamped to [-10, 10] before exponentiation.  All values are in
 normalized (z-scored) units; NormStats carries the transform.
 
-The model has one numpy forward loop.  rollout_batch runs it for K
-closed-loop candidate plans, forward for one step of the live state, and
-rollout_vjp keeps its activations for a hand-written reverse that gives
-the control gradient.  The teacher-forced NLL of training and adaptation
+The model has one numpy forward loop, which writes every step's
+activations into time-stacked buffers allocated once per call.
+rollout_batch runs it for K closed-loop candidate plans, forward for one
+step of the live state, and rollout_vjp hands back, with the K rollouts,
+a hand-written reverse that gives the control gradient of all rows or of
+any one row.  The reverse takes every factor that does not depend on the
+gradient flowing back (tanh derivatives, LSTM gate factors, the logvar
+clamp mask) over the whole horizon at once; its step loop keeps only the
+serial chain.  The teacher-forced NLL of training and adaptation
 (training.batch_nll) has its own forward and reverse over the same
 layer helpers.
 """
@@ -32,6 +37,8 @@ from .autodiff import ShapeError
 from .layers import (
     DenseLayer,
     LstmCell,
+    dense_affine,
+    dense_stack_forward,
     lstm_gate_factors,
     lstm_step,
     lstm_step_back,
@@ -221,14 +228,14 @@ def _check_step_inputs(params, state, s, u, p):
             raise ShapeError("recurrent state vectors must match the LSTM hidden size")
 
 
-def _run(params, state, s_t, u_batch, p, keep=False):
+def _run(params, state, s_t, u_batch, p):
     """The model's one forward loop: K closed-loop rows from one shared state.
 
     u_batch is (K, n_seq, n_u); each row starts from state, s_t and p,
     and each step's predicted mean is the next step's state input.
-    Returns (means, variances, (h1, c1, h2, c2), steps): the recurrent
-    state after the last step, each part (K, H), and, when keep is set,
-    the activations _reverse needs per step (else None).
+    Returns (means, variances, (h1, c1, h2, c2), acts): means and
+    variances C-contiguous (K, n_seq, n_s), the recurrent state after the
+    last step, each part (K, H), and the _Activations that _reverse reads.
     """
     u_batch = np.asarray(u_batch, dtype=np.float64)
     cfg = params.config
@@ -239,89 +246,117 @@ def _run(params, state, s_t, u_batch, p, keep=False):
     K, n_seq, _ = u_batch.shape
     n_s = cfg.n_s
 
-    def rows(v):
-        return np.tile(np.asarray(v, dtype=np.float64), (K, 1))
-
-    # the LSTM helpers take the K rows as columns
-    h1, c1, h2, c2 = (rows(v).T for v in (state.h1, state.c1, state.h2, state.c2))
-    s, p_rows = rows(s_t), rows(p)
-    w1, w2 = lstm_step_weights(params.lstm1), lstm_step_weights(params.lstm2)
-    means = np.empty((K, n_seq, n_s))
-    logvars = np.empty((K, n_seq, n_s))
-    steps = [] if keep else None
+    acts = _Activations(params, n_seq, K)
+    x_in = acts.x
+    x_in[:-1, :, :cfg.n_u] = u_batch.transpose(1, 0, 2)
+    x_in[0, :, cfg.n_u:cfg.n_u + n_s] = s_t
+    x_in[:, :, cfg.n_u + n_s:] = p
+    for buf, h0, c0 in zip(acts.lstms, (state.h1, state.h2), (state.c1, state.c2)):
+        buf.hs[0] = np.asarray(h0)[:, None]  # the LSTM helpers take the K rows as columns
+        buf.cs[0] = np.asarray(c0)[:, None]
+    lstms = [(lstm_step_weights(cell), buf)
+             for cell, buf in zip((params.lstm1, params.lstm2), acts.lstms)]
+    last = params.dense_out[-1]
     for t in range(n_seq):
-        x = np.concatenate((u_batch[:, t], s, p_rows), axis=1)
-        dense_in = []
-        for layer in params.dense_in:
-            x = np.tanh(x @ layer.W.T + layer.b)
-            dense_in.append(x)
-        c1_prev, c2_prev = c1, c2
-        h1, c1, act1, tc1 = _lstm_step(w1, x.T, h1, c1)
-        h2, c2, act2, tc2 = _lstm_step(w2, h1, h2, c2)
-        x = h2.T
-        dense_out = []
-        for layer in params.dense_out[:-1]:
-            x = np.tanh(x @ layer.W.T + layer.b)
-            dense_out.append(x)
-        last = params.dense_out[-1]
-        out = x @ last.W.T + last.b
-        means[:, t] = out[:, :n_s]
-        s = means[:, t]
-        logvars[:, t] = np.clip(out[:, n_s:], LOGVAR_MIN, LOGVAR_MAX)
-        if keep:
-            kept = (out[:, n_s:] >= LOGVAR_MIN) & (out[:, n_s:] <= LOGVAR_MAX)
-            steps.append((dense_in, ((act1, c1_prev, tc1), (act2, c2_prev, tc2)),
-                          dense_out, kept))
-    return means, np.exp(logvars), (h1.T, c1.T, h2.T, c2.T), steps
+        x = dense_stack_forward(params.dense_in, x_in[t], [y[t] for y in acts.dense_in]).T
+        for (wx, wh, b), buf in lstms:
+            z = buf.acts[t]
+            np.matmul(wx, x, out=z)
+            z += b
+            lstm_step(z, buf.hs[t], buf.cs[t], wh, buf.hs[t + 1], buf.cs[t + 1], buf.tcs[t])
+            x = buf.hs[t + 1]
+        x = dense_stack_forward(params.dense_out[:-1], x.T, [y[t] for y in acts.dense_out])
+        out = dense_affine(last, x, acts.out[t])
+        x_in[t + 1, :, cfg.n_u:cfg.n_u + n_s] = out[:, :n_s]  # the mean is the next state
+    # copies in (K, n_seq, n_s) order: control_loss sums each row in memory order
+    means = acts.out[:, :, :n_s].transpose(1, 0, 2).copy()
+    logvars = np.clip(acts.out[:, :, n_s:], LOGVAR_MIN, LOGVAR_MAX)
+    variances = np.exp(logvars, out=logvars).transpose(1, 0, 2).copy()
+    h1, h2 = (buf.hs[-1].T for buf in acts.lstms)
+    c1, c2 = (buf.cs[-1].T for buf in acts.lstms)
+    return means, variances, (h1, c1, h2, c2), acts
 
 
-def _lstm_step(weights, x, h_prev, c_prev):
-    """lstm_step on fresh (·, K) columns; returns (h, c, gate activations, tanh(c))."""
-    wx, wh, b = weights
-    z = wx @ x
-    z += b
-    h, c, tc = np.empty((3,) + h_prev.shape)
-    lstm_step(z, h_prev, c_prev, wh, h, c, tc)
-    return h, c, z, tc
+class _Activations:
+    """What _run keeps of K rows over n_seq steps, time-stacked.
+
+    x holds each step's (u, s, p) input rows, with one step more than the run so
+    the last mean has somewhere to go; dense_in/dense_out hold each tanh
+    layer's (n_seq, K, width) outputs, out the last layer's raw
+    (n_seq, K, 2 n_s) output and lstms each LSTM's gate activations, h, c
+    and tanh(c) as (n_seq, ., K) columns.
+    """
+
+    def __init__(self, params, n_seq, K):
+        self.x = np.empty((n_seq + 1, K, params.config.n_in))
+        self.dense_in = [np.empty((n_seq, K, layer.n_out)) for layer in params.dense_in]
+        self.dense_out = [np.empty((n_seq, K, layer.n_out)) for layer in params.dense_out[:-1]]
+        self.out = np.empty((n_seq, K, params.dense_out[-1].n_out))
+        self.lstms = [_LstmActivations(n_seq, K, cell.hidden)
+                      for cell in (params.lstm1, params.lstm2)]
 
 
-def _reverse(params, steps, variances, d_means, d_variances):
-    """Backpropagation through time over _run's kept activations.
+class _LstmActivations:
+    def __init__(self, n_seq, K, H):
+        self.acts = np.empty((n_seq, 4 * H, K))
+        self.hs = np.empty((n_seq + 1, H, K))
+        self.cs = np.empty((n_seq + 1, H, K))
+        self.tcs = np.empty((n_seq, H, K))
 
-    Carries d loss/d means and d loss/d variances, each (K, n_seq, n_s),
-    back to d loss/d u (K, n_seq, n_u).  Every step runs the last dense
-    layer, the logvar clamp (clamped entries pass no gradient), the
-    output tanh stack, LSTM2, LSTM1 and the input tanh stack in reverse.
-    A step's gradient at its state input joins the previous step's
-    d_mean, since that mean was fed back as the state.
+
+def _reverse(params, acts, variances, d_means, d_variances, rows):
+    """Backpropagation through time over rows of _run's activations.
+
+    Carries d loss/d means and d loss/d variances, each (R, n_seq, n_s)
+    for the R rows that the slice rows picks, back to d loss/d u
+    (R, n_seq, n_u).  Every factor that does not depend on the gradient
+    flowing back is taken for the whole horizon at once: the logvar
+    clamp (clamped entries pass no gradient), the tanh derivatives and
+    the LSTM gate factors.  The step loop then runs the last dense layer,
+    the output tanh stack, LSTM2, LSTM1 and the input tanh stack in
+    reverse.  A step's gradient at its state input joins the previous
+    step's d_mean, since that mean was fed back as the state.
     """
     cfg = params.config
     n_s, n_u = cfg.n_s, cfg.n_u
-    K, n_seq, _ = variances.shape
-    cells = (params.lstm1, params.lstm2)
-    carries = [(np.zeros((c.hidden, K)), np.zeros((c.hidden, K))) for c in cells]
-    d_u = np.empty((K, n_seq, n_u))
-    d_s = np.zeros((K, n_s))
+    R, n_seq, _ = d_means.shape
+    # each step's gradient at the last layer's output: d_mean (the fed-back
+    # d_s joins it in the loop) beside the clamp-masked d_logvar
+    d_out = np.empty((n_seq, R, 2 * n_s))
+    d_out[:, :, :n_s] = d_means.transpose(1, 0, 2)
+    raw = acts.out[:, rows, n_s:].transpose(1, 0, 2)
+    kept = (raw >= LOGVAR_MIN) & (raw <= LOGVAR_MAX)
+    d_out[:, :, n_s:] = (d_variances * variances[rows] * kept).transpose(1, 0, 2)
+
+    def tanh_grads(ys):
+        return [1.0 - y[:, rows] * y[:, rows] for y in ys]
+
+    grads_in, grads_out = tanh_grads(acts.dense_in), tanh_grads(acts.dense_out)
+    lstms = []
+    for cell, buf in zip((params.lstm1, params.lstm2), acts.lstms):
+        H = cell.hidden
+        act = buf.acts[..., rows]
+        fac = np.empty((n_seq, 4 * H, R))
+        dc_dh = np.empty((n_seq, H, R))
+        lstm_gate_factors(act, buf.cs[:-1, :, rows], buf.tcs[..., rows], fac, dc_dh)
+        lstms.append((cell, fac, dc_dh, act[:, H:2 * H], np.zeros((H, R)), np.zeros((H, R)),
+                      np.empty((4 * H, R))))
+    d_u = np.empty((R, n_seq, n_u))
+    d_s = 0.0
     for t in range(n_seq - 1, -1, -1):
-        dense_in, lstms, dense_out, kept = steps[t]
-        d_logvar = d_variances[:, t] * variances[:, t] * kept
-        g = np.concatenate((d_means[:, t] + d_s, d_logvar), axis=1) @ params.dense_out[-1].W
-        for layer, y in zip(params.dense_out[-2::-1], dense_out[::-1]):
-            g = (g * (1.0 - y * y)) @ layer.W
+        d_out[t, :, :n_s] += d_s
+        g = d_out[t] @ params.dense_out[-1].W
+        for layer, dy in zip(params.dense_out[-2::-1], grads_out[::-1]):
+            g = (g * dy[t]) @ layer.W
         g = g.T  # columns, as the LSTM helpers take them
         for k in (1, 0):
-            cell, (act, c_prev, tc), (dh, dc) = cells[k], lstms[k], carries[k]
-            H = cell.hidden
-            fac, dz = np.empty((2, 4 * H, K))
-            dc_dh = np.empty((H, K))
-            lstm_gate_factors(act, c_prev, tc, fac, dc_dh)
-            dh = g + dh
-            lstm_step_back(dh, dc, fac, dc_dh, act[H:2 * H], cell.Wh, dz)
-            carries[k] = (dh, dc)
+            cell, fac, dc_dh, f, dh, dc, dz = lstms[k]
+            dh += g
+            lstm_step_back(dh, dc, fac[t], dc_dh[t], f[t], cell.Wh, dz)
             g = cell.Wx.T @ dz
         g = g.T
-        for layer, y in zip(params.dense_in[::-1], dense_in[::-1]):
-            g = (g * (1.0 - y * y)) @ layer.W
+        for layer, dy in zip(params.dense_in[::-1], grads_in[::-1]):
+            g = (g * dy[t]) @ layer.W
         d_u[:, t] = g[:, :n_u]
         d_s = g[:, n_u:n_u + n_s]
     return d_u
@@ -345,24 +380,37 @@ def rollout_batch(params, state, s_t, u_batch, p):
 
     u_batch is (K, n_seq, n_u); every sequence starts from the same
     recurrent state, s_t, and bias p, and feeds each predicted mean back
-    as the next state.  Returns (means, variances), each (K, n_seq, n_s).
+    as the next state.  Returns (means, variances), each C-contiguous
+    (K, n_seq, n_s).
     """
     means, variances, _, _ = _run(params, state, s_t, u_batch, p)
     return means, variances
 
 
 def rollout_vjp(params, state, s_t, u_batch, p):
-    """rollout_batch plus its reverse pass.
+    """rollout_batch plus its reverse pass, for any row of the batch.
 
-    Returns (means, variances, vjp), where vjp(d_means, d_variances)
-    maps gradients of a loss with respect to the (K, n_seq, n_s) means
-    and variances to its gradient with respect to u_batch (K, n_seq, n_u).
+    Returns (means, variances, vjp).  vjp(d_means, d_variances) maps
+    gradients of a loss with respect to all K rows of means and
+    variances, each (K, n_seq, n_s), to its gradient with respect to
+    u_batch (K, n_seq, n_u).  vjp(d_means, d_variances, row=k) takes one
+    row's (n_seq, n_s) gradients and reverses that row alone, giving
+    (n_seq, n_u).  The forward's activations are kept, so the reverse
+    can run any number of times.
     """
-    means, variances, _, steps = _run(params, state, s_t, u_batch, p, keep=True)
+    means, variances, _, acts = _run(params, state, s_t, u_batch, p)
 
-    def vjp(d_means, d_variances):
-        return _reverse(params, steps, variances, np.asarray(d_means, dtype=np.float64),
-                        np.asarray(d_variances, dtype=np.float64))
+    def vjp(d_means, d_variances, row=None):
+        d_means, d_variances = (np.asarray(g, dtype=np.float64) for g in (d_means, d_variances))
+        want = means.shape if row is None else means.shape[1:]
+        if d_means.shape != want or d_variances.shape != want:
+            raise ShapeError(f"vjp takes gradients of shape {want}, "
+                             f"got {d_means.shape} and {d_variances.shape}")
+        if row is None:
+            return _reverse(params, acts, variances, d_means, d_variances, slice(None))
+        row = range(len(means))[row]
+        return _reverse(params, acts, variances, d_means[None], d_variances[None],
+                        slice(row, row + 1))[0]
 
     return means, variances, vjp
 

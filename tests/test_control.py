@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spnpb import control, model
 from spnpb.control import (
     ControlConfig,
     ControlPlan,
@@ -11,6 +12,7 @@ from spnpb.control import (
     gamma_schedule,
     line_search_minimize,
     optimize,
+    row_gradient,
     warm_start,
 )
 from spnpb.evaluate import finite_diff, rel_err
@@ -135,12 +137,10 @@ def test_loss_gradient_of_a_norm_is_its_unit_direction():
     np.testing.assert_array_equal(d_means, zeros)
 
 
-def reverse_pass_gradient(params, state, s_t, u_seq, p, s_ref, u_orig, cfg):
-    """The controller's gradient: loss gradient carried back by rollout_vjp."""
-    means, variances, vjp = rollout_vjp(params, state, s_t, u_seq[None], p)
-    d_means, d_variances, d_u = control_loss_grad(
-        means, variances, u_seq[None], s_ref, u_orig, cfg)
-    return (vjp(d_means, d_variances) + d_u)[0]
+def reverse_pass_gradient(params, state, s_t, u_stack, row, p, s_ref, u_orig, cfg):
+    """The controller's gradient: row `row` of a stack scored by rollout_vjp."""
+    means, variances, vjp = rollout_vjp(params, state, s_t, u_stack, p)
+    return row_gradient(means, variances, vjp, row, u_stack[row], s_ref, u_orig, cfg)
 
 
 def scored_loss(params, state, s_t, u_seq, p, s_ref, u_orig, cfg):
@@ -152,21 +152,48 @@ def scored_loss(params, state, s_t, u_seq, p, s_ref, u_orig, cfg):
 @pytest.mark.parametrize("n_seq", [1, 10])
 @pytest.mark.parametrize("mode", ["absolute", "per_state"])
 def test_reverse_pass_matches_finite_differences(mode, n_seq):
+    # the gradient optimize takes, from one row of a scored stack of plans,
+    # against central differences and against the reverse of that plan alone
     rng = np.random.default_rng(40 + n_seq)
-    for _ in range(3):
+    for row in range(3):
         params = ModelParams.init(ModelConfig(n_s=2, n_u=2), unit_stats(), rng)
         state = RecurrentState(*rng.normal(scale=0.5, size=(4, 10)))
         cfg = ControlConfig(n_seq=n_seq, c_variance=rng.uniform(1.0, 30.0), c_orig=0.3,
                             variance_mode=mode)
         s_t, p = rng.normal(size=2), rng.normal(scale=0.5, size=2)
         s_ref, u_orig, u_seq = (rng.normal(size=(n_seq, 2)) for _ in range(3))
-        args = (params, state, s_t, u_seq, p, s_ref, u_orig, cfg)
+        u_stack = rng.normal(size=(4, n_seq, 2))
+        u_stack[row] = u_seq
+        fixed = (p, s_ref, u_orig, cfg)
 
-        analytic = reverse_pass_gradient(*args)
-        numeric = finite_diff(lambda: scored_loss(*args), u_seq)
+        analytic = reverse_pass_gradient(params, state, s_t, u_stack, row, *fixed)
+        numeric = finite_diff(lambda: scored_loss(params, state, s_t, u_seq, *fixed), u_seq)
         assert analytic.shape == (n_seq, 2)
         worst = max(rel_err(a, n) for a, n in zip(analytic.ravel(), numeric.ravel()))
         assert worst <= 1e-4, f"reverse pass off by {worst}"
+        alone = reverse_pass_gradient(params, state, s_t, u_seq[None], 0, *fixed)
+        assert np.max(np.abs(analytic - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+
+@pytest.mark.parametrize("K", [3, 10])
+def test_batched_rollouts_are_c_contiguous_and_score_like_single_plans(K):
+    # control_loss sums over each row in memory order: a transposed view
+    # would score the same plan differently
+    rng = np.random.default_rng(60 + K)
+    params = ModelParams.init(ModelConfig(n_s=2, n_u=2), unit_stats(), rng)
+    state = RecurrentState(*rng.normal(scale=0.5, size=(4, 10)))
+    cfg = ControlConfig(n_seq=6, c_variance=30.0, c_orig=0.3, variance_mode="per_state")
+    s_t, p = rng.normal(size=2), rng.normal(scale=0.5, size=2)
+    s_ref, u_orig = rng.normal(size=(6, 2)), rng.normal(size=(6, 2))
+    u_stack = rng.normal(size=(K, 6, 2))
+    for rollout in (rollout_batch, rollout_vjp):
+        means, variances = rollout(params, state, s_t, u_stack, p)[:2]
+        assert means.shape == variances.shape == (K, 6, 2)
+        assert means.flags.c_contiguous and variances.flags.c_contiguous
+        losses = control_loss(means, variances, u_stack, s_ref, u_orig, cfg)
+        for k in range(K):
+            one = scored_loss(params, state, s_t, u_stack[k], p, s_ref, u_orig, cfg)
+            assert abs(losses[k] - one) <= 1e-12 * abs(one)
 
 
 def test_clamped_logvar_passes_no_gradient():
@@ -190,10 +217,9 @@ def test_clamped_logvar_passes_no_gradient():
     assert np.any(vjp(np.zeros_like(means), d_variances) != 0.0)
 
     cfg = ControlConfig(n_seq=5, c_variance=2.0, c_orig=0.3)
-    args = (params, state, s_t, u_seq[0], p, rng.normal(size=(5, 2)),
-            rng.normal(size=(5, 2)), cfg)
-    numeric = finite_diff(lambda: scored_loss(*args), u_seq[0])
-    analytic = reverse_pass_gradient(*args)
+    fixed = (p, rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), cfg)
+    numeric = finite_diff(lambda: scored_loss(params, state, s_t, u_seq[0], *fixed), u_seq[0])
+    analytic = reverse_pass_gradient(params, state, s_t, u_seq, 0, *fixed)
     worst = max(rel_err(a, n) for a, n in zip(analytic.ravel(), numeric.ravel()))
     assert worst <= 1e-4, f"reverse pass off by {worst}"
 
@@ -354,6 +380,40 @@ def test_optimize_never_worsens_on_random_instances(mode):
         assert plan.loss <= plan.initial_loss + 1e-12
 
 
+def test_optimize_runs_one_forward_per_scored_stack_and_one_reverse_per_round(monkeypatch):
+    # the warm start and the 3 rounds' candidates are scored; each round's
+    # gradient reverses a row of a scored stack without a forward of its own
+    calls = {"_run": 0, "_reverse": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(model, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(model, name, counted)
+    params = make_params(seed=8)
+    cfg = ControlConfig(c_variance=30.0)
+    rng = np.random.default_rng(8)
+    prev = ControlPlan(rng.normal(size=(10, 2)), 0.0, np.zeros((10, 2)), np.zeros((10, 2)))
+    optimize(params, np.zeros(2), RecurrentState.zeros(), rng.normal(size=2),
+             rng.normal(size=(10, 2)), rng.normal(size=(10, 2)), prev, cfg)
+    assert calls == {"_run": 1 + cfg.n_epoch, "_reverse": cfg.n_epoch}
+
+
+def test_gradient_is_taken_only_at_a_scored_plan(monkeypatch):
+    grads = []
+
+    def probe(value_fn, grad_fn, u0, *args, **kwargs):
+        value_fn(np.stack([u0, u0 + 1.0]))
+        grads.append(grad_fn(u0 + 1.0))  # a scored row, found by its values
+        grad_fn(u0 + 0.5)
+
+    monkeypatch.setattr(control, "line_search_minimize", probe)
+    with pytest.raises(ControllerError, match="never scored"):
+        optimize(make_params(seed=3), np.zeros(2), RecurrentState.zeros(), np.zeros(2),
+                 np.ones((4, 2)), np.zeros((4, 2)), ControlPlan.zeros(4, 2, 2),
+                 ControlConfig(n_seq=4, c_variance=1.0))
+    assert grads[0].shape == (4, 2) and np.all(np.isfinite(grads[0]))
+
+
 def test_optimize_rejects_bad_reference_shape():
     params = make_params(seed=2)
     cfg = ControlConfig(n_seq=5)
@@ -377,6 +437,30 @@ def test_controller_step_is_deterministic_and_bounded():
     c1, c2 = run(), run()
     assert c1.tobytes() == c2.tobytes()
     assert np.all(c1 >= -3.0) and np.all(c1 <= 3.0)
+
+
+def test_controller_normalizes_reference_and_original_commands_as_whole_arrays(monkeypatch):
+    # whole-array normalization is elementwise, so it matches row by row bit for bit
+    seen = []
+
+    def capture(params, p, state, s_t, s_ref_n, u_orig_n, prev_plan, config):
+        seen.append((s_ref_n, u_orig_n))
+        raise ControllerError("captured")
+
+    monkeypatch.setattr(control, "optimize", capture)
+    rng = np.random.default_rng(12)
+    stats = NormStats(rng.normal(size=2), rng.uniform(0.5, 2.0, size=2),
+                      rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
+    params = ModelParams.init(ModelConfig(n_s=2, n_u=2), stats, rng)
+    ctl = Controller(params, ControlConfig(n_seq=4), np.zeros(2))
+    ref, orig = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+    ctl.step(rng.normal(size=2), ref, orig)
+    ctl.step(rng.normal(size=2), ref)
+    for (s_ref_n, u_orig_n), raw_orig in zip(seen, (orig, ref)):
+        want_ref = np.array([stats.normalize_state(row) for row in ref])
+        want_orig = np.array([stats.normalize_command(row) for row in raw_orig])
+        assert s_ref_n.tobytes() == want_ref.tobytes() and s_ref_n.shape == want_ref.shape
+        assert u_orig_n.tobytes() == want_orig.tobytes() and u_orig_n.shape == want_orig.shape
 
 
 def test_controller_survives_nan_weights_with_safe_stop():

@@ -206,6 +206,30 @@ def test_rollout_gradient_wrt_commands_matches_finite_differences():
         assert err <= 1e-4, f"u[{idx // 2}][{idx % 2}] grad err {err}"
 
 
+def test_vjp_of_one_row_matches_that_row_of_the_whole_stack():
+    rng = np.random.default_rng(31)
+    params = ModelParams.init(ModelConfig(n_s=2, n_u=2), unit_stats(), rng)
+    state = RecurrentState(*rng.normal(scale=0.5, size=(4, 10)))
+    s_t, p = rng.normal(size=2), rng.normal(scale=0.5, size=2)
+    means, variances, vjp = rollout_vjp(params, state, s_t, rng.normal(size=(4, 5, 2)), p)
+    d_means, d_variances = rng.normal(size=means.shape), rng.normal(size=variances.shape)
+    whole = vjp(d_means, d_variances)
+    assert whole.shape == (4, 5, 2)
+    for k in range(4):
+        # the rows do not interact, so reversing one alone gives its row of
+        # the whole reverse; each may run again on the same activations
+        one = vjp(d_means[k], d_variances[k], row=k)
+        assert one.shape == (5, 2)
+        np.testing.assert_allclose(one, whole[k], rtol=0, atol=1e-12 * np.max(np.abs(whole)))
+    assert vjp(d_means, d_variances).tobytes() == whole.tobytes()
+    with pytest.raises(ShapeError):
+        vjp(d_means[0], d_variances[0])
+    with pytest.raises(ShapeError):
+        vjp(d_means, d_variances, row=0)
+    with pytest.raises(IndexError):
+        vjp(d_means[0], d_variances[0], row=4)
+
+
 def test_parametric_bias_changes_the_prediction():
     params = make_params(seed=9)
     s, u = np.array([0.2, 0.2]), np.array([0.5, -0.5])
