@@ -276,8 +276,15 @@ class Controller:
         """Consume one measurement, return the raw command to emit.
 
         On optimizer failure the command is all zeros (safe stop) and the
-        error is kept in last_error.
+        error is kept in last_error.  A non-finite measurement, reference
+        or original command raises ValueError before anything is kept: fed
+        back as the previous pair, one NaN would turn the live state NaN
+        and every later tick into a safe stop.
         """
+        for name, value in (("measurement", s_raw), ("reference window", s_ref_seq_raw),
+                            ("original-command window", u_orig_seq_raw)):
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"controller {name} holds a non-finite value")
         stats = self.params.stats
         s_n = stats.normalize_state(s_raw)
         if self._prev_pair is not None:

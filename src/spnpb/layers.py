@@ -4,11 +4,15 @@ Weights are plain float64 arrays, which the optimizers update in place.
 
 The teacher-forced NLL (training.batch_nll, a forward that returns its
 own reverse) runs its stages through the named forward/reverse pairs here:
-dense_stack_forward/_reverse and lstm_sequence_forward/_reverse, which
-work in preallocated, time-major buffers.  The model's closed-loop
-forward and reverse step through the same two LSTM helpers, lstm_step
-and lstm_step_back (with lstm_gate_factors); there is no second gate
-implementation.
+dense_stack_forward/_reverse and lstm_pair_forward/_reverse, which work in
+preallocated, time-major buffers.  The pair stage runs both LSTMs as one
+skewed recurrence: a single cell of width H1 + H2 whose packed step k is
+LSTM1's step k and LSTM2's step k - 1, so a sequence of T steps takes
+T + 1 step calls instead of 2T.  The model's closed-loop forward and
+reverse cannot skew (LSTM2's step t feeds LSTM1's step t + 1 through the
+fed-back mean) and step each cell on its own, through the same two LSTM
+helpers, lstm_step and lstm_step_back (with lstm_gate_factors); there is
+no second gate implementation.
 """
 
 from __future__ import annotations
@@ -132,6 +136,10 @@ def dense_stack_reverse(layers, x, ys, d_ys, dx=None):
     return grads[::-1]
 
 
+# per gate block (input, forget, output, candidate): the sigmoid gates' halving
+_GATE_HALF = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
+
+
 def lstm_step_weights(cell):
     """The cell's (Wx, Wh, b) for lstm_step, with the sigmoid gates' rows halved.
 
@@ -139,9 +147,9 @@ def lstm_step_weights(cell):
     its pre-activation exactly, so lstm_step needs one tanh for all four
     gates.  b comes as a (4H, 1) column.
     """
-    half = np.ones((4 * cell.hidden, 1))
-    half[:3 * cell.hidden] = 0.5
-    return cell.Wx * half, cell.Wh * half, cell.b[:, None] * half
+    H = cell.hidden
+    return tuple((a.reshape(4, H, -1) * _GATE_HALF).reshape(4 * H, -1)
+                 for a in (cell.Wx, cell.Wh, cell.b))
 
 
 def lstm_step(z, h_prev, c_prev, wh, h, c, tc):
@@ -210,79 +218,130 @@ def lstm_step_back(dh, dc, fac, dc_dh, f, wh, dz):
     dc *= f
 
 
-class LstmBuffers:
-    """Activations and reverse scratch of one LSTM over T steps of B rows.
+class LstmPairBuffers:
+    """Packed weights, activations and reverse scratch of the skewed LSTM pair.
 
-    Inputs and outputs are time-major rows (row t*B + b is step t of
-    sequence b); per step the helpers work on (·, B) columns.
+    LSTM1 (n_in -> H1) and LSTM2 (H1 -> H2) over `steps` steps of B rows
+    run as one cell of width H = H1 + H2 over steps + 1 packed steps (see
+    lstm_pair_forward).  Inputs and outputs are time-major rows (row
+    t*B + b is step t of sequence b); per packed step the helpers work on
+    (·, B) columns.  The packed weights are gate-major (4, H, ·) blocks
+    whose LSTM1 rows come first in each gate; the blocks that no cell
+    fills stay zero.
     """
 
-    def __init__(self, T, B, H):
+    def __init__(self, steps, B, n_in, H1, H2):
+        T, H = steps + 1, H1 + H2
+        self.H1 = H1
+        self.wx = np.zeros((4, H, n_in))    # LSTM1's Wx, sigmoid rows halved
+        self.w = np.zeros((4, H, H))        # [[Wh1, 0], [Wx2, Wh2]]
+        self.w_half = np.empty((4, H, H))   # the same, sigmoid rows halved
+        self.b = np.empty((4, H, 1))        # b1 | b2, sigmoid rows halved
         self.acts = np.empty((T, 4 * H, B))
         self.hs = np.empty((T + 1, H, B))
         self.cs = np.empty((T + 1, H, B))
         self.tcs = np.empty((T, H, B))
-        self.out = np.empty((T * B, H))
+        self.out = np.empty((steps * B, H2))
         self.fac = np.empty((T, 4 * H, B))
         self.dz = np.empty((T, 4 * H, B))
         self.dc_dh = np.empty((T, H, B))
-        self.gh = np.empty((T, H, B))
+        self.gh = np.zeros((T, H, B))       # only LSTM2's rows of steps 1.. are ever written
         self.dh = np.empty((H, B))
         self.dc = np.empty((H, B))
-        self.ones = np.ones(T * B)
+        self.dz1 = np.empty((4, H1, steps * B))
 
 
-def lstm_sequence_forward(cell, x, h0, c0, buf):
-    """Run cell over a batch of sequences from (h0, c0), into buf.
+def lstm_pair_forward(cell1, cell2, x, starts, buf):
+    """Run LSTM1 on x and LSTM2 on LSTM1's outputs, as one skewed cell, into buf.
 
-    x is the time-major (T*B, n_in) input; h0/c0 are (H,), shared by
-    every row, or (B, H).  The input projection of all steps is one
-    batched matmul, so each step only adds Wh @ h and runs the gates.
-    Returns the (T*B, H) hidden outputs, time-major like x.
+    x is LSTM1's time-major (steps*B, n_in) input; starts holds the
+    starting (h1, c1, h2, c2), each (H,), shared by every row, or (B, H).
+    The pair runs as one LSTM cell of width H1 + H2, gates packed
+    gate-major ([i1 i2 | f1 f2 | o1 o2 | g1 g2]), recurrent matrix
+    [[Wh1, 0], [Wx2, Wh2]]: packed step k runs LSTM1's step k and LSTM2's
+    step k - 1, which reads LSTM1's output of step k - 1 from the packed
+    state.  steps + 1 packed steps thus replace 2 * steps per-cell ones.
+    Two halves are phantoms: LSTM2's at k = 0, whose state is reset to
+    LSTM2's start after the step, and LSTM1's at k = steps, which runs on
+    a zero input and feeds nothing.  The weights are packed on every call
+    and LSTM1's input projection of all steps is one batched matmul.
+    Returns LSTM2's (steps*B, H2) outputs, time-major like x.
     """
     T, H4, B = buf.acts.shape
-    H = H4 // 4
-    if H != cell.hidden or x.shape != (T * B, cell.n_in):
-        raise ShapeError(f"lstm sequence of {T} steps x {B} rows takes ({T * B}, {cell.n_in}) "
-                         f"input into hidden size {H}, got {x.shape} for {cell.hidden}")
-    starts = []
-    for v in (h0, c0):
+    H, H1, steps = H4 // 4, buf.H1, T - 1
+    H2 = H - H1
+    if (cell1.hidden, cell2.hidden, cell2.n_in) != (H1, H2, H1) \
+            or x.shape != (steps * B, cell1.n_in):
+        raise ShapeError(
+            f"lstm pair of {steps} steps x {B} rows takes ({steps * B}, {cell1.n_in}) input "
+            f"into hidden sizes ({H1}, {H2}), got {x.shape} for cells "
+            f"{cell1.n_in}->{cell1.hidden} and {cell2.n_in}->{cell2.hidden}")
+    hs, cs, tcs, acts = buf.hs, buf.cs, buf.tcs, buf.acts
+    for v, h0 in zip(starts, (hs[0, :H1], cs[0, :H1], hs[0, H1:], cs[0, H1:])):
         v = np.asarray(v, dtype=np.float64)
-        if v.shape not in ((H,), (B, H)):
-            raise ShapeError(f"lstm sequence states must be ({H},) or ({B}, {H}), got {v.shape}")
-        starts.append(v.T if v.ndim == 2 else v[:, None])
-    wx, wh, b = lstm_step_weights(cell)
-    hs, cs, acts, tcs = buf.hs, buf.cs, buf.acts, buf.tcs
-    np.matmul(wx, x.reshape(T, B, -1).transpose(0, 2, 1), out=acts)
-    acts += b
-    hs[0], cs[0] = starts
-    for t in range(T):
-        lstm_step(acts[t], hs[t], cs[t], wh, hs[t + 1], cs[t + 1], tcs[t])
-    np.copyto(buf.out.reshape(T, B, H), hs[1:].transpose(0, 2, 1))
+        width = len(h0)
+        if v.shape not in ((width,), (B, width)):
+            raise ShapeError(f"lstm pair states must be ({width},) or ({B}, {width}), "
+                             f"got {v.shape}")
+        h0[...] = v.T if v.ndim == 2 else v[:, None]
+
+    buf.w[:, :H1, :H1] = cell1.Wh.reshape(4, H1, H1)
+    buf.w[:, H1:, :H1] = cell2.Wx.reshape(4, H2, H1)
+    buf.w[:, H1:, H1:] = cell2.Wh.reshape(4, H2, H2)
+    np.multiply(buf.w, _GATE_HALF, out=buf.w_half)
+    np.multiply(cell1.Wx.reshape(4, H1, -1), _GATE_HALF, out=buf.wx[:, :H1])
+    np.multiply(cell1.b.reshape(4, H1, 1), _GATE_HALF, out=buf.b[:, :H1])
+    np.multiply(cell2.b.reshape(4, H2, 1), _GATE_HALF, out=buf.b[:, H1:])
+
+    np.matmul(buf.wx.reshape(H4, -1), x.reshape(steps, B, -1).transpose(0, 2, 1),
+              out=acts[:steps])
+    acts[steps] = 0.0  # LSTM1's phantom input; LSTM2's rows take no input projection
+    acts += buf.b.reshape(H4, 1)
+    w = buf.w_half.reshape(H4, H)
+    lstm_step(acts[0], hs[0], cs[0], w, hs[1], cs[1], tcs[0])
+    hs[1, H1:] = hs[0, H1:]  # LSTM2's phantom half: its step 0 runs from its start
+    cs[1, H1:] = cs[0, H1:]
+    for k in range(1, T):
+        lstm_step(acts[k], hs[k], cs[k], w, hs[k + 1], cs[k + 1], tcs[k])
+    np.copyto(buf.out.reshape(steps, B, H2), hs[2:, H1:].transpose(0, 2, 1))
     return buf.out
 
 
-def lstm_sequence_reverse(cell, x, buf, gh, dx):
-    """Reverse of lstm_sequence_forward over the same x and buf.
+def lstm_pair_reverse(cell1, x, buf, gh, dx):
+    """Reverse of lstm_pair_forward over the same x and buf.
 
-    gh (T*B, H) is the gradient of the outputs; the starting states get
-    none.  Writes the gradient of x into dx (T*B, n_in) and returns
-    (dWx, dWh, db).  The loop collects every step's gate gradient, so the
-    weight and input gradients are single matmuls.
+    gh (steps*B, H2) is the gradient of LSTM2's outputs; the starting
+    states get none.  Writes the gradient of x into dx (steps*B, n_in) and
+    returns (dWx1, dWh1, db1, dWx2, dWh2, db2).  The loop makes one packed
+    reverse step per packed forward step and collects every step's gate
+    gradient, so the weight gradients come from one packed (dW, db) and
+    LSTM1's input gradients from one matmul.  LSTM2's phantom half of step
+    0 gets its gate factors zeroed.  LSTM1's phantom half of the last step
+    needs no mask: LSTM1's outputs get no gradient of their own and the
+    carried gradient starts at zero, so its gate gradients are exact zeros.
     """
     T, H4, B = buf.acts.shape
-    H = H4 // 4
+    H, H1, steps = H4 // 4, buf.H1, T - 1
     lstm_gate_factors(buf.acts, buf.cs[:-1], buf.tcs, buf.fac, buf.dc_dh)
-    np.copyto(buf.gh, gh.reshape(T, B, H).transpose(0, 2, 1))
+    buf.fac.reshape(T, 4, H, B)[0, :, H1:] = 0.0  # LSTM2's phantom half passes nothing
+    np.copyto(buf.gh[1:, H1:], gh.reshape(steps, B, H - H1).transpose(0, 2, 1))
     f = buf.acts[:, H:2 * H]
-    dh, dc, wh = buf.dh, buf.dc, cell.Wh
+    dh, dc, w = buf.dh, buf.dc, buf.w.reshape(H4, H)
     dh.fill(0.0)
     dc.fill(0.0)
-    for t in range(T - 1, -1, -1):
-        dh += buf.gh[t]
-        lstm_step_back(dh, dc, buf.fac[t], buf.dc_dh[t], f[t], wh, buf.dz[t])
-    dz = buf.fac.reshape(T * B, H4)  # the factors are spent; dz as time-major rows
-    np.copyto(dz.reshape(T, B, H4), buf.dz.transpose(0, 2, 1))
-    np.matmul(dz, cell.Wx, out=dx)
-    dwh = dz[B:].T @ buf.out[:-B] + dz[:B].T @ buf.hs[0].T
-    return dz.T @ x, dwh, buf.ones @ dz
+    for k in range(T - 1, -1, -1):
+        dh += buf.gh[k]
+        lstm_step_back(dh, dc, buf.fac[k], buf.dc_dh[k], f[k], w, buf.dz[k])
+    # the factors are spent: dz and the packed steps' input states with
+    # time-major columns take their buffers
+    dzt, hst = buf.fac.reshape(H4, T * B), buf.dc_dh.reshape(H, T * B)
+    np.copyto(dzt.reshape(H4, T, B), buf.dz.transpose(1, 0, 2))
+    np.copyto(hst.reshape(H, T, B), buf.hs[:-1].transpose(1, 0, 2))
+    dw = (dzt @ hst.T).reshape(4, H, H)
+    db = dzt.sum(axis=1).reshape(4, H)
+    np.copyto(buf.dz1, dzt.reshape(4, H, T * B)[:, :H1, :steps * B])
+    dz1 = buf.dz1.reshape(4 * H1, steps * B)  # LSTM1's gate gradients of its real steps
+    np.matmul(dz1.T, cell1.Wx, out=dx)
+    return (dz1 @ x, dw[:, :H1, :H1].reshape(-1, H1), db[:, :H1].ravel(),
+            dw[:, H1:, :H1].reshape(-1, H1), dw[:, H1:, H1:].reshape(-1, H - H1),
+            db[:, H1:].ravel())

@@ -29,6 +29,7 @@ layer helpers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_s < 1 or self.n_u < 1 or self.n_p < 1:
             raise ValueError("n_s, n_u, and n_p must all be positive")
-        if self.tick_period <= 0:
-            raise ValueError("tick_period must be positive")
+        if not (math.isfinite(self.tick_period) and self.tick_period > 0):
+            raise ValueError("tick_period must be finite and positive")
 
     @property
     def n_in(self):
@@ -467,6 +468,23 @@ def save_model(params, path):
         fh.write("\n")
 
 
+def _finite(value, field):
+    """value as a float64 array; a NaN or infinity raises ValueError naming the field.
+
+    json.load accepts NaN and Infinity, and one of them in a weight would
+    turn every prediction of the loaded model non-finite.
+    """
+    array = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise ValueError(f"model field {field} holds a non-finite value")
+    return array
+
+
+def _finite_layers(doc, key, names):
+    return [[_finite(d[name], f"{key}[{i}].{name}") for name in names]
+            for i, d in enumerate(doc[key])]
+
+
 def load_model(path):
     with open(path) as fh:
         doc = json.load(fh)
@@ -481,15 +499,13 @@ def load_model(path):
         n_p=doc["config"]["n_p"],
         tick_period=doc["config"]["tick_period"],
     )
-    stats = NormStats(
-        doc["norm"]["mean_s"], doc["norm"]["std_s"],
-        doc["norm"]["mean_u"], doc["norm"]["std_u"],
-    )
-    dense_in = [DenseLayer(d["w"], d["b"]) for d in doc["dense_in"]]
-    lstm1, lstm2 = (LstmCell(d["wx"], d["wh"], d["b"]) for d in doc["lstm"])
-    dense_out = [DenseLayer(d["w"], d["b"]) for d in doc["dense_out"]]
+    stats = NormStats(*(_finite(doc["norm"][name], f"norm.{name}")
+                        for name in ("mean_s", "std_s", "mean_u", "std_u")))
+    dense_in = [DenseLayer(*d) for d in _finite_layers(doc, "dense_in", ("w", "b"))]
+    lstm1, lstm2 = (LstmCell(*d) for d in _finite_layers(doc, "lstm", ("wx", "wh", "b")))
+    dense_out = [DenseLayer(*d) for d in _finite_layers(doc, "dense_out", ("w", "b"))]
     pb = doc.get("pb", {})
-    vectors = np.asarray(pb.get("vectors", []), dtype=np.float64)
+    vectors = _finite(pb.get("vectors", []), "pb.vectors")
     if vectors.size == 0:
         vectors = np.zeros((0, cfg.n_p))
     return ModelParams(

@@ -13,8 +13,12 @@ adaptation replay (a batch of one started from the buffer's snapshot),
 trial_nll and the gradient checks all run it.  It is a plain numpy
 forward through the input dense stack, both LSTMs, the output stack and
 the Gaussian head that returns the loss with its hand-written reverse
-through the same stages.  Both work in the buffers of an NllWorkspace,
-which train() allocates once per length bucket.
+through the same stages.  Teacher forcing lets the two LSTMs run as one
+loop: layers.lstm_pair_forward steps them as a single cell of width
+H1 + H2, LSTM2 one step behind LSTM1, so a window of T samples takes T
+packed steps each way instead of 2(T - 1) per-cell ones.  Both work in
+the buffers of an NllWorkspace, which train() allocates once per length
+bucket.
 """
 
 from __future__ import annotations
@@ -26,12 +30,12 @@ import numpy as np
 
 from .autodiff import ShapeError, Var
 from .layers import (
-    LstmBuffers,
+    LstmPairBuffers,
     dense_affine,
     dense_stack_forward,
     dense_stack_reverse,
-    lstm_sequence_forward,
-    lstm_sequence_reverse,
+    lstm_pair_forward,
+    lstm_pair_reverse,
 )
 from .model import LOGVAR_MAX, LOGVAR_MIN, ModelConfig, ModelParams, NormStats, RecurrentState
 from .optim import AdamState, NonFiniteGradientError, adam_update, clip_grad_norm
@@ -178,9 +182,7 @@ class NllWorkspace:
         self.targets = np.empty((n, config.n_s))
         self.dense_in = [np.empty((n, k)) for k in w[:4]]
         self.d_dense_in = [np.empty((n, k)) for k in w[:4]]
-        self.lstm1 = LstmBuffers(steps, B, w[4])
-        self.lstm2 = LstmBuffers(steps, B, w[5])
-        self.d_lstm1 = np.empty((n, w[4]))
+        self.lstms = LstmPairBuffers(steps, B, w[3], w[4], w[5])
         self.d_lstm2 = np.empty((n, w[5]))
         self.dense_out = [np.empty((n, k)) for k in w[6:9]]
         self.d_dense_out = [np.empty((n, k)) for k in w[6:9]]
@@ -208,10 +210,11 @@ def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=
     losses up to summation order.
 
     Returns (loss, reverse).  The forward runs the input dense stack over
-    all B*(T-1) step inputs at once, each LSTM over its whole sequence,
-    the output stack and the Gaussian head in plain numpy.  reverse(g),
-    for a loss gradient g, runs the hand-written reverse through the same
-    stages and returns (weight_grads, d_p): the weight gradients in
+    all B*(T-1) step inputs at once, the two LSTMs as one skewed loop
+    over the whole sequence, the output stack and the Gaussian head in
+    plain numpy.  reverse(g), for a loss gradient g, runs the
+    hand-written reverse through the same stages and returns
+    (weight_grads, d_p): the weight gradients in
     ModelParams.weight_arrays() order and d_p (B, n_p).  reverse reads the
     weights, so call it before they change.  All of it works in
     workspace, an NllWorkspace for these shapes: train() keeps one per
@@ -243,8 +246,8 @@ def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=
     ws.targets.reshape(steps, B, n_s)[...] = states_n[:, 1:].transpose(1, 0, 2)
 
     y = dense_stack_forward(params.dense_in, ws.x, ws.dense_in)
-    y1 = lstm_sequence_forward(params.lstm1, y, init_state.h1, init_state.c1, ws.lstm1)
-    y2 = lstm_sequence_forward(params.lstm2, y1, init_state.h2, init_state.c2, ws.lstm2)
+    starts = (init_state.h1, init_state.c1, init_state.h2, init_state.c2)
+    y2 = lstm_pair_forward(params.lstm1, params.lstm2, y, starts, ws.lstms)
     y = dense_stack_forward(params.dense_out[:-1], y2, ws.dense_out)
     loss = gaussian_head_forward(params.dense_out[-1], y, ws.targets, ws.head)
 
@@ -254,15 +257,14 @@ def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=
         head = gaussian_head_reverse(params.dense_out[-1], y, ws.head, g, ws.d_dense_out[-1])
         d_out = dense_stack_reverse(params.dense_out[:-1], y2, ws.dense_out, ws.d_dense_out,
                                     dx=ws.d_lstm2)
-        d_lstm2 = lstm_sequence_reverse(params.lstm2, y1, ws.lstm2, ws.d_lstm2, ws.d_lstm1)
-        d_lstm1 = lstm_sequence_reverse(params.lstm1, ws.dense_in[-1], ws.lstm1, ws.d_lstm1,
-                                        ws.d_dense_in[-1])
+        d_lstms = lstm_pair_reverse(params.lstm1, ws.dense_in[-1], ws.lstms, ws.d_lstm2,
+                                    ws.d_dense_in[-1])
         d_in = dense_stack_reverse(params.dense_in, ws.x, ws.dense_in, ws.d_dense_in)
         # only p's columns of the input need a gradient, summed over steps
         w_p = params.dense_in[0].W[:, n_u + n_s:]
         d_p = ws.d_dense_in[0].reshape(steps, B, -1).sum(axis=0) @ w_p
         ws.pending = False
-        return [*(d for pair in d_in for d in pair), *d_lstm1, *d_lstm2,
+        return [*(d for pair in d_in for d in pair), *d_lstms,
                 *(d for pair in d_out for d in pair), *head], d_p
 
     return loss, reverse

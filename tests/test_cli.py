@@ -169,7 +169,9 @@ def test_non_finite_adaptation_gradient_exits_3(tmp_path):
     run(["train", "--data", str(data), "--out", str(model), "--epochs", "1",
          "--log-every", "0"])
     params = load_model(model)
-    params.dense_in[0].W[0, 0] = np.nan
+    # finite, since a model file with a NaN is rejected on load, but the
+    # bias columns' gradient overflows
+    params.dense_in[0].W[:, -params.config.n_p:] = 1e308
     save_model(params, model)
     with np.errstate(all="ignore"):
         code = run(["adapt", "--model", str(model), "--alpha", "0.5",
@@ -237,6 +239,17 @@ def tiny_model(tmp_path_factory):
 def test_control_rejects_meaningless_loss_weights(tiny_model, flags, capsys):
     assert run(["control", "--model", tiny_model, "--ticks", "2", *flags]) == 2
     assert "must be finite and non-negative" in capsys.readouterr().err
+
+
+def test_model_with_a_non_finite_weight_exits_2(tiny_model, tmp_path, capsys):
+    # control on such a model used to exit 0: every tick safe-stopped and the
+    # summary read "mean predicted sigma_trans: 0.0000"
+    params = load_model(tiny_model)
+    params.lstm1.Wh[3, 2] = np.nan
+    model = tmp_path / "nan.json"
+    save_model(params, model)
+    assert run(["control", "--model", str(model), "--ticks", "2"]) == 2
+    assert "lstm[0].wh" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

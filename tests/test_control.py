@@ -473,6 +473,27 @@ def test_controller_survives_nan_weights_with_safe_stop():
     assert isinstance(ctl.last_error, ControllerError)
 
 
+@pytest.mark.parametrize("where", ["measurement", "reference", "original"])
+def test_controller_rejects_a_non_finite_tick_and_keeps_nothing(where):
+    # a NaN measurement used to be kept as the previous pair, so the next
+    # tick's forward turned the live state NaN and every later tick stopped
+    params = make_params(seed=7)
+    cfg = ControlConfig(n_seq=3, c_orig=0.2)
+    rng = np.random.default_rng(21)
+    ticks = [(rng.normal(size=2), rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
+             for _ in range(3)]
+    clean, hit = (Controller(params, cfg, np.zeros(2)) for _ in range(2))
+    clean.step(*ticks[0])
+    hit.step(*ticks[0])
+    bad = [a.copy() for a in ticks[1]]
+    bad[("measurement", "reference", "original").index(where)].flat[-1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        hit.step(*bad)
+    for tick in ticks[1:]:
+        assert hit.step(*tick).tobytes() == clean.step(*tick).tobytes()
+    assert hit.last_error is None
+
+
 def test_controller_advances_state_with_previous_pair():
     # two controllers fed the same measurements diverge from one that was
     # fed different measurements, because the tracking state consumes the

@@ -5,15 +5,15 @@ from spnpb.autodiff import ShapeError
 from spnpb.evaluate import finite_diff, rel_err
 from spnpb.layers import (
     DenseLayer,
-    LstmBuffers,
     LstmCell,
+    LstmPairBuffers,
     dense_affine,
     dense_stack_forward,
     dense_stack_reverse,
     glorot_uniform,
     lstm_gate_factors,
-    lstm_sequence_forward,
-    lstm_sequence_reverse,
+    lstm_pair_forward,
+    lstm_pair_reverse,
     lstm_step,
     lstm_step_back,
     lstm_step_weights,
@@ -180,87 +180,117 @@ def test_lstm_gradients_match_finite_differences(seed):
         assert worst <= 1e-4, f"lstm grad for {name} off by {worst}"
 
 
+def two_cell_reference(cell1, cell2, x, starts):
+    """LSTM2 over LSTM1 as two per-cell loops of lstm_step, the pair's reference.
+
+    x is (T, B, n_in) and starts the (h1, c1, h2, c2), each (B, H);
+    returns LSTM2's outputs as (T, B, H2).
+    """
+    T, B, _ = x.shape
+    ys = x.transpose(0, 2, 1)  # the LSTM helpers take the B rows as columns
+    for cell, h0, c0 in ((cell1, *starts[:2]), (cell2, *starts[2:])):
+        wx, wh, b = lstm_step_weights(cell)
+        hs, cs = np.empty((2, T + 1, cell.hidden, B))
+        hs[0], cs[0] = h0.T, c0.T
+        tc = np.empty((cell.hidden, B))
+        for t in range(T):
+            lstm_step(wx @ ys[t] + b, hs[t], cs[t], wh, hs[t + 1], cs[t + 1], tc)
+        ys = hs[1:]
+    return ys.transpose(0, 2, 1)
+
+
+def pair_cells(rng, n_in=3, H1=4, H2=2):
+    cells = LstmCell.init(n_in, H1, rng), LstmCell.init(H1, H2, rng)
+    for cell in cells:
+        cell.b += rng.normal(scale=0.3, size=cell.b.shape)
+    return cells
+
+
 def test_lstm_rejects_mismatched_state_width():
-    cell = LstmCell.init(3, 5, np.random.default_rng(0))
-    with pytest.raises(ShapeError):
-        lstm_sequence_forward(cell, np.zeros((1, 3)), np.zeros(4), np.zeros(5),
-                              LstmBuffers(1, 1, 5))
+    cell1, cell2 = pair_cells(np.random.default_rng(0), H1=5)
+    zeros = [np.zeros(5), np.zeros(5), np.zeros(2), np.zeros(2)]
+    for k, wrong in enumerate((4, 4, 5, 5)):
+        starts = list(zeros)
+        starts[k] = np.zeros(wrong)
+        with pytest.raises(ShapeError):
+            lstm_pair_forward(cell1, cell2, np.zeros((1, 3)), starts, LstmPairBuffers(1, 1, 3, 5, 2))
 
 
-def sequence_grads(cell, x, h0, c0, gh, T, B):
-    """Forward then reverse of one batch; returns (output, dx, dWx, dWh, db)."""
-    buf = LstmBuffers(T, B, cell.hidden)
-    out = lstm_sequence_forward(cell, x, h0, c0, buf).copy()
+def pair_grads(cells, x, starts, gh, T, B):
+    """Forward then reverse of one batch; returns (output, dx, six weight grads)."""
+    buf = LstmPairBuffers(T, B, cells[0].n_in, cells[0].hidden, cells[1].hidden)
+    out = lstm_pair_forward(*cells, x, starts, buf).copy()
     dx = np.empty_like(x)
-    return (out, dx, *lstm_sequence_reverse(cell, x, buf, gh, dx))
+    return (out, dx, *lstm_pair_reverse(cells[0], x, buf, gh, dx))
 
 
 def test_lstm_batch_matches_per_row_apply():
-    # lstm_sequence_forward over B rows and T steps equals B separate
-    # chains of one-row steps from the same starting states in value, and
-    # its reverse equals the B=1 runs of each row: per row for the input,
-    # summed over rows for the weights.  Rows are time-major (t*B + b).
-    rng = np.random.default_rng(11)
-    cell = LstmCell.init(3, 4, rng)
-    B, T = 5, 6
-    x = rng.normal(size=(T * B, 3))
-    h0 = rng.normal(size=(B, 4)) * 0.5
-    c0 = rng.normal(size=(B, 4)) * 0.5
-    seed = np.cos(np.arange(T * B * 4, dtype=float)).reshape(T * B, 4)
+    # the skewed pair over B rows and T steps equals the two per-cell loops
+    # of the reference in value, and its reverse equals the B=1 runs of
+    # each row: per row for the input, summed over rows for the weights.
+    # Rows are time-major (t*B + b); T=1 has only the two phantom halves.
+    B = 5
+    for T in range(1, 5):
+        rng = np.random.default_rng(11 + T)
+        cells = pair_cells(rng)
+        x = rng.normal(size=(T * B, 3))
+        starts = [rng.normal(size=(B, H)) * 0.5 for H in (4, 4, 2, 2)]
+        seed = np.cos(np.arange(T * B * 2, dtype=float)).reshape(T * B, 2)
 
-    out, dx, *weights = sequence_grads(cell, x, h0, c0, seed, T, B)
+        out, dx, *weights = pair_grads(cells, x, starts, seed, T, B)
+        want = two_cell_reference(*cells, x.reshape(T, B, 3), starts)
+        np.testing.assert_allclose(out, want.reshape(T * B, 2), rtol=1e-13, atol=1e-15)
 
-    total = None
-    for b in range(B):
-        hv, cv = h0[b], c0[b]
-        for t in range(T):
-            hv, cv = one_step(cell, x[t * B + b], hv, cv)
-            np.testing.assert_allclose(out[t * B + b], hv, rtol=1e-13, atol=1e-15)
-        _, dx_b, *part = sequence_grads(cell, x[b::B].copy(), h0[b], c0[b], seed[b::B], T, 1)
-        np.testing.assert_allclose(dx[b::B], dx_b, rtol=1e-12, atol=1e-15)
-        total = part if total is None else [a + w for a, w in zip(total, part)]
-    # weight grads accumulate across the batch
-    for got, want in zip(weights, total):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        total = None
+        for b in range(B):
+            rows = [s[b:b + 1] for s in starts]
+            _, dx_b, *part = pair_grads(cells, x[b::B].copy(), rows, seed[b::B], T, 1)
+            np.testing.assert_allclose(dx[b::B], dx_b, rtol=1e-12, atol=1e-15)
+            total = part if total is None else [a + w for a, w in zip(total, part)]
+        # weight grads accumulate across the batch
+        for got, want in zip(weights, total):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 def test_lstm_batch_rejects_bad_shapes():
-    cell = LstmCell.init(3, 4, np.random.default_rng(0))
-    zeros = np.zeros((2, 4))
-    buf = LstmBuffers(3, 2, 4)
+    cell1, cell2 = pair_cells(np.random.default_rng(0))
+    starts = [np.zeros((2, H)) for H in (4, 4, 2, 2)]
+    buf = LstmPairBuffers(3, 2, 3, 4, 2)
     with pytest.raises(ShapeError):  # input is a vector, not (T*B, n_in)
-        lstm_sequence_forward(cell, np.zeros(3), zeros, zeros, buf)
+        lstm_pair_forward(cell1, cell2, np.zeros(3), starts, buf)
     with pytest.raises(ShapeError):  # rows are not T*B
-        lstm_sequence_forward(cell, np.zeros((5, 3)), zeros, zeros, buf)
+        lstm_pair_forward(cell1, cell2, np.zeros((5, 3)), starts, buf)
     with pytest.raises(ShapeError):  # wrong input width
-        lstm_sequence_forward(cell, np.zeros((6, 2)), zeros, zeros, buf)
-    with pytest.raises(ShapeError):  # state width is not the hidden size
-        lstm_sequence_forward(cell, np.zeros((6, 3)), np.zeros((2, 5)), zeros, buf)
+        lstm_pair_forward(cell1, cell2, np.zeros((6, 2)), starts, buf)
     with pytest.raises(ShapeError):  # state rows are not the batch size
-        lstm_sequence_forward(cell, np.zeros((6, 3)), zeros, np.zeros((3, 4)), buf)
-    with pytest.raises(ShapeError):  # buffers of another hidden size
-        lstm_sequence_forward(cell, np.zeros((6, 3)), zeros, zeros, LstmBuffers(3, 2, 5))
+        lstm_pair_forward(cell1, cell2, np.zeros((6, 3)),
+                          [*starts[:3], np.zeros((3, 2))], buf)
+    with pytest.raises(ShapeError):  # buffers of other hidden sizes
+        lstm_pair_forward(cell1, cell2, np.zeros((6, 3)), starts, LstmPairBuffers(3, 2, 3, 2, 4))
+    with pytest.raises(ShapeError):  # LSTM2 does not read LSTM1's width
+        lstm_pair_forward(cell1, LstmCell.init(3, 2, np.random.default_rng(1)),
+                          np.zeros((6, 3)), starts, buf)
 
 
-@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("seed", range(4))
 def test_lstm_sequence_gradients_match_finite_differences(seed):
+    # T = 1..4 steps from non-zero per-row starting states, H1 != H2
     rng = np.random.default_rng(100 + seed)
-    n_in, H, B, T = 3, 4, 2, 5
-    cell = LstmCell.init(n_in, H, rng)
+    n_in, H1, H2, B, T = 3, 4, 2, 2, 1 + seed
+    cells = pair_cells(rng, n_in, H1, H2)
     x = rng.normal(size=(T * B, n_in))
-    h0 = rng.normal(scale=0.5, size=(B, H))
-    c0 = rng.normal(scale=0.5, size=(B, H))
-    weight = rng.normal(size=(T * B, H))  # fixed projection so the output is scalar
+    starts = [rng.normal(scale=0.5, size=(B, H)) for H in (H1, H1, H2, H2)]
+    weight = rng.normal(size=(T * B, H2))  # fixed projection so the output is scalar
 
     def value():
-        out = lstm_sequence_forward(cell, x, h0, c0, LstmBuffers(T, B, H))
+        out = lstm_pair_forward(*cells, x, starts, LstmPairBuffers(T, B, n_in, H1, H2))
         return float(np.sum(weight * out))
 
-    _, dx, dwx, dwh, db = sequence_grads(cell, x, h0, c0, weight, T, B)
-    for leaf, analytic in ((x, dx), (cell.Wx, dwx), (cell.Wh, dwh),
-                           (cell.b, db)):
+    _, dx, *grads = pair_grads(cells, x, starts, weight, T, B)
+    leaves = [x] + [a for cell in cells for a in (cell.Wx, cell.Wh, cell.b)]
+    for leaf, analytic in zip(leaves, [dx, *grads]):
         numeric = finite_diff(value, leaf)
         worst = max(
             rel_err(a, n) for a, n in zip(analytic.ravel(), numeric.ravel())
         )
-        assert worst <= 1e-4, f"lstm sequence grad off by {worst}"
+        assert worst <= 1e-4, f"lstm pair grad off by {worst}"

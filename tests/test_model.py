@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -310,8 +312,27 @@ def test_load_rejects_wrong_kind(tmp_path):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("norm.std_s", np.nan), ("dense_in[0].w", np.inf), ("lstm[0].wh", np.nan),
+    ("lstm[1].b", -np.inf), ("dense_out[3].b", np.nan), ("pb.vectors", np.inf),
+])
+def test_load_rejects_non_finite_fields(tmp_path, field, bad):
+    # json.load reads NaN and Infinity; such a model used to load, and
+    # every prediction it made came out non-finite
+    params = make_params(seed=3, n_trials=2, labels=["a", "b"])
+    arrays = {"norm.std_s": params.stats.std_s, "dense_in[0].w": params.dense_in[0].W,
+              "lstm[0].wh": params.lstm1.Wh, "lstm[1].b": params.lstm2.b,
+              "dense_out[3].b": params.dense_out[3].b, "pb.vectors": params.pb_table}
+    arrays[field].flat[1] = bad
+    path = tmp_path / "model.json"
+    save_model(params, str(path))
+    with pytest.raises(ValueError, match=re.escape(field)):
+        load_model(str(path))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(n_s=0, n_u=2)
-    with pytest.raises(ValueError):
-        ModelConfig(n_s=2, n_u=2, tick_period=0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ModelConfig(n_s=2, n_u=2, tick_period=bad)

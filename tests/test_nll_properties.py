@@ -1,6 +1,6 @@
 """Property tests of the fused NLL and its named stages over random small shapes.
 
-For each of batch_nll, the dense stack, the LSTM sequence and the Gaussian
+For each of batch_nll, the dense stack, the skewed LSTM pair and the Gaussian
 head: a batch's loss and gradients equal the sum of per-row calls to 1e-12
 relative (per tensor, against its largest entry), and the reverse matches
 central finite differences under rel_err <= 1e-4.  Each stage's loss is
@@ -16,16 +16,17 @@ from hypothesis import strategies as st
 from spnpb.evaluate import NLL_FD_STEP, rel_err
 from spnpb.layers import (
     DenseLayer,
-    LstmBuffers,
     LstmCell,
+    LstmPairBuffers,
     dense_stack_forward,
     dense_stack_reverse,
-    lstm_sequence_forward,
-    lstm_sequence_reverse,
+    lstm_pair_forward,
+    lstm_pair_reverse,
 )
 from spnpb.model import ModelConfig, ModelParams, NormStats, RecurrentState
 from spnpb.training import (
     GaussianHeadBuffers, batch_nll, gaussian_head_forward, gaussian_head_reverse)
+from test_layers import two_cell_reference
 
 PROPERTY = settings(max_examples=30, derandomize=True, database=None, deadline=None)
 
@@ -96,32 +97,38 @@ def test_dense_stack(n, widths, seed):
 
 
 @PROPERTY
-@given(B=small, T=st.integers(1, 4), n_in=small, H=small, seed=seeds)
-def test_lstm_sequence(B, T, n_in, H, seed):
+@given(B=small, T=st.integers(1, 4), n_in=small,
+       widths=st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True), seed=seeds)
+def test_lstm_sequence(B, T, n_in, widths, seed):
+    # the skewed pair, H1 != H2 so that a packing mix-up cannot cancel out;
+    # its forward also equals test_layers' two per-cell loops
     rng = np.random.default_rng(seed)
-    cell = LstmCell.init(n_in, H, rng)
-    cell.b += rng.normal(scale=0.3, size=cell.b.shape)
+    H1, H2 = widths
+    cells = LstmCell.init(n_in, H1, rng), LstmCell.init(H1, H2, rng)
+    for cell in cells:
+        cell.b += rng.normal(scale=0.3, size=cell.b.shape)
     x = rng.normal(size=(T, B, n_in))
-    h0, c0 = rng.normal(scale=0.5, size=(2, B, H))
-    d_out = rng.normal(size=(T, B, H))
+    starts = [rng.normal(scale=0.5, size=(B, H)) for H in (H1, H1, H2, H2)]
+    d_out = rng.normal(size=(T, B, H2))
 
     def run(rows):
         xs = x[:, rows].reshape(-1, n_in)
         k = len(xs) // T
-        buf = LstmBuffers(T, k, H)
-        out = lstm_sequence_forward(cell, xs, h0[rows], c0[rows], buf)
-        gh = d_out[:, rows].reshape(-1, H)
+        buf = LstmPairBuffers(T, k, n_in, H1, H2)
+        out = lstm_pair_forward(*cells, xs, [s[rows] for s in starts], buf)
+        gh = d_out[:, rows].reshape(-1, H2)
         loss = float(np.sum(gh * out))
         dx = np.empty_like(xs)
-        grads = lstm_sequence_reverse(cell, xs, buf, gh, dx)
+        grads = lstm_pair_reverse(cells[0], xs, buf, gh, dx)
         # back to (rows, T, n_in), so per-row gradients concatenate along rows
-        return loss, list(grads), [dx.reshape(T, k, n_in).transpose(1, 0, 2)]
+        return loss, list(grads), [dx.reshape(T, k, n_in).transpose(1, 0, 2)], out
 
     batch = run(slice(None))
-    assert_sums_rows(batch, [run(slice(b, b + 1)) for b in range(B)])
+    assert_rel_close(batch[3], two_cell_reference(*cells, x, starts).reshape(T * B, H2))
+    assert_sums_rows(batch[:3], [run(slice(b, b + 1))[:3] for b in range(B)])
+    weights = [a for cell in cells for a in (cell.Wx, cell.Wh, cell.b)]
     assert_matches_fd(lambda: run(slice(None))[0],
-                      [(x, batch[2][0].transpose(1, 0, 2)),
-                       *zip((cell.Wx, cell.Wh, cell.b), batch[1])], rng)
+                      [(x, batch[2][0].transpose(1, 0, 2)), *zip(weights, batch[1])], rng)
 
 
 @PROPERTY
