@@ -23,8 +23,12 @@ bucket.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -51,6 +55,53 @@ class TrainingDivergedError(RuntimeError):
         self.trial_id = trial_id
         where = f" on trial {trial_id}" if trial_id is not None else ""
         super().__init__(f"training loss or gradient became non-finite at epoch {epoch}{where}")
+
+
+@functools.cache
+def _bundled_openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    numpy wheels ship OpenBLAS in numpy.libs; loading that file again
+    returns the instance numpy already uses.  A numpy linked against
+    another BLAS gets None.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread.
+
+    An epoch's matrix products are small (widths <= 50, at most a few
+    thousand rows), so a second BLAS thread saves little on an idle
+    machine and, when another process holds the other core, each product
+    waits on a descheduled thread: on a 2-core box with one core busy an
+    epoch ran 2-4x slower at 2 threads and barely slower at 1.  One
+    thread also makes the trained weights independent of
+    OPENBLAS_NUM_THREADS.  The previous count is restored on exit; without
+    the bundled OpenBLAS the block runs unchanged.
+    """
+    blas = _bundled_openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 @dataclass
@@ -278,6 +329,7 @@ def batch_nll_node(params, p_batch, states_n, commands_n, tape, init_state=None)
     return Var(batch_nll(params, p_batch.value, states_n, commands_n, init_state)[0])
 
 
+@one_blas_thread()
 def train(trials, config, model_config=None, on_epoch=None):
     """Fit weights and per-trial biases by Adam on the summed NLL.
 
@@ -289,7 +341,8 @@ def train(trials, config, model_config=None, on_epoch=None):
     parameters.  Each length bucket keeps one NllWorkspace for the whole
     run, so an epoch allocates no activations.  Returns a ModelParams
     whose pb_table rows align with the trial order given here and whose
-    labels are preserved for later analysis.
+    labels are preserved for later analysis.  It runs with numpy's
+    OpenBLAS on one thread (see one_blas_thread), on_epoch included.
     """
     if not trials:
         raise ValueError("no trials to train on")

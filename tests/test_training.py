@@ -262,6 +262,28 @@ def test_non_finite_gradient_stops_training_before_any_update(monkeypatch):
     assert calls["adam"] == 3  # epoch 0 only: the weights and two bias rows
 
 
+def test_train_runs_on_one_blas_thread_and_restores_the_count():
+    import spnpb.training as training
+
+    blas = training._bundled_openblas()
+    if blas is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get, put = blas
+    before = get()
+    put(2)
+    try:
+        seen = []
+        train([random_trial(13)], TrainConfig(epochs=2, seed=0),
+              on_epoch=lambda epoch, loss: seen.append(get()))
+        assert seen == [1, 1]
+        assert get() == 2
+        with pytest.raises(TrainingDivergedError), np.errstate(all="ignore"):
+            train([random_trial(13)], TrainConfig(epochs=5, lr_weights=1e160, seed=0))
+        assert get() == 2
+    finally:
+        put(before)
+
+
 def test_train_keeps_labels_and_row_order():
     trials = [
         random_trial(20, trial_id=0, label="env-a"),
