@@ -201,7 +201,8 @@ def _cmd_adapt(args):
     print(f"final bias after {args.ticks} ticks: ({p[0]:.4f}, {p[1]:.4f})")
     if params.pb_table.shape[0]:
         idx = nearest_row(params.pb_table, p)
-        print(f"nearest trained bias: row {idx} ({params.pb_labels[idx]})")
+        label = f" ({params.pb_labels[idx]})" if params.pb_labels else ""
+        print(f"nearest trained bias: row {idx}{label}")
     if args.out:
         print(f"wrote trajectory to {args.out}")
     return 0

@@ -15,7 +15,9 @@ is always a row of a scored stack: the closed-form gradient of the loss
 model's hand-written reverse pass, with no forward of its own.  A
 default tick (3 rounds of 10 step sizes) thus runs 4 batched forwards and
 3 one-row reverses, plus the one-step forward that advances the live
-state.
+state.  optimize folds the model's weights once (model.FoldedWeights)
+for all its forwards and reverses; the live forward folds its own.
+Nothing folded outlives the call, since weights change in place.
 
 The loss is
     ||s_ref - s_pred||_2  +  c_variance * V  +  c_orig * ||u_orig - u||_2
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RecurrentState, forward, rollout_vjp
+from .model import FoldedWeights, RecurrentState, forward, rollout_vjp
 
 # Guard of the L2-norm gradients: a zero-length residual gets gradient 0.
 NORM_FLOOR = 1e-12
@@ -227,10 +229,11 @@ def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config):
     lo = (config.command_low - params.stats.mean_u) / params.stats.std_u
     hi = (config.command_high - params.stats.mean_u) / params.stats.std_u
 
+    weights = FoldedWeights(params)  # one fold for every forward and reverse of this call
     scored = []  # (u_stack, means, variances, vjp) of every stack scored this tick
 
     def value_fn(u_stack):
-        means, variances, vjp = rollout_vjp(params, state, s_t, u_stack, p)
+        means, variances, vjp = rollout_vjp(params, state, s_t, u_stack, p, weights=weights)
         scored.append((u_stack, means, variances, vjp))
         losses = control_loss(means, variances, u_stack, s_ref_seq, u_orig_seq, config)
         return losses, list(zip(means, variances))

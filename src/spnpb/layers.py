@@ -8,11 +8,13 @@ dense_stack_forward/_reverse and lstm_pair_forward/_reverse, which work in
 preallocated, time-major buffers.  The pair stage runs both LSTMs as one
 skewed recurrence: a single cell of width H1 + H2 whose packed step k is
 LSTM1's step k and LSTM2's step k - 1, so a sequence of T steps takes
-T + 1 step calls instead of 2T.  The model's closed-loop forward and
-reverse cannot skew (LSTM2's step t feeds LSTM1's step t + 1 through the
-fed-back mean) and step each cell on its own, through the same two LSTM
-helpers, lstm_step and lstm_step_back (with lstm_gate_factors); there is
-no second gate implementation.
+T + 1 step calls instead of 2T.  The model's closed loop cannot skew
+(LSTM2's step t feeds LSTM1's step t + 1 through the fed-back mean) and
+steps each cell on its own, with one product of the cell's lstm_fold
+over its stacked input [x; h_prev; 1] per step.  Both share the gate
+core lstm_step, which takes a step's finished pre-activation, and the
+reverse step lstm_step_back (with lstm_gate_factors), which leaves the
+weight products to its caller; there is no second gate implementation.
 """
 
 from __future__ import annotations
@@ -140,40 +142,41 @@ def dense_stack_reverse(layers, x, ys, d_ys, dx=None):
 _GATE_HALF = np.array([0.5, 0.5, 0.5, 1.0])[:, None, None]
 
 
-def lstm_step_weights(cell):
-    """The cell's (Wx, Wh, b) for lstm_step, with the sigmoid gates' rows halved.
+def lstm_fold(cell):
+    """The cell's [Wx | Wh | b] (4H, n_in + H + 1), sigmoid gates' rows halved.
 
     sigmoid(z) = 0.5 * tanh(z / 2) + 0.5, and halving a weight row halves
     its pre-activation exactly, so lstm_step needs one tanh for all four
-    gates.  b comes as a (4H, 1) column.
+    gates.  One np.dot of the fold over the stacked column block
+    [x; h_prev; 1] gives a step's pre-activation.
     """
-    H = cell.hidden
-    return tuple((a.reshape(4, H, -1) * _GATE_HALF).reshape(4 * H, -1)
-                 for a in (cell.Wx, cell.Wh, cell.b))
+    w = np.concatenate((cell.Wx, cell.Wh, cell.b[:, None]), axis=1)
+    w[:3 * cell.hidden] *= 0.5
+    return w
 
 
-def lstm_step(z, h_prev, c_prev, wh, h, c, tc):
-    """One LSTM step over a batch of plain arrays, in place.
+def lstm_step(z, c_prev, h, c, tc):
+    """The gate core of one LSTM step over a batch of plain arrays, in place.
 
     The LSTM helpers keep a batch of B rows in columns: a state is (H, B)
     and the four gates (input, forget, output, candidate) are row blocks
     of a (4H, B) array, so every gate is one contiguous block.  z holds
-    the step's Wx @ x + b from lstm_step_weights; the step adds
-    wh @ h_prev and leaves the gate activations in z.  Writes the new
-    state into h and c, and tanh(c), which the reverse needs, into tc.
-    Shapes are the caller's to check.
+    the step's finished pre-activation, from weights whose sigmoid rows
+    are halved (lstm_fold), as its (4, H, B) gate blocks; it is left
+    holding the gate activations.  Writes the new state into h and c, and
+    tanh(c), which the reverse needs, into tc.  Shapes are the caller's
+    to check.
     """
-    H = h.shape[0]
-    z += wh @ h_prev
     np.tanh(z, out=z)
-    gates = z[:3 * H]
-    gates *= 0.5
-    gates += 0.5
-    np.multiply(z[H:2 * H], c_prev, out=c)
-    np.multiply(z[:H], z[3 * H:], out=tc)
+    sig = z[:3]
+    sig *= 0.5
+    sig += 0.5
+    i, f, o, g = z
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, g, out=tc)
     c += tc
     np.tanh(c, out=tc)
-    np.multiply(z[2 * H:3 * H], tc, out=h)
+    np.multiply(o, tc, out=h)
 
 
 def lstm_gate_factors(act, c_prev, tc, fac, dc_dh):
@@ -200,21 +203,20 @@ def lstm_gate_factors(act, c_prev, tc, fac, dc_dh):
     dc_dh *= act[..., 2 * H:3 * H, :]
 
 
-def lstm_step_back(dh, dc, fac, dc_dh, f, wh, dz):
+def lstm_step_back(dh, dc, fac, dc_dh, f, dz):
     """One step of the LSTM reverse over a batch of plain arrays, in place.
 
     On entry dh (H, B) is the gradient reaching the step's h and dc the
-    one reaching its c from the following step; fac and dc_dh come from
-    lstm_gate_factors, f is the step's forget gate and wh the cell's Wh.
-    Writes the gate gradient into dz (4H, B), which Wx.T maps to the
-    input's gradient, and leaves the gradients of the previous (h, c) in
-    dh and dc.
+    one reaching its c from the following step; fac, as (4, H, B) gate
+    blocks, and dc_dh come from lstm_gate_factors, and f is the step's
+    forget gate.  Writes the gate gradient into the (4, H, B) blocks dz
+    and leaves the gradient of the previous c in dc.  The weight products
+    are the caller's: the unhalved weights' transpose maps dz to the
+    gradients of the step's input and previous h.
     """
-    H = dh.shape[0]
     dc += dh * dc_dh
-    np.multiply(fac.reshape(4, H, -1), dc, out=dz.reshape(4, H, -1))
-    np.multiply(dh, fac[2 * H:3 * H], out=dz[2 * H:3 * H])
-    np.matmul(wh.T, dz, out=dh)
+    np.multiply(fac, dc, out=dz)
+    np.multiply(dh, fac[2], out=dz[2])
     dc *= f
 
 
@@ -297,12 +299,13 @@ def lstm_pair_forward(cell1, cell2, x, starts, buf):
               out=acts[:steps])
     acts[steps] = 0.0  # LSTM1's phantom input; LSTM2's rows take no input projection
     acts += buf.b.reshape(H4, 1)
-    w = buf.w_half.reshape(H4, H)
-    lstm_step(acts[0], hs[0], cs[0], w, hs[1], cs[1], tcs[0])
-    hs[1, H1:] = hs[0, H1:]  # LSTM2's phantom half: its step 0 runs from its start
-    cs[1, H1:] = cs[0, H1:]
-    for k in range(1, T):
-        lstm_step(acts[k], hs[k], cs[k], w, hs[k + 1], cs[k + 1], tcs[k])
+    w, gates = buf.w_half.reshape(H4, H), acts.reshape(T, 4, H, B)
+    for k in range(T):
+        acts[k] += np.dot(w, hs[k])
+        lstm_step(gates[k], cs[k], hs[k + 1], cs[k + 1], tcs[k])
+        if k == 0:  # LSTM2's phantom half: its step 0 runs from its start
+            hs[1, H1:] = hs[0, H1:]
+            cs[1, H1:] = cs[0, H1:]
     np.copyto(buf.out.reshape(steps, B, H2), hs[2:, H1:].transpose(0, 2, 1))
     return buf.out
 
@@ -327,11 +330,13 @@ def lstm_pair_reverse(cell1, x, buf, gh, dx):
     np.copyto(buf.gh[1:, H1:], gh.reshape(steps, B, H - H1).transpose(0, 2, 1))
     f = buf.acts[:, H:2 * H]
     dh, dc, w = buf.dh, buf.dc, buf.w.reshape(H4, H)
+    fac, dz = buf.fac.reshape(T, 4, H, B), buf.dz.reshape(T, 4, H, B)
     dh.fill(0.0)
     dc.fill(0.0)
     for k in range(T - 1, -1, -1):
         dh += buf.gh[k]
-        lstm_step_back(dh, dc, buf.fac[k], buf.dc_dh[k], f[k], w, buf.dz[k])
+        lstm_step_back(dh, dc, fac[k], buf.dc_dh[k], f[k], dz[k])
+        np.dot(w.T, buf.dz[k], out=dh)
     # the factors are spent: dz and the packed steps' input states with
     # time-major columns take their buffers
     dzt, hst = buf.fac.reshape(H4, T * B), buf.dc_dh.reshape(H, T * B)

@@ -13,21 +13,28 @@ The first n_s outputs are the predicted mean; the last n_s are log
 variance, clamped to [-10, 10] before exponentiation.  All values are in
 normalized (z-scored) units; NormStats carries the transform.
 
-The model has one numpy forward loop, which writes every step's
-activations into time-stacked buffers allocated once per call.
-rollout_batch runs it for K closed-loop candidate plans, forward for one
-step of the live state, and rollout_vjp hands back, with the K rollouts,
-a hand-written reverse that gives the control gradient of all rows or of
-any one row.  The reverse takes every factor that does not depend on the
-gradient flowing back (tanh derivatives, LSTM gate factors, the logvar
-clamp mask) over the whole horizon at once; its step loop keeps only the
-serial chain.  The teacher-forced NLL of training and adaptation
-(training.batch_nll) has its own forward and reverse over the same
-layer helpers.
+The model has one numpy forward loop, the closed loop: rollout_batch
+runs it for K candidate plans, forward for one step of the live state,
+and rollout_vjp hands back, with the K rollouts, a hand-written reverse
+that gives the control gradient of all rows or of any one row.  The loop
+keeps the K rows in columns from end to end.  Each step is one column
+block of all its activations, each group of which ends in a constant
+ones row (_StepLayout), so every layer of a step is one np.dot of its
+weights with the bias folded in as a last column, [W | b], and an LSTM
+step is one np.dot of [Wx | Wh | b] over [x; h_prev; 1] plus the gate
+core.  FoldedWeights folds the weights once per call: optimize shares
+one fold between its forwards and reverses.  The reverse takes every
+factor that does not depend on the gradient flowing back (the tanh
+derivatives of all dense layers in one pass over the step blocks, the
+LSTM gate factors, the logvar clamp mask) over the whole horizon at
+once; its step loop keeps only the serial chain.  The teacher-forced NLL
+of training and adaptation (training.batch_nll) has its own forward and
+reverse over the same gate core and LSTM reverse step.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -35,16 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ShapeError
-from .layers import (
-    DenseLayer,
-    LstmCell,
-    dense_affine,
-    dense_stack_forward,
-    lstm_gate_factors,
-    lstm_step,
-    lstm_step_back,
-    lstm_step_weights,
-)
+from .layers import DenseLayer, LstmCell, lstm_fold, lstm_gate_factors, lstm_step, lstm_step_back
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -215,21 +213,136 @@ class ModelParams:
         return self.pb_table[rows].mean(axis=0)
 
 
-def _check_step_inputs(params, state, s, u, p):
-    cfg = params.config
+class _StepLayout:
+    """Row slices of one step block of the closed loop, whose K rows are columns.
+
+    A step block stacks every activation of one step, in groups that
+    each end in a constant ones row:
+
+        [u; p; s; logvar; 1]        the step's input
+        [y; 1] x 3                  the first three tanh layers
+        [x; h1_prev; 1]             LSTM1's input; x is the fourth tanh layer
+        [h1; h2_prev; 1]            LSTM2's input
+        [y; 1] x 3                  the output stack's tanh layers
+
+    so every layer of a step is one np.dot of its folded [W | b] over the
+    group below it.  LSTM1 writes h1 straight into the next step's
+    block, and a copy into its own step's LSTM2 group; LSTM2 writes h2
+    straight into the next step's block, where [h2; 1] is also this
+    step's output stack input.  The last layer writes the mean and the
+    raw logvar straight into the next step's input, whose logvar rows get
+    zero weight.
+    """
+
+    def __init__(self, cfg):
+        n_u, n_s, n_p = cfg.n_u, cfg.n_s, cfg.n_p
+        w = cfg.layer_widths
+        self.H = w[4]  # both LSTMs: ModelConfig's widths are fixed
+        groups, top = [], 0
+        for width in (n_u + n_p + 2 * n_s, w[0], w[1], w[2], w[3] + w[4], w[4] + w[5],
+                      w[6], w[7], w[8]):
+            groups.append(slice(top, top + width + 1))
+            top += width + 1
+        self.rows = top
+        self.ones = np.array([g.stop - 1 for g in groups])
+        g_in, d0, d1, d2, self.l1, self.l2, o0, o1, o2 = groups
+        self.u, self.p = slice(0, n_u), slice(n_u, n_u + n_p)
+        self.s = slice(n_u + n_p, n_u + n_p + n_s)
+        self.lv = slice(self.s.stop, self.s.stop + n_s)
+        self.out = slice(self.s.start, self.lv.stop)  # where the last layer writes
+        self.x = slice(self.l1.start, self.l1.start + w[3])
+        self.h1_prev = slice(self.x.stop, self.l1.stop - 1)
+        self.h1 = slice(self.l2.start, self.l2.start + w[4])
+        self.h2_prev = slice(self.h1.stop, self.l2.stop - 1)
+        # what each tanh layer reads and writes; the first output layer reads
+        # [h2; 1] from the next block, the rest their own block
+        self.reads = [g_in, d0, d1, d2, slice(self.h2_prev.start, self.l2.stop), o0, o1]
+        self.writes = [slice(g.start, g.stop - 1) for g in (d0, d1, d2)] + [self.x] + \
+            [slice(g.start, g.stop - 1) for g in (o0, o1, o2)]
+        self.last = o2
+
+
+_step_layout = functools.cache(_StepLayout)  # the layout depends on the widths alone
+
+
+class FoldedWeights:
+    """params' weights as the closed loop multiplies them: each layer's bias folded in.
+
+    dense holds each dense layer's [W | b], the first layer's columns in
+    the step input's [u; p; s; logvar] order with zeros for logvar;
+    lstms holds each LSTM's [Wx | Wh | b], sigmoid rows halved
+    (layers.lstm_fold).  The reverse's unhalved products are folded on
+    first use.  Weights change in place (train, check_gradient_integrity),
+    so a fold serves one call and is never kept: optimize folds once for
+    all its forwards and reverses, forward once.
+    """
+
+    def __init__(self, params):
+        cfg = params.config
+        n_u, n_s = cfg.n_u, cfg.n_s
+        first = params.dense_in[0]
+        w = first.W
+        self.params = params
+        self.config = cfg
+        self.layout = _step_layout(cfg)
+        self.w_ups = np.concatenate((w[:, :n_u], w[:, n_u + n_s:], w[:, n_u:n_u + n_s]), axis=1)
+        self.dense = [np.concatenate((self.w_ups, np.zeros((len(w), n_s)), first.b[:, None]),
+                                     axis=1)]
+        self.dense += [np.concatenate((layer.W, layer.b[:, None]), axis=1)
+                       for layer in params.dense_in[1:] + params.dense_out]
+        self.lstms = [lstm_fold(params.lstm1), lstm_fold(params.lstm2)]
+
+    @functools.cached_property
+    def transposes(self):
+        """The reverse's products, by the activation each one reaches.
+
+        (dense_in, to_h1, to_h2, to_x, dense_out, last): the input
+        stack's W.T (the first layer's for [u; p; s]); [Wx2 | Wh1].T,
+        which takes [dz2 of a step; dz1 of the next step] to the
+        gradient of the step's h1; [W_o0 | Wh2].T, which takes [the first
+        output layer's gate gradient; dz2 of the next step] to that of
+        h2; LSTM1's Wx.T; the second and third output layers' W.T; and
+        the last layer's.
+        """
+        p = self.params
+        o0, o1, o2, last = p.dense_out
+        return ([self.w_ups.T] + [layer.W.T for layer in p.dense_in[1:]],
+                np.concatenate((p.lstm2.Wx.T, p.lstm1.Wh.T), axis=1),
+                np.concatenate((o0.W.T, p.lstm2.Wh.T), axis=1),
+                p.lstm1.Wx.T, [o1.W.T, o2.W.T], last.W.T)
+
+
+def _check_step_inputs(cfg, H, state, s, u, p):
     if np.shape(s) != (cfg.n_s,):
         raise ShapeError(f"state input must have shape ({cfg.n_s},)")
     if np.shape(u) != (cfg.n_u,):
         raise ShapeError(f"command input must have shape ({cfg.n_u},)")
     if np.shape(p) != (cfg.n_p,):
         raise ShapeError(f"bias input must have shape ({cfg.n_p},)")
-    hidden = cfg.layer_widths[4]
     for part in (state.h1, state.c1, state.h2, state.c2):
-        if np.shape(part) != (hidden,):
+        if np.shape(part) != (H,):
             raise ShapeError("recurrent state vectors must match the LSTM hidden size")
 
 
-def _run(params, state, s_t, u_batch, p):
+class _Activations:
+    """What _run keeps of K rows over n_seq steps, as (., K) columns.
+
+    ys holds the step blocks of _StepLayout, with one block more than the
+    run for the last step's outputs.  Both LSTMs are H wide, so their
+    gate activations zs, cells cs (one step more than the run) and
+    tanh(c) tcs stack on axis 1.  logvars holds the clamped logvars.
+    """
+
+    def __init__(self, layout, n_seq, K):
+        H = layout.H
+        self.ys = np.empty((n_seq + 1, layout.rows, K))
+        self.zs = np.empty((n_seq, 2, 4 * H, K))
+        self.cs = np.empty((n_seq + 1, 2, H, K))
+        self.tcs = np.empty((n_seq, 2, H, K))
+        self.logvars = np.empty((n_seq, layout.lv.stop - layout.lv.start, K))
+
+
+def _run(weights, state, s_t, u_batch, p):
     """The model's one forward loop: K closed-loop rows from one shared state.
 
     u_batch is (K, n_seq, n_u); each row starts from state, s_t and p,
@@ -239,128 +352,143 @@ def _run(params, state, s_t, u_batch, p):
     last step, each part (K, H), and the _Activations that _reverse reads.
     """
     u_batch = np.asarray(u_batch, dtype=np.float64)
-    cfg = params.config
+    cfg, lay = weights.config, weights.layout
     if u_batch.ndim != 3 or u_batch.shape[1] < 1 or u_batch.shape[2] != cfg.n_u:
         raise ShapeError(f"command batch must have shape (K, n_seq, {cfg.n_u}), "
                          f"got {u_batch.shape}")
-    _check_step_inputs(params, state, s_t, u_batch[0, 0], p)
+    _check_step_inputs(cfg, lay.H, state, s_t, u_batch[0, 0], p)
     K, n_seq, _ = u_batch.shape
-    n_s = cfg.n_s
 
-    acts = _Activations(params, n_seq, K)
-    x_in = acts.x
-    x_in[:-1, :, :cfg.n_u] = u_batch.transpose(1, 0, 2)
-    x_in[0, :, cfg.n_u:cfg.n_u + n_s] = s_t
-    x_in[:, :, cfg.n_u + n_s:] = p
-    for buf, h0, c0 in zip(acts.lstms, (state.h1, state.h2), (state.c1, state.c2)):
-        buf.hs[0] = np.asarray(h0)[:, None]  # the LSTM helpers take the K rows as columns
-        buf.cs[0] = np.asarray(c0)[:, None]
-    lstms = [(lstm_step_weights(cell), buf)
-             for cell, buf in zip((params.lstm1, params.lstm2), acts.lstms)]
-    last = params.dense_out[-1]
-    for t in range(n_seq):
-        x = dense_stack_forward(params.dense_in, x_in[t], [y[t] for y in acts.dense_in]).T
-        for (wx, wh, b), buf in lstms:
-            z = buf.acts[t]
-            np.matmul(wx, x, out=z)
-            z += b
-            lstm_step(z, buf.hs[t], buf.cs[t], wh, buf.hs[t + 1], buf.cs[t + 1], buf.tcs[t])
-            x = buf.hs[t + 1]
-        x = dense_stack_forward(params.dense_out[:-1], x.T, [y[t] for y in acts.dense_out])
-        out = dense_affine(last, x, acts.out[t])
-        x_in[t + 1, :, cfg.n_u:cfg.n_u + n_s] = out[:, :n_s]  # the mean is the next state
+    acts = _Activations(lay, n_seq, K)
+    ys, zs, cs, tcs = acts.ys, acts.zs, acts.cs, acts.tcs
+    ys[:, lay.ones] = 1.0
+    ys[:-1, lay.u] = u_batch.transpose(1, 2, 0)
+    ys[:, lay.p] = np.asarray(p, dtype=np.float64)[:, None]
+    ys[0, lay.s] = np.asarray(s_t, dtype=np.float64)[:, None]
+    ys[0, lay.lv] = 0.0  # zero weight, but a NaN left in an empty buffer would still pass
+    ys[0, lay.h1_prev] = np.asarray(state.h1)[:, None]
+    ys[0, lay.h2_prev] = np.asarray(state.h2)[:, None]
+    cs[0, 0] = np.asarray(state.c1)[:, None]
+    cs[0, 1] = np.asarray(state.c2)[:, None]
+    (w0, w1, w2, w3, wo0, wo1, wo2, wl), (wlstm1, wlstm2) = weights.dense, weights.lstms
+    gates = zs.reshape(n_seq, 2, 4, lay.H, K)
+    y, nxt = ys[:-1], ys[1:]
+    (r0, r1, r2, r3, ro0, ro1, ro2), (v0, v1, v2, v3, vo0, vo1, vo2) = lay.reads, lay.writes
+    tanh, dot = np.tanh, np.dot
+    # each step's views come from iterating time-stacked views, which costs
+    # less than slicing every step
+    for (x0, y0, x1, y1, x2, y2, x3, y3, l1, h1_next, h1, l2, h2_next, xo0, yo0, xo1, yo1,
+         xo2, yo2, x_last, out_next, z1, g1, c1, c1_next, tc1, z2, g2, c2, c2_next, tc2) in zip(
+            y[:, r0], y[:, v0], y[:, r1], y[:, v1], y[:, r2], y[:, v2], y[:, r3], y[:, v3],
+            y[:, lay.l1], nxt[:, lay.h1_prev], y[:, lay.h1], y[:, lay.l2], nxt[:, lay.h2_prev],
+            nxt[:, ro0], y[:, vo0], y[:, ro1], y[:, vo1], y[:, ro2], y[:, vo2],
+            y[:, lay.last], nxt[:, lay.out],
+            zs[:, 0], gates[:, 0], cs[:-1, 0], cs[1:, 0], tcs[:, 0],
+            zs[:, 1], gates[:, 1], cs[:-1, 1], cs[1:, 1], tcs[:, 1]):
+        tanh(dot(w0, x0, out=y0), out=y0)
+        tanh(dot(w1, x1, out=y1), out=y1)
+        tanh(dot(w2, x2, out=y2), out=y2)
+        tanh(dot(w3, x3, out=y3), out=y3)
+        dot(wlstm1, l1, out=z1)
+        lstm_step(g1, c1, h1_next, c1_next, tc1)
+        h1[...] = h1_next
+        dot(wlstm2, l2, out=z2)
+        lstm_step(g2, c2, h2_next, c2_next, tc2)
+        tanh(dot(wo0, xo0, out=yo0), out=yo0)
+        tanh(dot(wo1, xo1, out=yo1), out=yo1)
+        tanh(dot(wo2, xo2, out=yo2), out=yo2)
+        dot(wl, x_last, out=out_next)
     # copies in (K, n_seq, n_s) order: control_loss sums each row in memory order
-    means = acts.out[:, :, :n_s].transpose(1, 0, 2).copy()
-    logvars = np.clip(acts.out[:, :, n_s:], LOGVAR_MIN, LOGVAR_MAX)
-    variances = np.exp(logvars, out=logvars).transpose(1, 0, 2).copy()
-    h1, h2 = (buf.hs[-1].T for buf in acts.lstms)
-    c1, c2 = (buf.cs[-1].T for buf in acts.lstms)
-    return means, variances, (h1, c1, h2, c2), acts
+    means = nxt[:, lay.s].transpose(2, 0, 1).copy()
+    np.minimum(nxt[:, lay.lv], LOGVAR_MAX, out=acts.logvars)
+    np.maximum(acts.logvars, LOGVAR_MIN, out=acts.logvars)
+    variances = np.exp(acts.logvars).transpose(2, 0, 1).copy()
+    last = ys[n_seq]
+    return (means, variances,
+            (last[lay.h1_prev].T, cs[n_seq, 0].T, last[lay.h2_prev].T, cs[n_seq, 1].T), acts)
 
 
-class _Activations:
-    """What _run keeps of K rows over n_seq steps, time-stacked.
-
-    x holds each step's (u, s, p) input rows, with one step more than the run so
-    the last mean has somewhere to go; dense_in/dense_out hold each tanh
-    layer's (n_seq, K, width) outputs, out the last layer's raw
-    (n_seq, K, 2 n_s) output and lstms each LSTM's gate activations, h, c
-    and tanh(c) as (n_seq, ., K) columns.
-    """
-
-    def __init__(self, params, n_seq, K):
-        self.x = np.empty((n_seq + 1, K, params.config.n_in))
-        self.dense_in = [np.empty((n_seq, K, layer.n_out)) for layer in params.dense_in]
-        self.dense_out = [np.empty((n_seq, K, layer.n_out)) for layer in params.dense_out[:-1]]
-        self.out = np.empty((n_seq, K, params.dense_out[-1].n_out))
-        self.lstms = [_LstmActivations(n_seq, K, cell.hidden)
-                      for cell in (params.lstm1, params.lstm2)]
-
-
-class _LstmActivations:
-    def __init__(self, n_seq, K, H):
-        self.acts = np.empty((n_seq, 4 * H, K))
-        self.hs = np.empty((n_seq + 1, H, K))
-        self.cs = np.empty((n_seq + 1, H, K))
-        self.tcs = np.empty((n_seq, H, K))
-
-
-def _reverse(params, acts, variances, d_means, d_variances, rows):
+def _reverse(weights, acts, variances, d_means, d_variances, rows):
     """Backpropagation through time over rows of _run's activations.
 
     Carries d loss/d means and d loss/d variances, each (R, n_seq, n_s)
     for the R rows that the slice rows picks, back to d loss/d u
     (R, n_seq, n_u).  Every factor that does not depend on the gradient
-    flowing back is taken for the whole horizon at once: the logvar
-    clamp (clamped entries pass no gradient), the tanh derivatives and
-    the LSTM gate factors.  The step loop then runs the last dense layer,
-    the output tanh stack, LSTM2, LSTM1 and the input tanh stack in
-    reverse.  A step's gradient at its state input joins the previous
+    flowing back is taken for the whole horizon at once: the tanh
+    derivatives of every dense layer in one pass over the step blocks,
+    the logvar clamp (a clamped entry passes no gradient) and both LSTMs'
+    gate factors.  The step loop keeps only the serial chain, with one
+    product per activation reached: h2 feeds the output stack and
+    LSTM2's next step, h1 LSTM2's step and LSTM1's next one, and each
+    gets its gradient from one product over the two gate gradients
+    stacked.  A step's gradient at its state input joins the previous
     step's d_mean, since that mean was fed back as the state.
     """
-    cfg = params.config
-    n_s, n_u = cfg.n_s, cfg.n_u
+    lay = weights.layout
+    dense_in_t, to_h1, to_h2, to_x, (wo1_t, wo2_t), last_t = weights.transposes
+    n_s, H = weights.config.n_s, lay.H
     R, n_seq, _ = d_means.shape
+    ys = acts.ys[..., rows]
+    dys = np.multiply(ys[:-1], ys[:-1])
+    np.subtract(1.0, dys, out=dys)
     # each step's gradient at the last layer's output: d_mean (the fed-back
-    # d_s joins it in the loop) beside the clamp-masked d_logvar
-    d_out = np.empty((n_seq, R, 2 * n_s))
-    d_out[:, :, :n_s] = d_means.transpose(1, 0, 2)
-    raw = acts.out[:, rows, n_s:].transpose(1, 0, 2)
-    kept = (raw >= LOGVAR_MIN) & (raw <= LOGVAR_MAX)
-    d_out[:, :, n_s:] = (d_variances * variances[rows] * kept).transpose(1, 0, 2)
-
-    def tanh_grads(ys):
-        return [1.0 - y[:, rows] * y[:, rows] for y in ys]
-
-    grads_in, grads_out = tanh_grads(acts.dense_in), tanh_grads(acts.dense_out)
-    lstms = []
-    for cell, buf in zip((params.lstm1, params.lstm2), acts.lstms):
-        H = cell.hidden
-        act = buf.acts[..., rows]
-        fac = np.empty((n_seq, 4 * H, R))
-        dc_dh = np.empty((n_seq, H, R))
-        lstm_gate_factors(act, buf.cs[:-1, :, rows], buf.tcs[..., rows], fac, dc_dh)
-        lstms.append((cell, fac, dc_dh, act[:, H:2 * H], np.zeros((H, R)), np.zeros((H, R)),
-                      np.empty((4 * H, R))))
-    d_u = np.empty((R, n_seq, n_u))
-    d_s = 0.0
-    for t in range(n_seq - 1, -1, -1):
-        d_out[t, :, :n_s] += d_s
-        g = d_out[t] @ params.dense_out[-1].W
-        for layer, dy in zip(params.dense_out[-2::-1], grads_out[::-1]):
-            g = (g * dy[t]) @ layer.W
-        g = g.T  # columns, as the LSTM helpers take them
-        for k in (1, 0):
-            cell, fac, dc_dh, f, dh, dc, dz = lstms[k]
-            dh += g
-            lstm_step_back(dh, dc, fac[t], dc_dh[t], f[t], cell.Wh, dz)
-            g = cell.Wx.T @ dz
-        g = g.T
-        for layer, dy in zip(params.dense_in[::-1], grads_in[::-1]):
-            g = (g * dy[t]) @ layer.W
-        d_u[:, t] = g[:, :n_u]
-        d_s = g[:, n_u:n_u + n_s]
-    return d_u
+    # d_s joins it in the loop) over the clamp-masked d_logvar
+    d_out = np.empty((n_seq, 2 * n_s, R))
+    d_out[:, :n_s] = d_means.transpose(1, 2, 0)
+    kept = acts.logvars[..., rows] == ys[1:, lay.lv]
+    np.multiply((d_variances * variances[rows]).transpose(1, 2, 0), kept, out=d_out[:, n_s:])
+    # gate-major, so that each gate of all steps is one contiguous row of
+    # lstm_gate_factors
+    gates = np.empty((4, n_seq, 2, H, R))
+    np.copyto(gates, acts.zs[..., rows].reshape(n_seq, 2, 4, H, R).transpose(2, 0, 1, 3, 4))
+    fac = np.empty_like(gates)
+    dc_dh = np.empty((n_seq, 2, H, R))
+    lstm_gate_factors(gates.reshape(4, -1), acts.cs[:-1, ..., rows].reshape(1, -1),
+                      acts.tcs[..., rows].reshape(1, -1), fac.reshape(4, -1),
+                      dc_dh.reshape(1, -1))
+    fac = fac.transpose(1, 2, 0, 3, 4).copy()  # each step's (4, H, R) gate blocks
+    dc1, dc2 = np.zeros((2, H, R))
+    # [the first output layer's gate gradient; dz2; dz1], zero before the
+    # last step: to_h2 reads its first two parts before dz2 moves a step
+    # back, to_h1 its last two before dz1 does
+    n_o0 = len(wo1_t)
+    stack = np.zeros((n_o0 + 8 * H, R))
+    g_o0, dz1 = stack[:n_o0], stack[n_o0 + 4 * H:]
+    reach_h2, reach_h1 = stack[:n_o0 + 4 * H], stack[n_o0:]
+    dz2_gates, dz1_gates = (dz.reshape(4, H, R) for dz in (stack[n_o0:n_o0 + 4 * H], dz1))
+    g_o2, g_o1, dh2, dh1, g_x, g2, g1, g0 = (
+        np.empty((len(w), R)) for w in (last_t, wo2_t, to_h2, to_h1, to_x, *dense_in_t[:0:-1]))
+    w0_t, w1_t, w2_t, w3_t = dense_in_t
+    d_in = np.empty((n_seq + 1, len(w0_t), R))  # the gradient of each step's [u; p; s]
+    d_in[n_seq] = 0.0
+    dot = np.dot
+    for (d_mean, d_s, d, dy0, dy1, dy2, dy3, dyo0, dyo1, dyo2, fac1, fac2, dc_dh1, dc_dh2,
+         f1, f2, d_ups) in zip(
+            d_out[::-1, :n_s], d_in[:0:-1, lay.s], d_out[::-1],
+            *(dys[::-1, v] for v in lay.writes),
+            fac[::-1, 0], fac[::-1, 1], dc_dh[::-1, 0], dc_dh[::-1, 1],
+            gates[1, ::-1, 0], gates[1, ::-1, 1], d_in[n_seq - 1::-1]):
+        d_mean += d_s
+        dot(last_t, d, out=g_o2)
+        g_o2 *= dyo2
+        dot(wo2_t, g_o2, out=g_o1)
+        g_o1 *= dyo1
+        dot(wo1_t, g_o1, out=g_o0)
+        g_o0 *= dyo0
+        dot(to_h2, reach_h2, out=dh2)
+        lstm_step_back(dh2, dc2, fac2, dc_dh2, f2, dz2_gates)
+        dot(to_h1, reach_h1, out=dh1)
+        lstm_step_back(dh1, dc1, fac1, dc_dh1, f1, dz1_gates)
+        dot(to_x, dz1, out=g_x)
+        g_x *= dy3
+        dot(w3_t, g_x, out=g2)
+        g2 *= dy2
+        dot(w2_t, g2, out=g1)
+        g1 *= dy1
+        dot(w1_t, g1, out=g0)
+        g0 *= dy0
+        dot(w0_t, g0, out=d_ups)
+    return d_in[:n_seq, lay.u].transpose(2, 0, 1).copy()
 
 
 def forward(params, state, s, u, p):
@@ -368,10 +496,10 @@ def forward(params, state, s, u, p):
 
     Returns (GaussianPrediction, advanced RecurrentState); the input state
     is not mutated.  This is the one-row, one-step case of the forward
-    loop that rollout_batch runs.
+    loop that rollout_batch runs, and folds the weights for it.
     """
     means, variances, (h1, c1, h2, c2), _ = _run(
-        params, state, s, np.asarray(u, dtype=np.float64)[None, None], p)
+        FoldedWeights(params), state, s, np.asarray(u, dtype=np.float64)[None, None], p)
     return (GaussianPrediction(mean=means[0, 0], variance=variances[0, 0]),
             RecurrentState(h1[0], c1[0], h2[0], c2[0]))
 
@@ -384,11 +512,11 @@ def rollout_batch(params, state, s_t, u_batch, p):
     as the next state.  Returns (means, variances), each C-contiguous
     (K, n_seq, n_s).
     """
-    means, variances, _, _ = _run(params, state, s_t, u_batch, p)
+    means, variances, _, _ = _run(FoldedWeights(params), state, s_t, u_batch, p)
     return means, variances
 
 
-def rollout_vjp(params, state, s_t, u_batch, p):
+def rollout_vjp(params, state, s_t, u_batch, p, weights=None):
     """rollout_batch plus its reverse pass, for any row of the batch.
 
     Returns (means, variances, vjp).  vjp(d_means, d_variances) maps
@@ -397,9 +525,13 @@ def rollout_vjp(params, state, s_t, u_batch, p):
     u_batch (K, n_seq, n_u).  vjp(d_means, d_variances, row=k) takes one
     row's (n_seq, n_s) gradients and reverses that row alone, giving
     (n_seq, n_u).  The forward's activations are kept, so the reverse
-    can run any number of times.
+    can run any number of times.  weights is FoldedWeights(params) from a
+    caller that makes several calls on unchanged weights; without it the
+    call folds its own.
     """
-    means, variances, _, acts = _run(params, state, s_t, u_batch, p)
+    if weights is None:
+        weights = FoldedWeights(params)
+    means, variances, _, acts = _run(weights, state, s_t, u_batch, p)
 
     def vjp(d_means, d_variances, row=None):
         d_means, d_variances = (np.asarray(g, dtype=np.float64) for g in (d_means, d_variances))
@@ -408,9 +540,9 @@ def rollout_vjp(params, state, s_t, u_batch, p):
             raise ShapeError(f"vjp takes gradients of shape {want}, "
                              f"got {d_means.shape} and {d_variances.shape}")
         if row is None:
-            return _reverse(params, acts, variances, d_means, d_variances, slice(None))
+            return _reverse(weights, acts, variances, d_means, d_variances, slice(None))
         row = range(len(means))[row]
-        return _reverse(params, acts, variances, d_means[None], d_variances[None],
+        return _reverse(weights, acts, variances, d_means[None], d_variances[None],
                         slice(row, row + 1))[0]
 
     return means, variances, vjp

@@ -14,6 +14,7 @@ from the supplied generator, translation first, regardless of beta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,12 @@ class SimConfig:
     alpha: float
     beta: float
     seed: int = 0
-    tick_period: float = 0.2
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
 
     @property
     def label(self):

@@ -283,6 +283,32 @@ def test_collect_rejects_degenerate_datasets(tmp_path, flags, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["collect", "--alphas", "0.5", "--betas", "nan"],
+    ["collect", "--alphas", "0.5", "--betas", "inf"],
+    ["control", "--beta", "nan"],
+], ids=["collect-nan", "collect-inf", "control-nan"])
+def test_non_finite_beta_exits_2_naming_it(tiny_model, tmp_path, argv, capsys):
+    # these used to fail only later, on the non-finite samples or measurements
+    # the NaN produced
+    where = ["--out", str(tmp_path / "out")] if argv[0] == "collect" else ["--model", tiny_model]
+    assert run([argv[0], *where, *argv[1:]]) == 2
+    assert "error: beta must be finite" in capsys.readouterr().err
+
+
+def test_adapt_on_a_model_without_bias_labels_names_the_nearest_row(tiny_model, tmp_path,
+                                                                    capsys):
+    # load_model accepts bias vectors without labels; adapt used to run every
+    # tick and then end in an IndexError traceback, exit 1
+    params = load_model(tiny_model)
+    params.pb_labels = []
+    model = tmp_path / "unlabelled.json"
+    save_model(params, model)
+    assert run(["adapt", "--model", str(model), "--alpha", "0.5", "--beta", "1.0",
+                "--ticks", "12"]) == 0
+    assert "nearest trained bias: row 0\n" in capsys.readouterr().out
+
+
 def test_train_on_empty_dataset_exits_2(tmp_path, capsys):
     # this used to end in an IndexError traceback, exit 1
     data = tmp_path / "empty.json"

@@ -398,6 +398,59 @@ def test_optimize_runs_one_forward_per_scored_stack_and_one_reverse_per_round(mo
     assert calls == {"_run": 1 + cfg.n_epoch, "_reverse": cfg.n_epoch}
 
 
+def test_a_tick_folds_the_weights_once_in_optimize_and_once_in_the_live_forward(monkeypatch):
+    # a fold costs about as much as a one-step forward: folding for every
+    # rollout would cost 8 folds a tick
+    folds = []
+    fold = model.FoldedWeights.__init__
+
+    def counted(self, params):
+        folds.append(params)
+        fold(self, params)
+
+    monkeypatch.setattr(model.FoldedWeights, "__init__", counted)
+    per_call = {}
+    for name in ("forward", "optimize"):
+        def watched(*args, _fn=getattr(control, name), _name=name, **kwargs):
+            before = len(folds)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                per_call.setdefault(_name, []).append(len(folds) - before)
+        monkeypatch.setattr(control, name, watched)
+    params = make_params(seed=8)
+    ctl = Controller(params, ControlConfig(c_variance=30.0), np.zeros(2))
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        ctl.step(rng.normal(size=2), rng.normal(size=(10, 2)))
+    assert per_call == {"optimize": [1, 1, 1], "forward": [1, 1]}
+    assert len(folds) == 5 and all(f is params for f in folds)
+
+
+def test_a_weight_changed_in_place_between_ticks_is_used_by_the_next_tick():
+    # train and check_gradient_integrity change weights in place, so no fold
+    # may outlive the call that made it.  With a one-step horizon the first
+    # tick starts from the zero state and never reads LSTM1's Wh; the second
+    # tick's live forward makes the state non-zero, so from then on it does.
+    cfg = ControlConfig(n_seq=1, c_variance=1.0)
+    rng = np.random.default_rng(33)
+    ticks = [(rng.normal(size=2), rng.normal(size=(1, 2))) for _ in range(3)]
+    changed = make_params(seed=9)
+    changed.lstm1.Wh[...] = rng.normal(size=changed.lstm1.Wh.shape)
+    in_place = Controller(make_params(seed=9), cfg, np.zeros(2))
+    built = Controller(changed, cfg, np.zeros(2))
+    kept = Controller(make_params(seed=9), cfg, np.zeros(2))
+    ctls = (in_place, built, kept)
+    commands = [[c.step(*ticks[0])] for c in ctls]
+    in_place.params.lstm1.Wh[...] = changed.lstm1.Wh
+    for tick in ticks[1:]:
+        for c, cmds in zip(ctls, commands):
+            cmds.append(c.step(*tick))
+    a, b, c = (np.array(cmds) for cmds in commands)
+    assert a.tobytes() == b.tobytes()
+    assert a[0].tobytes() == c[0].tobytes() and a.tobytes() != c.tobytes()
+
+
 def test_gradient_is_taken_only_at_a_scored_plan(monkeypatch):
     grads = []
 

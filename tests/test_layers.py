@@ -14,9 +14,9 @@ from spnpb.layers import (
     lstm_gate_factors,
     lstm_pair_forward,
     lstm_pair_reverse,
+    lstm_fold,
     lstm_step,
     lstm_step_back,
-    lstm_step_weights,
 )
 
 
@@ -92,12 +92,23 @@ def test_lstm_init_shapes_and_forget_bias():
     np.testing.assert_array_equal(cell.b[:10], np.zeros(10))
 
 
+def folded_step(cell, x, h_prev, c_prev):
+    """One step of the (n, B) columns x through lstm_fold and lstm_step.
+
+    The pre-activation is one product of the fold over [x; h_prev; 1].
+    Returns the gate activations (4H, B) and the new (h, c, tanh(c)).
+    """
+    H, B = cell.hidden, x.shape[1]
+    z = np.dot(lstm_fold(cell), np.vstack((x, h_prev, np.ones((1, B)))))
+    h, c, tc = np.empty((3, H, B))
+    lstm_step(z.reshape(4, H, B), c_prev, h, c, tc)
+    return z, h, c, tc
+
+
 def one_step(cell, x, h_prev, c_prev):
     """One step of one vector through lstm_step; returns (h, c)."""
-    wx, wh, b = lstm_step_weights(cell)
-    z = wx @ np.reshape(x, (-1, 1)) + b
-    h, c, tc = np.empty((3, cell.hidden, 1))
-    lstm_step(z, np.reshape(h_prev, (-1, 1)), np.reshape(c_prev, (-1, 1)), wh, h, c, tc)
+    _, h, c, _ = folded_step(cell, np.reshape(x, (-1, 1)), np.reshape(h_prev, (-1, 1)),
+                             np.reshape(c_prev, (-1, 1)))
     return h[:, 0], c[:, 0]
 
 
@@ -141,36 +152,31 @@ def test_lstm_single_unit_matches_scalar_oracle():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_lstm_gradients_match_finite_differences(seed):
-    # the shared reverse step (lstm_gate_factors + lstm_step_back) against
-    # central differences of one lstm_step, for the step's input, both
-    # previous states, and a batch of two rows
+    # the shared reverse step (lstm_gate_factors + lstm_step_back, then the
+    # caller's one product with [Wx | Wh].T) against central differences of
+    # one lstm_step, for the step's input, both previous states, and a
+    # batch of two rows
     rng = np.random.default_rng(seed)
     n_in, H, B = 4, 3, 2
     cell = LstmCell.init(n_in, H, rng)
-    wx, wh, b = lstm_step_weights(cell)
     x = rng.normal(size=(n_in, B))
     h0 = rng.normal(scale=0.5, size=(H, B))
     c0 = rng.normal(scale=0.5, size=(H, B))
     w_h = rng.normal(size=(H, B))  # fixed projections so the output is scalar
     w_c = rng.normal(size=(H, B))
 
-    def step():
-        z = wx @ x + b
-        h, c, tc = np.empty((3, H, B))
-        lstm_step(z, h0, c0, wh, h, c, tc)
-        return z, h, c, tc
-
     def value():
-        _, h, c, _ = step()
+        _, h, c, _ = folded_step(cell, x, h0, c0)
         return float(np.sum(w_h * h) + np.sum(w_c * c))
 
-    act, _, _, tc = step()
+    act, _, _, tc = folded_step(cell, x, h0, c0)
     fac, dz = np.empty((2, 4 * H, B))
     dc_dh = np.empty((H, B))
     lstm_gate_factors(act, c0, tc, fac, dc_dh)
-    dh, dc = w_h.copy(), w_c.copy()
-    lstm_step_back(dh, dc, fac, dc_dh, act[H:2 * H], cell.Wh, dz)
-    analytic = {"x": cell.Wx.T @ dz, "h0": dh, "c0": dc}
+    dc = w_c.copy()
+    lstm_step_back(w_h, dc, fac.reshape(4, H, B), dc_dh, act[H:2 * H], dz.reshape(4, H, B))
+    d_in = np.dot(np.hstack((cell.Wx, cell.Wh)).T, dz)
+    analytic = {"x": d_in[:n_in], "h0": d_in[n_in:], "c0": dc}
 
     for name, leaf in (("x", x), ("h0", h0), ("c0", c0)):
         numeric = finite_diff(value, leaf)
@@ -181,7 +187,7 @@ def test_lstm_gradients_match_finite_differences(seed):
 
 
 def two_cell_reference(cell1, cell2, x, starts):
-    """LSTM2 over LSTM1 as two per-cell loops of lstm_step, the pair's reference.
+    """LSTM2 over LSTM1 as two per-cell loops of folded steps, the pair's reference.
 
     x is (T, B, n_in) and starts the (h1, c1, h2, c2), each (B, H);
     returns LSTM2's outputs as (T, B, H2).
@@ -189,12 +195,10 @@ def two_cell_reference(cell1, cell2, x, starts):
     T, B, _ = x.shape
     ys = x.transpose(0, 2, 1)  # the LSTM helpers take the B rows as columns
     for cell, h0, c0 in ((cell1, *starts[:2]), (cell2, *starts[2:])):
-        wx, wh, b = lstm_step_weights(cell)
         hs, cs = np.empty((2, T + 1, cell.hidden, B))
         hs[0], cs[0] = h0.T, c0.T
-        tc = np.empty((cell.hidden, B))
         for t in range(T):
-            lstm_step(wx @ ys[t] + b, hs[t], cs[t], wh, hs[t + 1], cs[t + 1], tc)
+            _, hs[t + 1], cs[t + 1], _ = folded_step(cell, ys[t], hs[t], cs[t])
         ys = hs[1:]
     return ys.transpose(0, 2, 1)
 

@@ -5,6 +5,8 @@ import pytest
 
 from spnpb.autodiff import ShapeError
 from spnpb.model import (
+    LOGVAR_MAX,
+    LOGVAR_MIN,
     ModelConfig,
     ModelParams,
     NormStats,
@@ -230,6 +232,119 @@ def test_vjp_of_one_row_matches_that_row_of_the_whole_stack():
         vjp(d_means, d_variances, row=0)
     with pytest.raises(IndexError):
         vjp(d_means[0], d_variances[0], row=4)
+
+
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def reference_rollout(params, state, s_t, u_batch, p):
+    """The closed loop as plain math: rows as rows, unfolded weights, separate bias adds.
+
+    Returns (means, variances, vjp) like rollout_vjp, with vjp(d_means,
+    d_variances) a hand-written reverse of all K rows.
+    """
+    cfg = params.config
+    n_s, n_u = cfg.n_s, cfg.n_u
+    K, n_seq, _ = u_batch.shape
+    s = np.tile(s_t, (K, 1))
+    h1, c1, h2, c2 = (np.tile(v, (K, 1)) for v in (state.h1, state.c1, state.h2, state.c2))
+    tape, means, variances = [], [], []
+    for t in range(n_seq):
+        ys_in = [np.concatenate((u_batch[:, t], s, np.tile(p, (K, 1))), axis=1)]
+        for layer in params.dense_in:
+            ys_in.append(np.tanh(ys_in[-1] @ layer.W.T + layer.b))
+        cells = []
+        x = ys_in[-1]
+        for cell, h, c in ((params.lstm1, h1, c1), (params.lstm2, h2, c2)):
+            H = cell.hidden
+            z = x @ cell.Wx.T + h @ cell.Wh.T + cell.b
+            i, f, o = (sigmoid(z[:, k * H:(k + 1) * H]) for k in range(3))
+            g = np.tanh(z[:, 3 * H:])
+            c_new = f * c + i * g
+            cells.append((cell, x, c, i, f, o, g, c_new))
+            x = o * np.tanh(c_new)
+            if cell is params.lstm1:
+                h1, c1 = x, c_new
+            else:
+                h2, c2 = x, c_new
+        ys_out = [x]
+        for layer in params.dense_out[:-1]:
+            ys_out.append(np.tanh(ys_out[-1] @ layer.W.T + layer.b))
+        last = params.dense_out[-1]
+        out = ys_out[-1] @ last.W.T + last.b
+        raw = out[:, n_s:]
+        variance = np.exp(np.clip(raw, LOGVAR_MIN, LOGVAR_MAX))
+        tape.append((ys_in, cells, ys_out, raw, variance))
+        s = out[:, :n_s]
+        means.append(s)
+        variances.append(variance)
+    means, variances = np.stack(means, axis=1), np.stack(variances, axis=1)
+
+    def vjp(d_means, d_variances):
+        d_u = np.zeros(u_batch.shape)
+        d_s = np.zeros((K, n_s))
+        carry = [(np.zeros((K, cell.hidden)),) * 2 for cell in (params.lstm1, params.lstm2)]
+        for t in range(n_seq - 1, -1, -1):
+            ys_in, cells, ys_out, raw, variance = tape[t]
+            kept = (raw >= LOGVAR_MIN) & (raw <= LOGVAR_MAX)
+            g = np.concatenate((d_means[:, t] + d_s, d_variances[:, t] * variance * kept), axis=1)
+            g = g @ params.dense_out[-1].W
+            for layer, y in zip(params.dense_out[-2::-1], ys_out[:0:-1]):
+                g = (g * (1.0 - y * y)) @ layer.W
+            for k in (1, 0):
+                cell, x, c, i, f, o, gg, c_new = cells[k]
+                dh, dc = carry[k]
+                dh = dh + g
+                tc = np.tanh(c_new)
+                dc = dc + dh * o * (1.0 - tc * tc)
+                dz = np.concatenate((dc * gg * i * (1.0 - i), dc * c * f * (1.0 - f),
+                                     dh * tc * o * (1.0 - o), dc * i * (1.0 - gg * gg)), axis=1)
+                carry[k] = (dz @ cell.Wh, dc * f)
+                g = dz @ cell.Wx
+            for layer, y in zip(params.dense_in[::-1], ys_in[:0:-1]):
+                g = (g * (1.0 - y * y)) @ layer.W
+            d_u[:, t] = g[:, :n_u]
+            d_s = g[:, n_u:n_u + n_s]
+        return d_u
+
+    return means, variances, vjp
+
+
+def max_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_seq", [1, 10])
+@pytest.mark.parametrize("K", [1, 3, 10])
+def test_closed_loop_matches_the_plain_math_reference(K, n_seq):
+    # folded weights, rows in columns and the one-pass reverse against the
+    # plain math above, from a non-zero recurrent state, with random biases
+    # and the second logvar clamped at every step
+    rng = np.random.default_rng(300 + 10 * K + n_seq)
+    params = make_params(seed=K + n_seq)
+    for layer in params.dense_in + params.dense_out:
+        layer.b[...] = rng.normal(scale=0.3, size=layer.b.shape)
+    for cell in (params.lstm1, params.lstm2):
+        cell.b[...] = rng.normal(scale=0.3, size=cell.b.shape)
+    params.dense_out[-1].b[3] = 50.0
+    state = RecurrentState(*rng.normal(scale=0.5, size=(4, 10)))
+    s_t, p = rng.normal(size=2), rng.normal(scale=0.5, size=2)
+    u_batch = rng.normal(size=(K, n_seq, 2))
+    want_means, want_variances, want_vjp = reference_rollout(params, state, s_t, u_batch, p)
+    assert np.all(want_variances[..., 1] == np.exp(LOGVAR_MAX))
+
+    batch = rollout_batch(params, state, s_t, u_batch, p)
+    means, variances, vjp = rollout_vjp(params, state, s_t, u_batch, p)
+    for got_means, got_variances in (batch, (means, variances)):
+        assert max_rel(got_means, want_means) <= 1e-12
+        assert max_rel(got_variances, want_variances) <= 1e-12
+    d_means, d_variances = rng.normal(size=(2, K, n_seq, 2))
+    want = want_vjp(d_means, d_variances)
+    assert max_rel(vjp(d_means, d_variances), want) <= 1e-12
+    for row in range(K):
+        one = vjp(d_means[row], d_variances[row], row=row)
+        assert max_rel(one, want[row]) <= 1e-12
 
 
 def test_parametric_bias_changes_the_prediction():

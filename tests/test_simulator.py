@@ -150,3 +150,7 @@ def test_config_validation():
         SimConfig(alpha=1.5, beta=1.0)
     with pytest.raises(ValueError):
         SimConfig(alpha=0.5, beta=-0.1)
+    # NaN passed the sign check; every sample of its trials came out NaN
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta"):
+            SimConfig(alpha=0.5, beta=bad)
