@@ -237,7 +237,7 @@ class _StepLayout:
     def __init__(self, cfg):
         n_u, n_s, n_p = cfg.n_u, cfg.n_s, cfg.n_p
         w = cfg.layer_widths
-        self.H = w[4]  # both LSTMs: ModelConfig's widths are fixed
+        self.H = w[4]  # both LSTMs' width: _HIDDEN_WIDTHS gives them the same
         groups, top = [], 0
         for width in (n_u + n_p + 2 * n_s, w[0], w[1], w[2], w[3] + w[4], w[4] + w[5],
                       w[6], w[7], w[8]):
@@ -300,9 +300,9 @@ class FoldedWeights:
         stack's W.T (the first layer's for [u; p; s]); [Wx2 | Wh1].T,
         which takes [dz2 of a step; dz1 of the next step] to the
         gradient of the step's h1; [W_o0 | Wh2].T, which takes [the first
-        output layer's gate gradient; dz2 of the next step] to that of
-        h2; LSTM1's Wx.T; the second and third output layers' W.T; and
-        the last layer's.
+        output layer's pre-activation gradient; dz2 of the next step] to
+        that of h2; LSTM1's Wx.T; the second and third output layers'
+        W.T; and the last layer's.
         """
         p = self.params
         o0, o1, o2, last = p.dense_out
@@ -448,9 +448,9 @@ def _reverse(weights, acts, variances, d_means, d_variances, rows):
                       dc_dh.reshape(1, -1))
     fac = fac.transpose(1, 2, 0, 3, 4).copy()  # each step's (4, H, R) gate blocks
     dc1, dc2 = np.zeros((2, H, R))
-    # [the first output layer's gate gradient; dz2; dz1], zero before the
-    # last step: to_h2 reads its first two parts before dz2 moves a step
-    # back, to_h1 its last two before dz1 does
+    # [the first output layer's pre-activation gradient; dz2; dz1], zero
+    # before the last step: to_h2 reads its first two parts before dz2 moves
+    # a step back, to_h1 its last two before dz1 does
     n_o0 = len(wo1_t)
     stack = np.zeros((n_o0 + 8 * H, R))
     g_o0, dz1 = stack[:n_o0], stack[n_o0 + 4 * H:]

@@ -399,8 +399,8 @@ def test_optimize_runs_one_forward_per_scored_stack_and_one_reverse_per_round(mo
 
 
 def test_a_tick_folds_the_weights_once_in_optimize_and_once_in_the_live_forward(monkeypatch):
-    # a fold costs about as much as a one-step forward: folding for every
-    # rollout would cost 8 folds a tick
+    # folding in every rollout and reverse would make 8 folds a tick, each
+    # about a third of the live one-step forward
     folds = []
     fold = model.FoldedWeights.__init__
 
@@ -441,11 +441,11 @@ def test_a_weight_changed_in_place_between_ticks_is_used_by_the_next_tick():
     built = Controller(changed, cfg, np.zeros(2))
     kept = Controller(make_params(seed=9), cfg, np.zeros(2))
     ctls = (in_place, built, kept)
-    commands = [[c.step(*ticks[0])] for c in ctls]
+    commands = [[ctl.step(*ticks[0])] for ctl in ctls]
     in_place.params.lstm1.Wh[...] = changed.lstm1.Wh
     for tick in ticks[1:]:
-        for c, cmds in zip(ctls, commands):
-            cmds.append(c.step(*tick))
+        for ctl, cmds in zip(ctls, commands):
+            cmds.append(ctl.step(*tick))
     a, b, c = (np.array(cmds) for cmds in commands)
     assert a.tobytes() == b.tobytes()
     assert a[0].tobytes() == c[0].tobytes() and a.tobytes() != c.tobytes()

@@ -11,10 +11,10 @@ from spnpb.layers import (
     dense_stack_forward,
     dense_stack_reverse,
     glorot_uniform,
+    lstm_fold,
     lstm_gate_factors,
     lstm_pair_forward,
     lstm_pair_reverse,
-    lstm_fold,
     lstm_step,
     lstm_step_back,
 )
