@@ -8,7 +8,10 @@ vector p: the whole buffer is replayed teacher-forced from the oldest
 snapshot under the current p, and only p receives the gradient.  The
 network weights are never touched.  The replay is the training NLL
 itself (training.batch_nll with a batch of one), and its hand-written
-reverse yields p's gradient.
+reverse, run without the weight gradients nobody reads, yields p's
+gradient.  The buffer keeps the replay's NllWorkspace while the window
+length holds, so once the window is full a tick allocates no
+activations; buffer_nll, a forward only, takes a fresh one.
 
 The objective is the mean NLL per replayed step, not the sum: the buffer
 grows from n_thre to n_max during an episode, and a sum-based gradient
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .optim import MomentumState, clip_grad_norm, momentum_update
-from .training import batch_nll
+from .training import NllWorkspace, batch_nll
 
 # Momentum amplifies a persistent gradient by 1/(1-momentum), so the cap
 # on a single step must be well under the width of a bias basin (~0.3);
@@ -65,6 +68,7 @@ class AdaptBuffer:
         self.n_thre = n_thre
         self.n_max = n_max
         self._entries = deque()
+        self._workspace = None
 
     def __len__(self):
         return len(self._entries)
@@ -89,6 +93,28 @@ class AdaptBuffer:
         """Recurrent state preceding the oldest retained sample."""
         return self._entries[0][1]
 
+    def replay_workspace(self, config):
+        """The NllWorkspace of a replay of the whole window under config.
+
+        It is kept while the window's length and the config stay the same,
+        which at capacity is every tick, and replaced otherwise, so the
+        buffer holds at most one.
+        """
+        ws = self._workspace
+        if ws is None or (ws.config, ws.T) != (config, len(self)):
+            self._workspace = None  # let the old one go before allocating
+            ws = self._workspace = NllWorkspace(config, 1, len(self))
+        return ws
+
+    def release_workspace(self):
+        """Let the kept replay workspace go; the next adapt_step allocates a new one.
+
+        An episode runner calls it when its ticks are done: a caller may keep
+        the buffer afterwards (for buffer_nll, say), and the workspace is the
+        larger part of it.
+        """
+        self._workspace = None
+
     def states(self):
         return np.array([e[0].s for e in self._entries])
 
@@ -96,12 +122,12 @@ class AdaptBuffer:
         return np.array([e[0].u for e in self._entries])
 
 
-def _replay(params, p, buffer):
+def _replay(params, p, buffer, workspace=None):
     """batch_nll of the buffered window as one sequence from its snapshot."""
     states_n = params.stats.normalize_state(buffer.states())
     commands_n = params.stats.normalize_command(buffer.commands())
     return batch_nll(params, np.asarray(p, dtype=np.float64)[None], states_n[None],
-                     commands_n[None], init_state=buffer.snapshot)
+                     commands_n[None], init_state=buffer.snapshot, workspace=workspace)
 
 
 def buffer_nll(params, p, buffer):
@@ -112,8 +138,9 @@ def buffer_nll(params, p, buffer):
 def adapt_step(params, buffer, live):
     """One online update of the live bias vector; weights stay frozen.
 
-    Replays the entire buffer teacher-forced from the stored snapshot,
-    takes the gradient with respect to p only, and applies one momentum
+    Replays the entire buffer teacher-forced from the stored snapshot in
+    the buffer's kept workspace, takes the gradient with respect to p only
+    (the reverse skips every weight gradient), and applies one momentum
     step.  A non-finite gradient raises NonFiniteGradientError before the
     step, leaving p and its momentum untouched.  Returns the updated
     LivePB.
@@ -121,8 +148,8 @@ def adapt_step(params, buffer, live):
     if not buffer.update_ready():
         raise NotReadyError(
             f"buffer holds {len(buffer)} samples, threshold is {buffer.n_thre}")
-    _, reverse = _replay(params, live.p, buffer)
-    _, d_p = reverse(1.0 / (len(buffer) - 1))  # the gradient of the mean NLL
+    _, reverse = _replay(params, live.p, buffer, buffer.replay_workspace(params.config))
+    _, d_p = reverse(1.0 / (len(buffer) - 1), weights=False)  # the gradient of the mean NLL
     grad = clip_grad_norm([d_p[0]], GRAD_CLIP)
     momentum_update([live.p], grad, live.momentum)
     return live

@@ -15,9 +15,10 @@ is always a row of a scored stack: the closed-form gradient of the loss
 model's hand-written reverse pass, with no forward of its own.  A
 default tick (3 rounds of 10 step sizes) thus runs 4 batched forwards and
 3 one-row reverses, plus the one-step forward that advances the live
-state.  optimize folds the model's weights once (model.FoldedWeights)
-for all its forwards and reverses; the live forward folds its own.
-Nothing folded outlives the call, since weights change in place.
+state.  Controller.step folds the model's weights once a tick
+(model.FoldedWeights) for the live forward and all of optimize's
+forwards and reverses.  Nothing folded outlives the tick, since weights
+change in place.
 
 The loss is
     ||s_ref - s_pred||_2  +  c_variance * V  +  c_orig * ||u_orig - u||_2
@@ -209,7 +210,7 @@ def line_search_minimize(value_fn, grad_fn, u0, gammas, n_epoch, clamp=None):
     return u_cur, loss_cur, aux_cur, initial_loss
 
 
-def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config):
+def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config, weights=None):
     """Improve the warm-started plan; never returns a loss above the start.
 
     Each round computes one gradient of the loss with respect to the whole
@@ -218,6 +219,9 @@ def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config):
     (candidates clamped to the command bounds) in one batched rollout.
     The incumbent plan competes implicitly; ties keep the smallest step.
     A gradient asked at a plan no stack scored raises ControllerError.
+    weights is FoldedWeights(params) from a caller that folded them
+    already; without it the call folds its own, once for every forward and
+    reverse it runs.
     """
     s_ref_seq = np.asarray(s_ref_seq, dtype=np.float64)
     u_orig_seq = np.asarray(u_orig_seq, dtype=np.float64)
@@ -229,7 +233,8 @@ def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config):
     lo = (config.command_low - params.stats.mean_u) / params.stats.std_u
     hi = (config.command_high - params.stats.mean_u) / params.stats.std_u
 
-    weights = FoldedWeights(params)  # one fold for every forward and reverse of this call
+    if weights is None:
+        weights = FoldedWeights(params)
     scored = []  # (u_stack, means, variances, vjp) of every stack scored this tick
 
     def value_fn(u_stack):
@@ -290,16 +295,18 @@ class Controller:
                 raise ValueError(f"controller {name} holds a non-finite value")
         stats = self.params.stats
         s_n = stats.normalize_state(s_raw)
+        weights = FoldedWeights(self.params)  # one fold for the live forward and optimize
         if self._prev_pair is not None:
             prev_s, prev_u = self._prev_pair
-            _, self.state = forward(self.params, self.state, prev_s, prev_u, self.p)
+            _, self.state = forward(self.params, self.state, prev_s, prev_u, self.p,
+                                    weights=weights)
         s_ref_n = stats.normalize_state(s_ref_seq_raw)
         if u_orig_seq_raw is None:
             u_orig_seq_raw = s_ref_seq_raw
         u_orig_n = stats.normalize_command(u_orig_seq_raw)
         try:
             plan = optimize(self.params, self.p, self.state, s_n,
-                            s_ref_n, u_orig_n, self.plan, self.config)
+                            s_ref_n, u_orig_n, self.plan, self.config, weights=weights)
         except ControllerError as err:
             self.last_error = err
             u_raw = np.zeros(self.params.config.n_u)

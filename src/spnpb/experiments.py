@@ -14,7 +14,7 @@ from .adaptation import AdaptBuffer, LivePB, adapt_step
 from .control import Controller
 from .csvio import write_csv
 from .dataset import TimedSample
-from .model import RecurrentState, forward
+from .model import FoldedWeights, RecurrentState, forward
 from .simulator import SimState, random_walk_command, sim_step
 
 
@@ -40,7 +40,8 @@ def run_adaptation_episode(params, sim_config, n_ticks, seed, live=None,
     under the current bias; the state before each advance is snapshotted
     into the buffer.  Once the buffer passes its threshold, every tick
     takes one adaptation step.  The bias starts at zero unless a LivePB
-    is supplied.
+    is supplied.  The weights never change during the episode, so they
+    are folded once for every live forward.
     """
     _check_ticks(n_ticks)
     if live is None:
@@ -50,19 +51,21 @@ def run_adaptation_episode(params, sim_config, n_ticks, seed, live=None,
     state = SimState(0.0, 0.0)
     cmd = np.zeros(2)
     track = RecurrentState.zeros(params.config.layer_widths[4])
+    weights = FoldedWeights(params)
     episode = AdaptationEpisode()
     for tick in range(n_ticks):
         cmd = random_walk_command(cmd, rng)
         sample = TimedSample(s=state.as_array(), u=cmd.copy(), tick=tick)
         snapshot = track
         s_n, u_n = params.stats.normalize_state(sample.s), params.stats.normalize_command(sample.u)
-        _, track = forward(params, track, s_n, u_n, live.p)
+        _, track = forward(params, track, s_n, u_n, live.p, weights=weights)
         buffer.push(sample, snapshot)
         updated = buffer.update_ready()
         if updated:
             live = adapt_step(params, buffer, live)
         episode.ticks.append((tick, live.p.copy(), len(buffer), updated))
         state = sim_step(state, cmd, sim_config, rng)
+    buffer.release_workspace()
     episode.final_p = live.p.copy()
     if out_path is not None:
         write_csv(out_path, "adaptation_trajectory", episode.rows())
@@ -139,6 +142,8 @@ def run_control_episode(params, sim_config, control_config, seed,
         episode.sigma_trans.append(float(sigma_raw[0]))
         episode.tracking_err.append(float(np.linalg.norm(s_raw - ref_now)))
         state = sim_step(state, u_raw, sim_config, rng)
+    if adapt_online:
+        buffer.release_workspace()
     if out_path is not None:
         write_csv(out_path, "control_episode", episode.rows)
     return episode

@@ -11,10 +11,14 @@ LSTM1's step k and LSTM2's step k - 1, so a sequence of T steps takes
 T + 1 step calls instead of 2T.  The model's closed loop cannot skew
 (LSTM2's step t feeds LSTM1's step t + 1 through the fed-back mean) and
 steps each cell on its own, with one product of the cell's lstm_fold
-over its stacked input [x; h_prev; 1] per step.  Both share the gate
-core lstm_step, which takes a step's finished pre-activation, and the
-reverse step lstm_step_back (with lstm_gate_factors), which leaves the
-weight products to its caller; there is no second gate implementation.
+over its stacked input [x; h_prev; 1] per step.  The closed loop runs
+the gate core lstm_step, which takes a step's finished pre-activation,
+and the reverse step lstm_step_back (with lstm_gate_factors), which
+leaves the weight products to its caller.  The pair's loops spell the
+same ufunc calls out, in the same order, on step views that
+LstmPairBuffers builds once, so a step makes no call, slice or
+temporary beyond its arithmetic: at B = 1 that overhead was about a
+third of the pair's time.  lstm_gate_factors is shared by both.
 """
 
 from __future__ import annotations
@@ -116,14 +120,15 @@ def dense_stack_forward(layers, x, ys):
     return x
 
 
-def dense_stack_reverse(layers, x, ys, d_ys, dx=None):
+def dense_stack_reverse(layers, x, ys, d_ys, dx=None, weights=True):
     """Reverse of dense_stack_forward over the same x and ys.
 
     d_ys[-1] holds the gradient of the top output on entry.  On return
     d_ys[k] holds the gradient of layer k's pre-activation, and dx, when
     given, the gradient of x.  The ys are overwritten with the tanh
     derivative, so one forward allows one reverse.  Returns the (dW, db)
-    of each layer, in forward order.
+    of each layer, in forward order, or None with weights False, which
+    skips them.
     """
     grads = []
     for k in range(len(layers) - 1, -1, -1):
@@ -131,11 +136,12 @@ def dense_stack_reverse(layers, x, ys, d_ys, dx=None):
         np.multiply(y, y, out=y)
         np.subtract(1.0, y, out=y)
         d *= y
-        grads.append((d.T @ (ys[k - 1] if k else x), d.sum(axis=0)))
+        if weights:
+            grads.append((d.T @ (ys[k - 1] if k else x), d.sum(axis=0)))
         target = d_ys[k - 1] if k else dx
         if target is not None:
             np.matmul(d, layers[k].W, out=target)
-    return grads[::-1]
+    return grads[::-1] if weights else None
 
 
 # per gate block (input, forget, output, candidate): the sigmoid gates' halving
@@ -229,7 +235,10 @@ class LstmPairBuffers:
     t*B + b is step t of sequence b); per packed step the helpers work on
     (·, B) columns.  The packed weights are gate-major (4, H, ·) blocks
     whose LSTM1 rows come first in each gate; the blocks that no cell
-    fills stay zero.
+    fills stay zero.  The views each packed step reads and writes are
+    built here, once, for every call the buffers serve: train keeps one
+    workspace per length bucket and the adaptation replay one per window
+    length.
     """
 
     def __init__(self, steps, B, n_in, H1, H2):
@@ -251,6 +260,34 @@ class LstmPairBuffers:
         self.dh = np.empty((H, B))
         self.dc = np.empty((H, B))
         self.dz1 = np.empty((4, H1, steps * B))
+        self.zw = np.empty((4 * H, B))      # a forward step's recurrent product
+        self.dc_in = np.empty((H, B))       # a reverse step's dh * dc_dh
+        gates, fac, dz = (a.reshape(T, 4, H, B) for a in (self.acts, self.fac, self.dz))
+        # per packed step: pre-activation, h_prev, the sigmoid block, i, f, o,
+        # g, c_prev, h, c and tanh(c)
+        self.steps = list(zip(self.acts, self.hs[:-1], self.acts[:, :3 * H],
+                              *gates.swapaxes(0, 1), self.cs[:-1], self.hs[1:], self.cs[1:],
+                              self.tcs))
+        # last step first: gh, fac, its output-gate block, dc_dh, f, dz (as
+        # gate blocks), dz's output-gate block and dz as one (4H, B) block
+        self.back_steps = list(zip(self.gh, fac, fac[:, 2], self.dc_dh, gates[:, 1], dz,
+                                   dz[:, 2], self.dz))[::-1]
+
+
+def _pair_steps(w, zw, steps):
+    """lstm_step's arithmetic, after the recurrent product, over prebuilt step views."""
+    dot, add, multiply, tanh = np.dot, np.add, np.multiply, np.tanh
+    for z, h_prev, sig, i, f, o, g, c_prev, h, c, tc in steps:
+        dot(w, h_prev, out=zw)
+        add(z, zw, out=z)
+        tanh(z, out=z)
+        multiply(sig, 0.5, out=sig)
+        add(sig, 0.5, out=sig)
+        multiply(f, c_prev, out=c)
+        multiply(i, g, out=tc)
+        add(c, tc, out=c)
+        tanh(c, out=tc)
+        multiply(o, tc, out=h)
 
 
 def lstm_pair_forward(cell1, cell2, x, starts, buf):
@@ -266,8 +303,10 @@ def lstm_pair_forward(cell1, cell2, x, starts, buf):
     Two halves are phantoms: LSTM2's at k = 0, whose state is reset to
     LSTM2's start after the step, and LSTM1's at k = steps, which runs on
     a zero input and feeds nothing.  The weights are packed on every call
-    and LSTM1's input projection of all steps is one batched matmul.
-    Returns LSTM2's (steps*B, H2) outputs, time-major like x.
+    and LSTM1's input projection of all steps is one batched matmul.  The
+    step loop runs lstm_step's arithmetic on buf's prebuilt step views,
+    with no temporaries.  Returns LSTM2's (steps*B, H2) outputs,
+    time-major like x.
     """
     T, H4, B = buf.acts.shape
     H, H1, steps = H4 // 4, buf.H1, T - 1
@@ -278,7 +317,7 @@ def lstm_pair_forward(cell1, cell2, x, starts, buf):
             f"lstm pair of {steps} steps x {B} rows takes ({steps * B}, {cell1.n_in}) input "
             f"into hidden sizes ({H1}, {H2}), got {x.shape} for cells "
             f"{cell1.n_in}->{cell1.hidden} and {cell2.n_in}->{cell2.hidden}")
-    hs, cs, tcs, acts = buf.hs, buf.cs, buf.tcs, buf.acts
+    hs, cs, acts = buf.hs, buf.cs, buf.acts
     for v, h0 in zip(starts, (hs[0, :H1], cs[0, :H1], hs[0, H1:], cs[0, H1:])):
         v = np.asarray(v, dtype=np.float64)
         width = len(h0)
@@ -299,44 +338,55 @@ def lstm_pair_forward(cell1, cell2, x, starts, buf):
               out=acts[:steps])
     acts[steps] = 0.0  # LSTM1's phantom input; LSTM2's rows take no input projection
     acts += buf.b.reshape(H4, 1)
-    w, gates = buf.w_half.reshape(H4, H), acts.reshape(T, 4, H, B)
-    for k in range(T):
-        acts[k] += np.dot(w, hs[k])
-        lstm_step(gates[k], cs[k], hs[k + 1], cs[k + 1], tcs[k])
-        if k == 0:  # LSTM2's phantom half: its step 0 runs from its start
-            hs[1, H1:] = hs[0, H1:]
-            cs[1, H1:] = cs[0, H1:]
+    w = buf.w_half.reshape(H4, H)
+    _pair_steps(w, buf.zw, buf.steps[:1])
+    # LSTM2's phantom half: its step 0 runs from its start
+    hs[1, H1:] = hs[0, H1:]
+    cs[1, H1:] = cs[0, H1:]
+    _pair_steps(w, buf.zw, buf.steps[1:])
     np.copyto(buf.out.reshape(steps, B, H2), hs[2:, H1:].transpose(0, 2, 1))
     return buf.out
 
 
-def lstm_pair_reverse(cell1, x, buf, gh, dx):
+def lstm_pair_reverse(cell1, x, buf, gh, dx, weights=True):
     """Reverse of lstm_pair_forward over the same x and buf.
 
     gh (steps*B, H2) is the gradient of LSTM2's outputs; the starting
     states get none.  Writes the gradient of x into dx (steps*B, n_in) and
-    returns (dWx1, dWh1, db1, dWx2, dWh2, db2).  The loop makes one packed
-    reverse step per packed forward step and collects every step's gate
-    gradient, so the weight gradients come from one packed (dW, db) and
-    LSTM1's input gradients from one matmul.  LSTM2's phantom half of step
-    0 gets its gate factors zeroed.  LSTM1's phantom half of the last step
-    needs no mask: LSTM1's outputs get no gradient of their own and the
-    carried gradient starts at zero, so its gate gradients are exact zeros.
+    returns (dWx1, dWh1, db1, dWx2, dWh2, db2), or None with weights
+    False, which skips every weight gradient.  The loop makes one packed
+    reverse step per packed forward step, lstm_step_back's arithmetic on
+    buf's prebuilt step views, and collects every step's gate gradient, so
+    the weight gradients come from one packed (dW, db) and LSTM1's input
+    gradients from one matmul.  LSTM2's phantom half of step 0 gets its
+    gate factors zeroed.  LSTM1's phantom half of the last step needs no
+    mask: LSTM1's outputs get no gradient of their own and the carried
+    gradient starts at zero, so its gate gradients are exact zeros.
     """
     T, H4, B = buf.acts.shape
     H, H1, steps = H4 // 4, buf.H1, T - 1
     lstm_gate_factors(buf.acts, buf.cs[:-1], buf.tcs, buf.fac, buf.dc_dh)
     buf.fac.reshape(T, 4, H, B)[0, :, H1:] = 0.0  # LSTM2's phantom half passes nothing
     np.copyto(buf.gh[1:, H1:], gh.reshape(steps, B, H - H1).transpose(0, 2, 1))
-    f = buf.acts[:, H:2 * H]
-    dh, dc, w = buf.dh, buf.dc, buf.w.reshape(H4, H)
-    fac, dz = buf.fac.reshape(T, 4, H, B), buf.dz.reshape(T, 4, H, B)
+    dh, dc, dc_in, w_t = buf.dh, buf.dc, buf.dc_in, buf.w.reshape(H4, H).T
+    dot, add, multiply = np.dot, np.add, np.multiply
     dh.fill(0.0)
     dc.fill(0.0)
-    for k in range(T - 1, -1, -1):
-        dh += buf.gh[k]
-        lstm_step_back(dh, dc, fac[k], buf.dc_dh[k], f[k], dz[k])
-        np.dot(w.T, buf.dz[k], out=dh)
+    for g, fac, fac_o, dc_dh, f, dz, dz_o, dz_flat in buf.back_steps:
+        add(dh, g, out=dh)
+        multiply(dh, dc_dh, out=dc_in)
+        add(dc, dc_in, out=dc)
+        multiply(fac, dc, out=dz)
+        multiply(dh, fac_o, out=dz_o)
+        multiply(dc, f, out=dc)
+        dot(w_t, dz_flat, out=dh)
+    # LSTM1's gate gradients of its real steps, columns time-major
+    np.copyto(buf.dz1.reshape(4, H1, steps, B),
+              buf.dz.reshape(T, 4, H, B)[:steps, :, :H1].transpose(1, 2, 0, 3))
+    dz1 = buf.dz1.reshape(4 * H1, steps * B)
+    np.matmul(dz1.T, cell1.Wx, out=dx)
+    if not weights:
+        return None
     # the factors are spent: dz and the packed steps' input states with
     # time-major columns take their buffers
     dzt, hst = buf.fac.reshape(H4, T * B), buf.dc_dh.reshape(H, T * B)
@@ -344,9 +394,6 @@ def lstm_pair_reverse(cell1, x, buf, gh, dx):
     np.copyto(hst.reshape(H, T, B), buf.hs[:-1].transpose(1, 0, 2))
     dw = (dzt @ hst.T).reshape(4, H, H)
     db = dzt.sum(axis=1).reshape(4, H)
-    np.copyto(buf.dz1, dzt.reshape(4, H, T * B)[:, :H1, :steps * B])
-    dz1 = buf.dz1.reshape(4 * H1, steps * B)  # LSTM1's gate gradients of its real steps
-    np.matmul(dz1.T, cell1.Wx, out=dx)
     return (dz1 @ x, dw[:, :H1, :H1].reshape(-1, H1), db[:, :H1].ravel(),
             dw[:, H1:, :H1].reshape(-1, H1), dw[:, H1:, H1:].reshape(-1, H - H1),
             db[:, H1:].ravel())

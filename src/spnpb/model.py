@@ -22,12 +22,13 @@ block of all its activations, each group of which ends in a constant
 ones row (_StepLayout), so every layer of a step is one np.dot of its
 weights with the bias folded in as a last column, [W | b], and an LSTM
 step is one np.dot of [Wx | Wh | b] over [x; h_prev; 1] plus the gate
-core.  FoldedWeights folds the weights once per call: optimize shares
-one fold between its forwards and reverses.  The reverse takes every
-factor that does not depend on the gradient flowing back (the tanh
-derivatives of all dense layers in one pass over the step blocks, the
-LSTM gate factors, the logvar clamp mask) over the whole horizon at
-once; its step loop keeps only the serial chain.  The teacher-forced NLL
+core.  FoldedWeights folds the weights once per call: a control tick
+shares one fold between its live forward and optimize's forwards and
+reverses.  The reverse takes every factor that does not depend on the
+gradient flowing back (the tanh derivatives of all dense layers in one
+pass over the step blocks, the LSTM gate factors, the logvar clamp mask)
+over the whole horizon at once; its step loop keeps only the serial
+chain.  The teacher-forced NLL
 of training and adaptation (training.batch_nll) has its own forward and
 reverse over the same gate core and LSTM reverse step.
 """
@@ -273,8 +274,9 @@ class FoldedWeights:
     lstms holds each LSTM's [Wx | Wh | b], sigmoid rows halved
     (layers.lstm_fold).  The reverse's unhalved products are folded on
     first use.  Weights change in place (train, check_gradient_integrity),
-    so a fold serves one call and is never kept: optimize folds once for
-    all its forwards and reverses, forward once.
+    so a fold serves one call and is never kept: a control tick folds once
+    for its live forward and all of optimize's forwards and reverses, an
+    adaptation episode once for all its live forwards.
     """
 
     def __init__(self, params):
@@ -491,15 +493,19 @@ def _reverse(weights, acts, variances, d_means, d_variances, rows):
     return d_in[:n_seq, lay.u].transpose(2, 0, 1).copy()
 
 
-def forward(params, state, s, u, p):
+def forward(params, state, s, u, p, weights=None):
     """One prediction step from normalized inputs.
 
     Returns (GaussianPrediction, advanced RecurrentState); the input state
     is not mutated.  This is the one-row, one-step case of the forward
-    loop that rollout_batch runs, and folds the weights for it.
+    loop that rollout_batch runs.  weights is FoldedWeights(params) from a
+    caller that makes several calls on unchanged weights, as in
+    rollout_vjp; without it the call folds its own.
     """
+    if weights is None:
+        weights = FoldedWeights(params)
     means, variances, (h1, c1, h2, c2), _ = _run(
-        FoldedWeights(params), state, s, np.asarray(u, dtype=np.float64)[None, None], p)
+        weights, state, s, np.asarray(u, dtype=np.float64)[None, None], p)
     return (GaussianPrediction(mean=means[0, 0], variance=variances[0, 0]),
             RecurrentState(h1[0], c1[0], h2[0], c2[0]))
 

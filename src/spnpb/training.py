@@ -13,12 +13,13 @@ adaptation replay (a batch of one started from the buffer's snapshot),
 trial_nll and the gradient checks all run it.  It is a plain numpy
 forward through the input dense stack, both LSTMs, the output stack and
 the Gaussian head that returns the loss with its hand-written reverse
-through the same stages.  Teacher forcing lets the two LSTMs run as one
+through the same stages; the adaptation replay runs that reverse for
+the bias gradient alone.  Teacher forcing lets the two LSTMs run as one
 loop: layers.lstm_pair_forward steps them as a single cell of width
 H1 + H2, LSTM2 one step behind LSTM1, so a window of T samples takes T
 packed steps each way instead of 2(T - 1) per-cell ones.  Both work in
 the buffers of an NllWorkspace, which train() allocates once per length
-bucket.
+bucket and the adaptation buffer once per window length.
 """
 
 from __future__ import annotations
@@ -196,11 +197,12 @@ def gaussian_head_forward(last, y, targets, head):
     return 0.5 * (LOG_2PI * head.lv.size + float(head.lv.sum()) + float(head.q.sum()))
 
 
-def gaussian_head_reverse(last, y, head, g, dy):
+def gaussian_head_reverse(last, y, head, g, dy, weights=True):
     """Reverse of gaussian_head_forward for a loss gradient g.
 
     A clamped logvar entry passes no gradient.  Writes the gradient of y
-    into dy and returns the output layer's (dW, db).
+    into dy and returns the output layer's (dW, db), or None with weights
+    False.
     """
     n_s = head.r.shape[1]
     d_mean, d_lv = head.d_out[:, :n_s], head.d_out[:, n_s:]
@@ -210,6 +212,8 @@ def gaussian_head_reverse(last, y, head, g, dy):
     d_lv *= g * 0.5
     d_lv *= head.kept
     np.matmul(head.d_out, last.W, out=dy)
+    if not weights:
+        return None
     return head.d_out.T @ y, head.d_out.sum(axis=0)
 
 
@@ -266,10 +270,14 @@ def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=
     plain numpy.  reverse(g), for a loss gradient g, runs the
     hand-written reverse through the same stages and returns
     (weight_grads, d_p): the weight gradients in
-    ModelParams.weight_arrays() order and d_p (B, n_p).  reverse reads the
-    weights, so call it before they change.  All of it works in
-    workspace, an NllWorkspace for these shapes: train() keeps one per
-    length bucket, and every other caller gets a fresh one per call.
+    ModelParams.weight_arrays() order and d_p (B, n_p).
+    reverse(g, weights=False) skips every weight gradient and returns
+    (None, d_p), the same d_p bit for bit.  reverse reads the weights, so
+    call it before they change.  All of it works in workspace, an
+    NllWorkspace for these shapes: train() keeps one per length bucket,
+    the adaptation replay one per window length (AdaptBuffer), and every
+    other caller gets a fresh one per call.  A forward that raises, and
+    any reverse, release the workspace.
     """
     cfg = params.config
     n_s, n_u = cfg.n_s, cfg.n_u
@@ -290,31 +298,41 @@ def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=
     ws.claim(cfg, B, T)
     steps = T - 1
 
-    x = ws.x.reshape(steps, B, cfg.n_in)
-    x[..., :n_u] = commands_n[:, :steps].transpose(1, 0, 2)
-    x[..., n_u:n_u + n_s] = states_n[:, :steps].transpose(1, 0, 2)
-    x[..., n_u + n_s:] = p_batch
-    ws.targets.reshape(steps, B, n_s)[...] = states_n[:, 1:].transpose(1, 0, 2)
+    try:
+        x = ws.x.reshape(steps, B, cfg.n_in)
+        x[..., :n_u] = commands_n[:, :steps].transpose(1, 0, 2)
+        x[..., n_u:n_u + n_s] = states_n[:, :steps].transpose(1, 0, 2)
+        x[..., n_u + n_s:] = p_batch
+        ws.targets.reshape(steps, B, n_s)[...] = states_n[:, 1:].transpose(1, 0, 2)
 
-    y = dense_stack_forward(params.dense_in, ws.x, ws.dense_in)
-    starts = (init_state.h1, init_state.c1, init_state.h2, init_state.c2)
-    y2 = lstm_pair_forward(params.lstm1, params.lstm2, y, starts, ws.lstms)
-    y = dense_stack_forward(params.dense_out[:-1], y2, ws.dense_out)
-    loss = gaussian_head_forward(params.dense_out[-1], y, ws.targets, ws.head)
+        y = dense_stack_forward(params.dense_in, ws.x, ws.dense_in)
+        starts = (init_state.h1, init_state.c1, init_state.h2, init_state.c2)
+        y2 = lstm_pair_forward(params.lstm1, params.lstm2, y, starts, ws.lstms)
+        y = dense_stack_forward(params.dense_out[:-1], y2, ws.dense_out)
+        loss = gaussian_head_forward(params.dense_out[-1], y, ws.targets, ws.head)
+    except BaseException:
+        ws.pending = False  # no reverse will follow a failed forward
+        raise
 
-    def reverse(g):
+    def reverse(g, weights=True):
         if not ws.pending:
             raise RuntimeError("this forward's workspace was already released")
-        head = gaussian_head_reverse(params.dense_out[-1], y, ws.head, g, ws.d_dense_out[-1])
-        d_out = dense_stack_reverse(params.dense_out[:-1], y2, ws.dense_out, ws.d_dense_out,
-                                    dx=ws.d_lstm2)
-        d_lstms = lstm_pair_reverse(params.lstm1, ws.dense_in[-1], ws.lstms, ws.d_lstm2,
-                                    ws.d_dense_in[-1])
-        d_in = dense_stack_reverse(params.dense_in, ws.x, ws.dense_in, ws.d_dense_in)
-        # only p's columns of the input need a gradient, summed over steps
-        w_p = params.dense_in[0].W[:, n_u + n_s:]
-        d_p = ws.d_dense_in[0].reshape(steps, B, -1).sum(axis=0) @ w_p
-        ws.pending = False
+        try:
+            head = gaussian_head_reverse(params.dense_out[-1], y, ws.head, g,
+                                         ws.d_dense_out[-1], weights)
+            d_out = dense_stack_reverse(params.dense_out[:-1], y2, ws.dense_out,
+                                        ws.d_dense_out, dx=ws.d_lstm2, weights=weights)
+            d_lstms = lstm_pair_reverse(params.lstm1, ws.dense_in[-1], ws.lstms, ws.d_lstm2,
+                                        ws.d_dense_in[-1], weights)
+            d_in = dense_stack_reverse(params.dense_in, ws.x, ws.dense_in, ws.d_dense_in,
+                                       weights=weights)
+            # only p's columns of the input need a gradient, summed over steps
+            w_p = params.dense_in[0].W[:, n_u + n_s:]
+            d_p = ws.d_dense_in[0].reshape(steps, B, -1).sum(axis=0) @ w_p
+        finally:
+            ws.pending = False  # the reverse spends the activations, whether or not it ends
+        if not weights:
+            return None, d_p
         return [*(d for pair in d_in for d in pair), *d_lstms,
                 *(d for pair in d_out for d in pair), *head], d_p
 

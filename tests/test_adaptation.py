@@ -83,6 +83,38 @@ def test_snapshot_tracks_the_oldest_entry():
     assert buf.snapshot is not marker
 
 
+def test_replay_workspace_is_kept_while_the_length_and_config_hold():
+    buf = AdaptBuffer(n_thre=2, n_max=4)
+    fill(buf, 4)
+    cfg = ModelConfig(n_s=2, n_u=2)
+    ws = buf.replay_workspace(cfg)
+    assert (ws.config, ws.B, ws.T) == (cfg, 1, 4)
+    assert buf.replay_workspace(ModelConfig(n_s=2, n_u=2)) is ws  # an equal config
+    fill(buf, 1, start=4)  # evicts one: the length holds
+    assert buf.replay_workspace(cfg) is ws
+    other = buf.replay_workspace(ModelConfig(n_s=2, n_u=2, n_p=3))
+    assert other is not ws and other.config.n_p == 3
+
+    short = AdaptBuffer(n_thre=2, n_max=4)
+    fill(short, 3)
+    assert short.replay_workspace(cfg).T == 3
+    fill(short, 1, start=3)
+    assert short.replay_workspace(cfg).T == 4
+
+
+def test_adapt_step_follows_a_change_of_model_config():
+    # the kept workspace of one config is replaced for another; the step
+    # equals a step on a fresh buffer
+    buf, fresh = AdaptBuffer(n_thre=5, n_max=20), AdaptBuffer(n_thre=5, n_max=20)
+    fill(buf, 12)
+    fill(fresh, 12)
+    adapt_step(make_params(3), buf, LivePB.zeros())
+    cfg = ModelConfig(n_s=2, n_u=2, n_p=3)
+    params = ModelParams.init(cfg, unit_stats(), np.random.default_rng(4))
+    a, b = adapt_step(params, buf, LivePB.zeros(3)), adapt_step(params, fresh, LivePB.zeros(3))
+    assert a.p.tobytes() == b.p.tobytes()
+
+
 def test_adapt_step_requires_a_ready_buffer():
     params = make_params()
     buf = AdaptBuffer(n_thre=10, n_max=50)

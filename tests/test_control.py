@@ -398,33 +398,34 @@ def test_optimize_runs_one_forward_per_scored_stack_and_one_reverse_per_round(mo
     assert calls == {"_run": 1 + cfg.n_epoch, "_reverse": cfg.n_epoch}
 
 
-def test_a_tick_folds_the_weights_once_in_optimize_and_once_in_the_live_forward(monkeypatch):
-    # folding in every rollout and reverse would make 8 folds a tick, each
+def test_a_tick_folds_the_weights_once_for_the_live_forward_and_optimize(monkeypatch):
+    # folding in every rollout and reverse would make 8 folds a tick, and a
+    # fold of its own in the live forward and in optimize 2; each fold is
     # about a third of the live one-step forward
     folds = []
     fold = model.FoldedWeights.__init__
 
     def counted(self, params):
-        folds.append(params)
+        folds.append(self)
         fold(self, params)
 
     monkeypatch.setattr(model.FoldedWeights, "__init__", counted)
-    per_call = {}
-    for name in ("forward", "optimize"):
+    passed = {"forward": [], "optimize": []}
+    for name in passed:
         def watched(*args, _fn=getattr(control, name), _name=name, **kwargs):
-            before = len(folds)
-            try:
-                return _fn(*args, **kwargs)
-            finally:
-                per_call.setdefault(_name, []).append(len(folds) - before)
+            passed[_name].append(kwargs.get("weights"))
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(control, name, watched)
     params = make_params(seed=8)
     ctl = Controller(params, ControlConfig(c_variance=30.0), np.zeros(2))
     rng = np.random.default_rng(8)
     for _ in range(3):
         ctl.step(rng.normal(size=2), rng.normal(size=(10, 2)))
-    assert per_call == {"optimize": [1, 1, 1], "forward": [1, 1]}
-    assert len(folds) == 5 and all(f is params for f in folds)
+    # the first tick has no live forward: no pair was fed before it
+    assert len(folds) == 3 and all(f.params is params for f in folds)
+    assert len(passed["optimize"]) == 3 and len(passed["forward"]) == 2
+    assert all(a is b for a, b in zip(passed["optimize"], folds))
+    assert all(a is b for a, b in zip(passed["forward"], folds[1:]))
 
 
 def test_a_weight_changed_in_place_between_ticks_is_used_by_the_next_tick():
@@ -496,7 +497,7 @@ def test_controller_normalizes_reference_and_original_commands_as_whole_arrays(m
     # whole-array normalization is elementwise, so it matches row by row bit for bit
     seen = []
 
-    def capture(params, p, state, s_t, s_ref_n, u_orig_n, prev_plan, config):
+    def capture(params, p, state, s_t, s_ref_n, u_orig_n, prev_plan, config, weights=None):
         seen.append((s_ref_n, u_orig_n))
         raise ControllerError("captured")
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from spnpb import model, training
+from spnpb.adaptation import GRAD_CLIP, AdaptBuffer, LivePB
 from spnpb.control import ControlConfig
 from spnpb.csvio import read_csv
+from spnpb.dataset import TimedSample
 from spnpb.experiments import (
     prediction_trace,
     ramp_target,
@@ -13,8 +16,10 @@ from spnpb.experiments import (
     run_control_batch,
     run_control_episode,
 )
-from spnpb.model import ModelConfig, ModelParams, NormStats
-from spnpb.simulator import SimConfig
+from spnpb.model import ModelConfig, ModelParams, NormStats, RecurrentState, forward
+from spnpb.optim import clip_grad_norm, momentum_update
+from spnpb.simulator import SimConfig, SimState, random_walk_command, sim_step
+from spnpb.training import batch_nll
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +69,68 @@ def test_adaptation_episode_is_deterministic_and_logs(params, tmp_path):
     assert name == "adaptation_trajectory"
     assert len(rows) == 12
     assert [int(r[0]) for r in rows] == list(range(12))
+
+
+def reference_adaptation_ps(params, sim_config, n_ticks, seed, n_thre=10, n_max=50):
+    """Each tick's bias of run_adaptation_episode, from its parts taken plainly.
+
+    Every live forward folds its own weights, and every update replays the
+    window in a fresh workspace through the full reverse.
+    """
+    stats = params.stats
+    rng = np.random.default_rng(seed)
+    buffer = AdaptBuffer(n_thre=n_thre, n_max=n_max)
+    live = LivePB.zeros(params.config.n_p)
+    state, cmd = SimState(0.0, 0.0), np.zeros(2)
+    track = RecurrentState.zeros(params.config.layer_widths[4])
+    ps = []
+    for tick in range(n_ticks):
+        cmd = random_walk_command(cmd, rng)
+        sample = TimedSample(s=state.as_array(), u=cmd.copy(), tick=tick)
+        snapshot = track
+        _, track = forward(params, track, stats.normalize_state(sample.s),
+                           stats.normalize_command(sample.u), live.p)
+        buffer.push(sample, snapshot)
+        if buffer.update_ready():
+            _, reverse = batch_nll(params, live.p[None],
+                                   stats.normalize_state(buffer.states())[None],
+                                   stats.normalize_command(buffer.commands())[None],
+                                   init_state=buffer.snapshot)
+            weight_grads, d_p = reverse(1.0 / (len(buffer) - 1))
+            assert len(weight_grads) == len(params.weight_arrays())
+            momentum_update([live.p], clip_grad_norm([d_p[0]], GRAD_CLIP), live.momentum)
+        ps.append(live.p.copy())
+        state = sim_step(state, cmd, sim_config, rng)
+    return ps
+
+
+def test_adaptation_episode_matches_the_plain_reference_bitwise(params):
+    # the kept workspace, the bias-only reverse and the episode's one fold
+    # leave every tick's bias as it was, bit for bit
+    sim = SimConfig(alpha=0.6, beta=1.0, seed=21)
+    ep = run_adaptation_episode(params, sim, n_ticks=200, seed=21)
+    want = reference_adaptation_ps(params, sim, 200, 21)
+    assert sum(updated for *_, updated in ep.ticks) == 190
+    assert len(ep.ticks) == len(want)
+    for (_, p, _, _), p_want in zip(ep.ticks, want):
+        assert p.tobytes() == p_want.tobytes()
+
+
+def test_adaptation_episode_folds_once_and_builds_a_workspace_only_when_the_window_grows(
+        params, monkeypatch):
+    folds, built = [], []
+    for cls, log in ((model.FoldedWeights, folds), (training.NllWorkspace, built)):
+        def counted(self, *args, _init=cls.__init__, _log=log):
+            _log.append(args)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    ep = run_adaptation_episode(params, SimConfig(alpha=0.4, beta=0.1, seed=22),
+                                n_ticks=200, seed=22)
+    assert len(folds) == 1
+    lengths = [n for _, _, n, updated in ep.ticks if updated]
+    grown = [n for k, n in enumerate(lengths) if k == 0 or n != lengths[k - 1]]
+    assert grown == list(range(11, 51))  # the window fills, then holds at 50
+    assert [(B, T) for _, B, T in built] == [(1, n) for n in grown]
 
 
 def test_control_episode_logs_and_respects_command_bounds(params, tmp_path):

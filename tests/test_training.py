@@ -547,6 +547,43 @@ def test_workspace_holds_one_pending_record_of_its_own_shape():
                   workspace=NllWorkspace(ModelConfig(n_s=2, n_u=2, n_p=3), 3, 7))
 
 
+def test_a_forward_that_raises_leaves_the_workspace_claimable():
+    # a start state of the wrong width fails inside the forward, after the
+    # claim; a kept workspace must not stay claimed by it
+    params, states_n, commands_n, init, _ = nll_problem(74)
+    workspace = NllWorkspace(params.config, 3, 7)
+    p = np.zeros((3, 2))
+    bad = RecurrentState(np.zeros(7), init.c1, init.h2, init.c2)
+    with pytest.raises(ShapeError):
+        batch_nll(params, p, states_n, commands_n, init_state=bad, workspace=workspace)
+    assert not workspace.pending
+    loss, grads = nll_and_grads(params, p, states_n, commands_n, init, workspace)
+    fresh_loss, fresh = nll_and_grads(params, p, states_n, commands_n, init)
+    assert loss == fresh_loss
+    assert all(np.array_equal(a, b) for a, b in zip(grads, fresh))
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 18])
+@pytest.mark.parametrize("T", [2, 7, 50])
+def test_bias_only_reverse_gives_the_full_reverse_d_p_bitwise(B, T):
+    params, states_n, commands_n, init, rng = nll_problem(75 + B + T, B=B, T=T)
+    for w in params.weight_arrays():
+        w += rng.normal(scale=0.1, size=w.shape)
+    p = rng.normal(scale=0.5, size=(B, 2))
+    for start in (None, init):
+        _, full = batch_nll(params, p, states_n, commands_n, init_state=start)
+        _, d_p_full = full(0.37)
+        workspace = NllWorkspace(params.config, B, T)
+        _, reverse = batch_nll(params, p, states_n, commands_n, init_state=start,
+                               workspace=workspace)
+        w_grads, d_p = reverse(0.37, weights=False)
+        assert w_grads is None
+        assert d_p.shape == (B, 2) and d_p.tobytes() == d_p_full.tobytes()
+        assert not workspace.pending
+        with pytest.raises(RuntimeError):  # released: one forward allows one reverse
+            reverse(0.37, weights=False)
+
+
 def test_batch_nll_rejects_bad_shapes():
     params, states_n, commands_n, _, _ = nll_problem(73)
     p = np.zeros((3, 2))
