@@ -94,6 +94,8 @@ def test_replay_workspace_is_kept_while_the_length_and_config_hold():
     assert buf.replay_workspace(cfg) is ws
     other = buf.replay_workspace(ModelConfig(n_s=2, n_u=2, n_p=3))
     assert other is not ws and other.config.n_p == 3
+    buf.release_workspace()
+    assert buf.replay_workspace(ModelConfig(n_s=2, n_u=2, n_p=3)) is not other
 
     short = AdaptBuffer(n_thre=2, n_max=4)
     fill(short, 3)
