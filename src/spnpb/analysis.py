@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 @dataclass
@@ -61,6 +60,8 @@ def linearly_separable(points_a, points_b):
         np.hstack([points_b, np.ones((len(points_b), 1))]),
     ])
     b_ub = -np.ones(len(points_a) + len(points_b))
+    # imported here, its only use: scipy.optimize costs ≈40 MB and ≈0.4 s to load
+    from scipy.optimize import linprog
     res = linprog(
         c=np.zeros(d + 1), A_ub=a_ub, b_ub=b_ub,
         bounds=[(None, None)] * (d + 1), method="highs",

@@ -35,6 +35,18 @@ def _parse_floats(text):
     return [float(x) for x in str(text).split(",") if x != ""]
 
 
+def _check_out_dir(path):
+    """Fail before any work if a file output's directory is missing.
+
+    The file itself is neither created nor truncated here.
+    """
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write {path}: {parent} does not exist or is not a directory")
+
+
 def _read_config_file(path):
     values = {}
     with open(path) as fh:
@@ -137,6 +149,7 @@ def _build_parser():
 
 
 def _cmd_collect(args):
+    _check_out_dir(args.out)
     alphas = _parse_floats(args.alphas)
     betas = _parse_floats(args.betas)
     configs = [
@@ -151,6 +164,7 @@ def _cmd_collect(args):
 
 
 def _cmd_train(args):
+    _check_out_dir(args.out)
     trials = load_trials(args.data)
     if not trials:
         raise ValueError(f"{args.data} holds no trials")
@@ -172,6 +186,7 @@ def _cmd_train(args):
 
 
 def _cmd_analyze_pb(args):
+    _check_out_dir(args.out)
     params = load_model(args.model)
     if params.pb_table.shape[0] < 2:
         raise ValueError("model holds fewer than two trained bias vectors")
@@ -191,6 +206,7 @@ def _cmd_analyze_pb(args):
 
 
 def _cmd_adapt(args):
+    _check_out_dir(args.out)
     params = load_model(args.model)
     from .adaptation import LivePB
     live = LivePB.zeros(params.config.n_p, lr=args.lr)
@@ -250,6 +266,7 @@ def _cmd_control(args):
 
 
 def _cmd_evaluate(args):
+    _check_out_dir(args.out)
     params = load_model(args.model)
     results = run_standard_checks(params, seed=args.seed)
     lines = [r.line() for r in results]

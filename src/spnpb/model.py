@@ -497,17 +497,19 @@ def forward(params, state, s, u, p, weights=None):
     """One prediction step from normalized inputs.
 
     Returns (GaussianPrediction, advanced RecurrentState); the input state
-    is not mutated.  This is the one-row, one-step case of the forward
-    loop that rollout_batch runs.  weights is FoldedWeights(params) from a
-    caller that makes several calls on unchanged weights, as in
-    rollout_vjp; without it the call folds its own.
+    is not mutated, and the returned state owns its vectors, so keeping it
+    does not keep the call's activations alive.  This is the one-row,
+    one-step case of the forward loop that rollout_batch runs.  weights is
+    FoldedWeights(params) from a caller that makes several calls on
+    unchanged weights, as in rollout_vjp; without it the call folds its
+    own.
     """
     if weights is None:
         weights = FoldedWeights(params)
     means, variances, (h1, c1, h2, c2), _ = _run(
         weights, state, s, np.asarray(u, dtype=np.float64)[None, None], p)
     return (GaussianPrediction(mean=means[0, 0], variance=variances[0, 0]),
-            RecurrentState(h1[0], c1[0], h2[0], c2[0]))
+            RecurrentState(h1[0].copy(), c1[0].copy(), h2[0].copy(), c2[0].copy()))
 
 
 def rollout_batch(params, state, s_t, u_batch, p):

@@ -1,9 +1,15 @@
 """Tests for principal-component projection and cluster checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spnpb
 from spnpb.analysis import (
     cluster_distances,
     linearly_separable,
@@ -125,3 +131,22 @@ def test_nearest_row_rejects_bad_table():
         nearest_row(np.zeros((0, 2)), [0.0, 0.0])
     with pytest.raises(ValueError):
         nearest_row([1.0, 2.0], [0.0])
+
+
+def test_scipy_is_loaded_only_by_the_separability_check():
+    # a fresh interpreter, since this process may already hold scipy
+    script = (
+        "import sys\n"
+        "import spnpb, spnpb.cli, spnpb.experiments, spnpb.training, spnpb.evaluate\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "from spnpb.analysis import linearly_separable\n"
+        "print(linearly_separable([[0.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [2.0, 1.0]]),\n"
+        "      linearly_separable([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]),\n"
+        "      'scipy.optimize' in sys.modules)\n"
+    )
+    src = str(Path(spnpb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.splitlines() == ["[]", "True False True"]

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from spnpb import cli
 from spnpb.cli import main
 from spnpb.csvio import read_csv
 from spnpb.dataset import load_trials, save_trials
@@ -315,3 +316,31 @@ def test_train_on_empty_dataset_exits_2(tmp_path, capsys):
     save_trials([], data)
     assert run(["train", "--data", str(data), "--out", str(tmp_path / "m.json")]) == 2
     assert "holds no trials" in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the work ran before the output directory was checked")
+
+
+def test_train_into_a_missing_directory_exits_2_before_training(tmp_path, monkeypatch,
+                                                                 capsys):
+    # this used to run every epoch and only then fail to open the file
+    data = tmp_path / "d.csv"
+    assert run(["collect", "--out", str(data), "--alphas", "0.5", "--betas", "1.0",
+                "--trials-per-config", "1", "--steps", "12"]) == 0
+    monkeypatch.setattr(cli, "train", _must_not_run)
+    out = tmp_path / "missing" / "m.json"
+    assert run(["train", "--data", str(data), "--out", str(out), "--epochs", "300"]) == 2
+    assert str(tmp_path / "missing") in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_evaluate_into_a_missing_directory_exits_2_before_the_checks(tiny_model, tmp_path,
+                                                                     monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_standard_checks", _must_not_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (tmp_path / "missing" / "report.txt", blocker / "report.txt"):
+        assert run(["evaluate", "--model", tiny_model, "--out", str(out)]) == 2
+        assert str(out.parent) in capsys.readouterr().err
+    assert blocker.read_text() == ""

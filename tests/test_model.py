@@ -107,6 +107,17 @@ def test_forward_does_not_mutate_its_input_state():
     assert np.any(new_state.h1 != 0)
 
 
+def test_forward_returns_a_state_that_owns_its_vectors():
+    # the vectors used to be views into the call's activations, so every kept
+    # state held a whole step block alive
+    params = make_params(seed=3)
+    _, state = forward(params, RecurrentState.zeros(), np.ones(2), np.ones(2), np.zeros(2))
+    for name in ("h1", "c1", "h2", "c2"):
+        vec = getattr(state, name)
+        assert vec.base is None and vec.flags.owndata, name
+        assert vec.shape == (params.lstm1.hidden,)
+
+
 def forward_chain(params, state, s, u_seq, p):
     """Reference closed loop: one forward call per command, mean fed back."""
     means, variances = [], []
