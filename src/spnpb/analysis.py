@@ -44,29 +44,34 @@ def pca_project(points):
 
 
 def linearly_separable(points_a, points_b):
-    """True if a hyperplane strictly separates the two point sets.
+    """True if a line (in 1-D, a threshold) strictly separates two point sets in d <= 2.
 
-    Solved as a feasibility LP: find (w, b) with w.x + b >= 1 on one side
-    and <= -1 on the other (any strict separator can be rescaled to this).
+    The max-margin normal of two separable finite sets in the plane is
+    parallel to the difference of two of the points (closest vertices) or
+    perpendicular to it (a vertex against an edge).  So the sets separate
+    if and only if one of those directions, over all pairs of the pooled
+    points, leaves a strict gap between the two sets' projections.  It
+    costs O(n^3) for n points, which suits a bias table's tens of rows.
+    Points of more than two dimensions raise ValueError.
     """
     points_a = np.asarray(points_a, dtype=np.float64)
     points_b = np.asarray(points_b, dtype=np.float64)
     if len(points_a) == 0 or len(points_b) == 0:
         raise ValueError("both point sets must be non-empty")
-    d = points_a.shape[1]
-    # constraints: -(w.a + b) <= -1  and  (w.b + b) <= -1
-    a_ub = np.vstack([
-        np.hstack([-points_a, -np.ones((len(points_a), 1))]),
-        np.hstack([points_b, np.ones((len(points_b), 1))]),
-    ])
-    b_ub = -np.ones(len(points_a) + len(points_b))
-    # imported here, its only use: scipy.optimize costs ≈40 MB and ≈0.4 s to load
-    from scipy.optimize import linprog
-    res = linprog(
-        c=np.zeros(d + 1), A_ub=a_ub, b_ub=b_ub,
-        bounds=[(None, None)] * (d + 1), method="highs",
-    )
-    return bool(res.success)
+    if points_a.ndim != 2 or points_b.ndim != 2 or points_a.shape[1] != points_b.shape[1] \
+            or points_a.shape[1] > 2:
+        raise ValueError(f"need two sets of points of one dimension d <= 2, got "
+                         f"{points_a.shape} and {points_b.shape}")
+    pooled = np.concatenate([points_a, points_b])
+    turn = np.array([[0.0, 1.0], [-1.0, 0.0]])  # (x, y) -> (-y, x)
+    for point in pooled:
+        # every direction comes with its negation, so one orientation suffices
+        normals = pooled - point
+        if normals.shape[1] == 2:
+            normals = np.concatenate([normals, normals @ turn])
+        if np.any((points_a @ normals.T).max(axis=0) < (points_b @ normals.T).min(axis=0)):
+            return True
+    return False
 
 
 def cluster_distances(points, labels):

@@ -8,13 +8,18 @@ Floats are written with 17 significant digits so a round trip reproduces
 every 64-bit value exactly.  Environment labels live in a JSON sidecar
 manifest mapping trial id to label, since labels themselves may contain
 commas.
+
+In memory a Trial is column-wise: its states, commands and ticks are
+read-only arrays, built once and shared by every reader.  TimedSample,
+one tick's record, is what the online adaptation buffer keeps.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,29 +44,62 @@ class TimedSample:
             raise ValueError(f"sample at tick {self.tick} contains non-finite values")
 
 
-@dataclass
 class Trial:
-    """One recorded run in a single environment."""
+    """One recorded run in a single environment, stored column-wise.
 
-    trial_id: int
-    label: str
-    samples: list = field(default_factory=list)
+    states (T, n_s), commands (T, n_u) and ticks (T,) are built once, at
+    construction, from copies of what the caller passed, and are read-only:
+    every reader shares them.  Trial(trial_id, label, samples) builds them
+    from a list of TimedSample instead.  Non-finite values, rows of
+    unequal count or width and ticks that do not strictly increase raise
+    ValueError.
+    """
 
-    def __post_init__(self):
-        ticks = [s.tick for s in self.samples]
-        if any(b <= a for a, b in zip(ticks, ticks[1:])):
-            raise ValueError(f"trial {self.trial_id}: ticks must be strictly increasing")
+    def __init__(self, trial_id, label, samples=(), *, states=None, commands=None,
+                 ticks=None):
+        if states is None and commands is None and ticks is None:
+            samples = list(samples)
+            states = [s.s for s in samples]
+            commands = [s.u for s in samples]
+            ticks = [s.tick for s in samples]
+        elif samples:
+            raise TypeError("give a trial either samples or its arrays, not both")
+        self.trial_id = trial_id
+        self.label = label
+        self.states = self._column(states, 2, "states")
+        self.commands = self._column(commands, 2, "commands")
+        self.ticks = self._column(ticks, 1, "ticks", dtype=np.int64)
+        if not len(self.states) == len(self.commands) == len(self.ticks):
+            raise ValueError(
+                f"trial {trial_id}: {len(self.states)} states, {len(self.commands)} "
+                f"commands and {len(self.ticks)} ticks")
+        if not (np.all(np.isfinite(self.states)) and np.all(np.isfinite(self.commands))):
+            raise ValueError(f"trial {trial_id} contains non-finite values")
+        if np.any(np.diff(self.ticks) <= 0):
+            raise ValueError(f"trial {trial_id}: ticks must be strictly increasing")
+
+    def _column(self, values, ndim, name, dtype=np.float64):
+        """A read-only copy of values with ndim dimensions (an empty one is (0,) * ndim)."""
+        try:
+            column = np.array(values, dtype=dtype)
+        except ValueError as err:  # rows of unequal width
+            raise ValueError(f"trial {self.trial_id}: {name}: {err}") from None
+        if column.size == 0 and column.ndim < ndim:
+            column = column.reshape((0,) * ndim)
+        if column.ndim != ndim:
+            raise ValueError(f"trial {self.trial_id}: {name} must have {ndim} dimensions, "
+                             f"got shape {column.shape}")
+        column.flags.writeable = False
+        return column
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.ticks)
 
     @property
-    def states(self):
-        return np.array([s.s for s in self.samples])
-
-    @property
-    def commands(self):
-        return np.array([s.u for s in self.samples])
+    def samples(self):
+        """The trial as a list of TimedSample, derived from its arrays."""
+        return [TimedSample(s, u, tick)
+                for s, u, tick in zip(self.states, self.commands, self.ticks.tolist())]
 
 
 def manifest_path_for(data_path):
@@ -74,10 +112,9 @@ def save_trials(trials, data_path, manifest_path=None):
         manifest_path = manifest_path_for(data_path)
     with open(data_path, "w") as fh:
         for trial in trials:
-            for sample in trial.samples:
-                fields = [str(trial.trial_id), str(sample.tick)]
-                fields += [fmt(x) for x in sample.s]
-                fields += [fmt(x) for x in sample.u]
+            rows = zip(trial.ticks.tolist(), trial.states.tolist(), trial.commands.tolist())
+            for tick, s, u in rows:
+                fields = [str(trial.trial_id), str(tick), *map(fmt, s), *map(fmt, u)]
                 fh.write(",".join(fields) + "\n")
     labels = {str(t.trial_id): t.label for t in trials}
     with open(manifest_path, "w") as fh:
@@ -86,7 +123,11 @@ def save_trials(trials, data_path, manifest_path=None):
 
 
 def load_trials(data_path, manifest_path=None, n_s=2, n_u=2):
-    """Read a dataset file back into Trial objects, labels attached."""
+    """Read a dataset file back into Trial objects, labels attached.
+
+    A line of the wrong field count, a field that does not parse or a
+    non-finite value raises ValueError naming the file and line.
+    """
     if manifest_path is None:
         manifest_path = manifest_path_for(data_path)
     labels = {}
@@ -94,7 +135,7 @@ def load_trials(data_path, manifest_path=None, n_s=2, n_u=2):
         with open(manifest_path) as fh:
             doc = json.load(fh)
         labels = doc.get("labels", {})
-    per_trial = {}
+    per_trial = {}  # trial id -> (ticks, rows of s and u)
     width = 2 + n_s + n_u
     with open(data_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -106,18 +147,22 @@ def load_trials(data_path, manifest_path=None, n_s=2, n_u=2):
                 raise ValueError(
                     f"{data_path}:{lineno}: expected {width} fields, got {len(parts)}"
                 )
-            trial_id = int(parts[0])
-            tick = int(parts[1])
-            s = np.array([float(x) for x in parts[2:2 + n_s]])
-            u = np.array([float(x) for x in parts[2 + n_s:]])
-            per_trial.setdefault(trial_id, []).append(TimedSample(s, u, tick))
+            try:
+                trial_id, tick = int(parts[0]), int(parts[1])
+                row = [float(x) for x in parts[2:]]
+            except ValueError as err:
+                raise ValueError(f"{data_path}:{lineno}: {err}") from None
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{data_path}:{lineno}: non-finite value")
+            ticks, rows = per_trial.setdefault(trial_id, ([], []))
+            ticks.append(tick)
+            rows.append(row)
     trials = []
     for trial_id in sorted(per_trial):
-        trials.append(Trial(
-            trial_id=trial_id,
-            label=labels.get(str(trial_id), ""),
-            samples=per_trial[trial_id],
-        ))
+        ticks, rows = per_trial[trial_id]
+        rows = np.array(rows)
+        trials.append(Trial(trial_id, labels.get(str(trial_id), ""),
+                            states=rows[:, :n_s], commands=rows[:, n_s:], ticks=ticks))
     return trials
 
 

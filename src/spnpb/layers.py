@@ -2,23 +2,28 @@
 
 Weights are plain float64 arrays, which the optimizers update in place.
 
-The teacher-forced NLL (training.batch_nll, a forward that returns its
-own reverse) runs its stages through the named forward/reverse pairs here:
+The teacher-forced NLL (training.batch_nll, a forward that returns its own
+reverse) runs its stages through the named forward/reverse pairs here:
 dense_stack_forward/_reverse and lstm_pair_forward/_reverse, which work in
-preallocated, time-major buffers.  The pair stage runs both LSTMs as one
-skewed recurrence: a single cell of width H1 + H2 whose packed step k is
-LSTM1's step k and LSTM2's step k - 1, so a sequence of T steps takes
-T + 1 step calls instead of 2T.  The model's closed loop cannot skew
-(LSTM2's step t feeds LSTM1's step t + 1 through the fed-back mean) and
-steps each cell on its own, with one product of the cell's lstm_fold
-over its stacked input [x; h_prev; 1] per step.  The closed loop runs
-the gate core lstm_step, which takes a step's finished pre-activation,
-and the reverse step lstm_step_back (with lstm_gate_factors), which
-leaves the weight products to its caller.  The pair's loops spell the
-same ufunc calls out, in the same order, on step views that
-LstmPairBuffers builds once, so a step makes no call, slice or
-temporary beyond its arithmetic: at B = 1 that overhead was about a
-third of the pair's time.  lstm_gate_factors is shared by both.
+preallocated, time-major buffers.  A reverse spends its forward's
+activations and stores its own results in them: dense_stack_reverse leaves
+each layer's pre-activation gradient in that layer's activation buffer and
+lstm_pair_reverse LSTM1's gate gradients in the pair's gate activations,
+while the one gradient in flight between two layers or stages lives in a
+single flat scratch, viewed at each width by grad_view.  The pair stage
+runs both LSTMs as one skewed recurrence: a single cell of width H1 + H2
+whose packed step k is LSTM1's step k and LSTM2's step k - 1, so a
+sequence of T steps takes T + 1 step calls instead of 2T.  The model's
+closed loop cannot skew (LSTM2's step t feeds LSTM1's step t + 1 through
+the fed-back mean) and steps each cell on its own, with one product of the
+cell's lstm_fold over its stacked input [x; h_prev; 1] per step.  The
+closed loop runs the gate core lstm_step, which takes a step's finished
+pre-activation, and the reverse step lstm_step_back (with
+lstm_gate_factors), which leaves the weight products to its caller.  The
+pair's loops spell the same ufunc calls out, in the same order, on step
+views that LstmPairBuffers builds once, so a step makes no call, slice or
+temporary beyond its arithmetic: at B = 1 that overhead was about a third
+of the pair's time.  lstm_gate_factors is shared by both.
 """
 
 from __future__ import annotations
@@ -120,27 +125,36 @@ def dense_stack_forward(layers, x, ys):
     return x
 
 
-def dense_stack_reverse(layers, x, ys, d_ys, dx=None, weights=True):
+def grad_view(scratch, n, width):
+    """The leading n * width entries of the flat scratch as a contiguous (n, width) array."""
+    return scratch[:n * width].reshape(n, width)
+
+
+def dense_stack_reverse(layers, x, ys, scratch, dx=True, weights=True):
     """Reverse of dense_stack_forward over the same x and ys.
 
-    d_ys[-1] holds the gradient of the top output on entry.  On return
-    d_ys[k] holds the gradient of layer k's pre-activation, and dx, when
-    given, the gradient of x.  The ys are overwritten with the tanh
-    derivative, so one forward allows one reverse.  Returns the (dW, db)
-    of each layer, in forward order, or None with weights False, which
-    skips them.
+    The gradient in flight between layers lives in the flat scratch,
+    viewed at each width by grad_view: on entry its (n, n_out) view holds
+    the gradient of the top output.  Each layer's pre-activation gradient
+    replaces its activation, ys[k] <- (1 - ys[k]^2) * d, so one forward
+    allows one reverse.  With dx, the gradient of x is left in the
+    scratch's (n, n_in) view; without, its product is skipped.  Returns
+    the (dW, db) of each layer, in forward order, or None with weights
+    False, which skips them.
     """
+    n = len(x)
+    d = grad_view(scratch, n, ys[-1].shape[1])
     grads = []
     for k in range(len(layers) - 1, -1, -1):
-        y, d = ys[k], d_ys[k]
+        y = ys[k]
         np.multiply(y, y, out=y)
         np.subtract(1.0, y, out=y)
-        d *= y
+        y *= d
         if weights:
-            grads.append((d.T @ (ys[k - 1] if k else x), d.sum(axis=0)))
-        target = d_ys[k - 1] if k else dx
-        if target is not None:
-            np.matmul(d, layers[k].W, out=target)
+            grads.append((y.T @ (ys[k - 1] if k else x), y.sum(axis=0)))
+        if k or dx:
+            d = grad_view(scratch, n, layers[k].n_in)
+            np.matmul(y, layers[k].W, out=d)
     return grads[::-1] if weights else None
 
 
@@ -259,7 +273,6 @@ class LstmPairBuffers:
         self.gh = np.zeros((T, H, B))       # only LSTM2's rows of steps 1.. are ever written
         self.dh = np.empty((H, B))
         self.dc = np.empty((H, B))
-        self.dz1 = np.empty((4, H1, steps * B))
         self.zw = np.empty((4 * H, B))      # a forward step's recurrent product
         self.dc_in = np.empty((H, B))       # a reverse step's dh * dc_dh
         gates, fac, dz = (a.reshape(T, 4, H, B) for a in (self.acts, self.fac, self.dz))
@@ -352,7 +365,8 @@ def lstm_pair_reverse(cell1, x, buf, gh, dx, weights=True):
     """Reverse of lstm_pair_forward over the same x and buf.
 
     gh (steps*B, H2) is the gradient of LSTM2's outputs; the starting
-    states get none.  Writes the gradient of x into dx (steps*B, n_in) and
+    states get none.  Writes the gradient of x into dx (steps*B, n_in),
+    which may share gh's memory (gh is read first), and
     returns (dWx1, dWh1, db1, dWx2, dWh2, db2), or None with weights
     False, which skips every weight gradient.  The loop makes one packed
     reverse step per packed forward step, lstm_step_back's arithmetic on
@@ -380,10 +394,12 @@ def lstm_pair_reverse(cell1, x, buf, gh, dx, weights=True):
         multiply(dh, fac_o, out=dz_o)
         multiply(dc, f, out=dc)
         dot(w_t, dz_flat, out=dh)
-    # LSTM1's gate gradients of its real steps, columns time-major
-    np.copyto(buf.dz1.reshape(4, H1, steps, B),
+    # LSTM1's gate gradients of its real steps, columns time-major, into
+    # the activations, which the loop has spent
+    dz1 = buf.acts.reshape(-1)[:4 * H1 * steps * B]
+    np.copyto(dz1.reshape(4, H1, steps, B),
               buf.dz.reshape(T, 4, H, B)[:steps, :, :H1].transpose(1, 2, 0, 3))
-    dz1 = buf.dz1.reshape(4 * H1, steps * B)
+    dz1 = dz1.reshape(4 * H1, steps * B)
     np.matmul(dz1.T, cell1.Wx, out=dx)
     if not weights:
         return None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TimedSample, Trial
+from .dataset import Trial
 
 COMMAND_MIN = -3.0
 COMMAND_MAX = 3.0
@@ -85,14 +85,17 @@ def random_walk_command(prev, rng):
 
 def run_random_walk_trial(config, steps, rng, trial_id=0):
     """One trial from rest: command random-walk, record (s_t, u_t) per tick."""
+    states = np.empty((steps, 2))
+    commands = np.empty((steps, 2))
     state = SimState(0.0, 0.0)
     cmd = np.zeros(2)
-    samples = []
     for tick in range(steps):
         cmd = random_walk_command(cmd, rng)
-        samples.append(TimedSample(s=state.as_array(), u=cmd.copy(), tick=tick))
+        states[tick] = state.w_trans, state.w_rot
+        commands[tick] = cmd
         state = sim_step(state, cmd, config, rng)
-    return Trial(trial_id=trial_id, label=config.label, samples=samples)
+    return Trial(trial_id, config.label, states=states, commands=commands,
+                 ticks=np.arange(steps))
 
 
 def collect_trials(configs, steps_per_trial=200, trials_per_config=1):

@@ -39,6 +39,7 @@ from .layers import (
     dense_affine,
     dense_stack_forward,
     dense_stack_reverse,
+    grad_view,
     lstm_pair_forward,
     lstm_pair_reverse,
 )
@@ -223,7 +224,9 @@ class NllWorkspace:
     Rows are time-major: row t*B + b is step t of sequence b.  A workspace
     serves one pending forward at a time: a forward claims it, and its
     reverse releases it, so a second forward before that reverse raises
-    instead of overwriting activations still needed.
+    instead of overwriting activations still needed.  The reverse keeps
+    its gradients in the activations it has spent (see layers) and in
+    grad, one flat scratch for the gradient in flight between stages.
     """
 
     def __init__(self, config, B, T):
@@ -236,12 +239,10 @@ class NllWorkspace:
         self.x = np.empty((n, config.n_in))
         self.targets = np.empty((n, config.n_s))
         self.dense_in = [np.empty((n, k)) for k in w[:4]]
-        self.d_dense_in = [np.empty((n, k)) for k in w[:4]]
         self.lstms = LstmPairBuffers(steps, B, w[3], w[4], w[5])
-        self.d_lstm2 = np.empty((n, w[5]))
         self.dense_out = [np.empty((n, k)) for k in w[6:9]]
-        self.d_dense_out = [np.empty((n, k)) for k in w[6:9]]
         self.head = GaussianHeadBuffers(n, config.n_s)
+        self.grad = np.empty(n * max(w))  # the reverse's gradient in flight (grad_view)
         self.pending = False
 
     def claim(self, config, B, T):
@@ -297,6 +298,7 @@ def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=
     ws = NllWorkspace(cfg, B, T) if workspace is None else workspace
     ws.claim(cfg, B, T)
     steps = T - 1
+    n = steps * B
 
     try:
         x = ws.x.reshape(steps, B, cfg.n_in)
@@ -319,16 +321,19 @@ def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=
             raise RuntimeError("this forward's workspace was already released")
         try:
             head = gaussian_head_reverse(params.dense_out[-1], y, ws.head, g,
-                                         ws.d_dense_out[-1], weights)
-            d_out = dense_stack_reverse(params.dense_out[:-1], y2, ws.dense_out,
-                                        ws.d_dense_out, dx=ws.d_lstm2, weights=weights)
-            d_lstms = lstm_pair_reverse(params.lstm1, ws.dense_in[-1], ws.lstms, ws.d_lstm2,
-                                        ws.d_dense_in[-1], weights)
-            d_in = dense_stack_reverse(params.dense_in, ws.x, ws.dense_in, ws.d_dense_in,
-                                       weights=weights)
-            # only p's columns of the input need a gradient, summed over steps
+                                         grad_view(ws.grad, n, y.shape[1]), weights)
+            d_out = dense_stack_reverse(params.dense_out[:-1], y2, ws.dense_out, ws.grad,
+                                        weights=weights)
+            d_lstms = lstm_pair_reverse(params.lstm1, ws.dense_in[-1], ws.lstms,
+                                        grad_view(ws.grad, n, y2.shape[1]),
+                                        grad_view(ws.grad, n, ws.dense_in[-1].shape[1]),
+                                        weights)
+            d_in = dense_stack_reverse(params.dense_in, ws.x, ws.dense_in, ws.grad,
+                                       dx=False, weights=weights)
+            # only p's columns of the input need a gradient, summed over steps;
+            # the first layer's pre-activation gradient is left in its activations
             w_p = params.dense_in[0].W[:, n_u + n_s:]
-            d_p = ws.d_dense_in[0].reshape(steps, B, -1).sum(axis=0) @ w_p
+            d_p = ws.dense_in[0].reshape(steps, B, -1).sum(axis=0) @ w_p
         finally:
             ws.pending = False  # the reverse spends the activations, whether or not it ends
         if not weights:

@@ -133,20 +133,27 @@ def test_nearest_row_rejects_bad_table():
         nearest_row([1.0, 2.0], [0.0])
 
 
-def test_scipy_is_loaded_only_by_the_separability_check():
-    # a fresh interpreter, since this process may already hold scipy
+def test_separability_rejects_more_than_two_dimensions():
+    with pytest.raises(ValueError):
+        linearly_separable([[0.0, 0.0, 0.0]], [[1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError):  # sets of different dimension
+        linearly_separable([[0.0, 0.0]], [[1.0]])
+
+
+def test_scipy_is_never_loaded():
+    # a fresh interpreter, since this process may already hold scipy; the
+    # package is numpy-only, the separability check included
     script = (
         "import sys\n"
         "import spnpb, spnpb.cli, spnpb.experiments, spnpb.training, spnpb.evaluate\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "from spnpb.analysis import linearly_separable\n"
         "print(linearly_separable([[0.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [2.0, 1.0]]),\n"
-        "      linearly_separable([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]),\n"
-        "      'scipy.optimize' in sys.modules)\n"
+        "      linearly_separable([[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(spnpb.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env=env, check=True)
-    assert out.stdout.splitlines() == ["[]", "True False True"]
+    assert out.stdout.splitlines() == ["True False", "[]"]

@@ -82,6 +82,59 @@ def test_sample_rejects_non_finite_values():
         TimedSample(np.zeros(2), np.array([np.inf, 0.0]), 1)
 
 
+def test_trial_arrays_are_read_only():
+    trial = make_trial(0, "x")
+    for column in (trial.states, trial.commands, trial.ticks):
+        with pytest.raises(ValueError):
+            column[0] = 1
+    assert [s.tick for s in trial.samples] == list(range(5))
+
+
+def test_trial_keeps_its_own_copy_of_the_arrays():
+    states = np.zeros((3, 2))
+    trial = Trial(0, "", states=states, commands=np.zeros((3, 2)), ticks=[0, 1, 2])
+    states[0, 0] = 5.0
+    assert trial.states[0, 0] == 0.0
+    assert states.flags.writeable
+
+
+def columns(n=4, **override):
+    rng = np.random.default_rng(1)
+    arrays = dict(states=rng.normal(size=(n, 2)), commands=rng.normal(size=(n, 2)),
+                  ticks=np.arange(n))
+    arrays.update(override)
+    return arrays
+
+
+@pytest.mark.parametrize("bad", [
+    columns(states=np.array([[0.0, 0.0], [np.nan, 0.0], [0.0, 0.0], [0.0, 0.0]])),
+    columns(commands=np.array([[0.0, 0.0], [0.0, 0.0], [0.0, -np.inf], [0.0, 0.0]])),
+    columns(states=np.zeros((3, 2))),       # one state short
+    columns(ticks=np.arange(5)),            # one tick too many
+    columns(commands=np.zeros(4)),          # commands without a width
+    columns(ticks=[0, 1, 1, 2]),            # a repeated tick
+    columns(ticks=[0, 2, 1, 3]),            # a tick going back
+], ids=["nan-state", "inf-command", "short-states", "long-ticks", "flat-commands",
+        "repeated-tick", "decreasing-tick"])
+def test_columnar_trial_rejects(bad):
+    with pytest.raises(ValueError):
+        Trial(0, "", **bad)
+
+
+def test_trial_rejects_samples_of_unequal_width():
+    samples = [TimedSample(np.zeros(2), np.zeros(2), 0),
+               TimedSample(np.zeros(3), np.zeros(2), 1)]
+    with pytest.raises(ValueError):
+        Trial(0, "", samples)
+
+
+def test_load_names_the_line_of_a_non_finite_field(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("0,0,1.0,2.0,3.0,4.0\n0,1,1.0,nan,3.0,4.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv:2\b"):
+        load_trials(str(path))
+
+
 def test_load_rejects_wrong_field_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,0,1.0,2.0,3.0\n")

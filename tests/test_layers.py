@@ -11,6 +11,7 @@ from spnpb.layers import (
     dense_stack_forward,
     dense_stack_reverse,
     glorot_uniform,
+    grad_view,
     lstm_fold,
     lstm_gate_factors,
     lstm_pair_forward,
@@ -59,10 +60,13 @@ def test_dense_stack_gradients_match_finite_differences(seed):
 
     ys = [np.empty((6, w)) for w in widths[1:]]
     dense_stack_forward(layers, x, ys)
-    d_ys = [np.empty((6, w)) for w in widths[1:]]
-    d_ys[-1][...] = weight
-    dx = np.empty((6, 3))
-    grads = dense_stack_reverse(layers, x, ys, d_ys, dx=dx)
+    scratch = np.empty(6 * max(widths))
+    grad_view(scratch, 6, 2)[...] = weight
+    grads = dense_stack_reverse(layers, x, ys, scratch)
+    dx = grad_view(scratch, 6, 3)
+    # the ys now hold the pre-activation gradients, whose row sums are the bias gradients
+    for y, (_, db) in zip(ys, grads):
+        assert np.array_equal(y.sum(axis=0), db)
 
     pairs = [(x, dx)] + [(layer.W, dw) for layer, (dw, _) in zip(layers, grads)]
     pairs += [(layer.b, db) for layer, (_, db) in zip(layers, grads)]

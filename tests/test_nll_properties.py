@@ -20,6 +20,7 @@ from spnpb.layers import (
     LstmPairBuffers,
     dense_stack_forward,
     dense_stack_reverse,
+    grad_view,
     lstm_pair_forward,
     lstm_pair_reverse,
 )
@@ -81,13 +82,15 @@ def test_dense_stack(n, widths, seed):
     d_out = rng.normal(size=(n, widths[-1]))
 
     def run(rows):
-        ys = [np.empty((len(x[rows]), k)) for k in widths[1:]]
+        k = len(x[rows])
+        ys = [np.empty((k, w)) for w in widths[1:]]
         loss = float(np.sum(d_out[rows] * dense_stack_forward(layers, x[rows], ys)))
-        d_ys = [np.empty_like(y) for y in ys]
-        d_ys[-1][...] = d_out[rows]
-        dx = np.empty_like(x[rows])
-        grads = dense_stack_reverse(layers, x[rows], ys, d_ys, dx=dx)
-        return loss, [g for pair in grads for g in pair], [dx]
+        scratch = np.empty(k * max(widths))
+        grad_view(scratch, k, widths[-1])[...] = d_out[rows]
+        grads = dense_stack_reverse(layers, x[rows], ys, scratch)
+        # the ys now hold the pre-activation gradients, whose row sums are the bias gradients
+        assert all(np.array_equal(y.sum(axis=0), db) for y, (_, db) in zip(ys, grads))
+        return loss, [g for pair in grads for g in pair], [grad_view(scratch, k, widths[0])]
 
     batch = run(slice(None))
     assert_sums_rows(batch, [run(slice(b, b + 1)) for b in range(n)])

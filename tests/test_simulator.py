@@ -154,3 +154,22 @@ def test_config_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="beta"):
             SimConfig(alpha=0.5, beta=bad)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.1, 1.0])
+def test_trial_equals_a_per_tick_reference_bitwise(beta):
+    # the columnar trial against one command and one step per tick, as the
+    # simulator's own functions run them
+    config = SimConfig(alpha=0.5, beta=beta, seed=4)
+    trial = run_random_walk_trial(config, 60, np.random.default_rng(9), trial_id=2)
+    rng = np.random.default_rng(9)
+    state, cmd, states, commands = SimState(0.0, 0.0), np.zeros(2), [], []
+    for _ in range(60):
+        cmd = random_walk_command(cmd, rng)
+        states.append(state.as_array())
+        commands.append(cmd)
+        state = sim_step(state, cmd, config, rng)
+    assert (trial.trial_id, trial.label) == (2, config.label)
+    assert trial.states.tobytes() == np.array(states).tobytes()
+    assert trial.commands.tobytes() == np.array(commands).tobytes()
+    assert trial.ticks.tolist() == list(range(60))

@@ -524,6 +524,17 @@ def test_reused_workspace_matches_fresh_bitwise():
             assert np.array_equal(a, b)
 
 
+def test_workspace_footprint_on_the_standard_grid():
+    # 18 trials of 200 steps: the reverse keeps its gradients in the spent
+    # activations and one flat scratch, not in a gradient buffer per layer
+    ws = NllWorkspace(ModelConfig(2, 2), 18, 200)
+    owners = (ws, ws.head, ws.lstms)
+    arrays = [a for owner in owners for v in vars(owner).values()
+              for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray)]
+    assert all(a.base is None for a in arrays)  # no view counted twice
+    assert sum(a.nbytes for a in arrays) <= 16.5 * 2**20
+
+
 def test_workspace_holds_one_pending_record_of_its_own_shape():
     params, states_n, commands_n, init, _ = nll_problem(72)
     workspace = NllWorkspace(params.config, 3, 7)
