@@ -1,12 +1,12 @@
 """Online environment adaptation of the bias vector.
 
-While deployed, incoming (state, command) samples accumulate in a rolling
-buffer together with a snapshot of the recurrent state taken just before
-each sample was consumed.  Once the buffer holds more than n_thre
-samples, every new tick triggers one momentum-SGD step on the live bias
-vector p: the whole buffer is replayed teacher-forced from the oldest
-snapshot under the current p, and only p receives the gradient.  The
-network weights are never touched.  The replay is the training NLL
+While deployed, each tick's measured state and command accumulate in a
+rolling window together with a snapshot of the recurrent state taken
+just before the tick was consumed.  Once the window holds more than
+n_thre ticks, every new tick triggers one momentum-SGD step on the live
+bias vector p: the whole window is replayed teacher-forced from the
+oldest snapshot under the current p, and only p receives the gradient.
+The network weights are never touched.  The replay is the training NLL
 itself (training.batch_nll with a batch of one), and its hand-written
 reverse, run without the weight gradients nobody reads, yields p's
 gradient.  The buffer keeps the replay's NllWorkspace while the window
@@ -23,7 +23,7 @@ depend on how many steps have already been taken.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,9 @@ from .training import NllWorkspace, batch_nll
 # on the saturation plateau beyond (replay NLL 7 nats above the minimum).
 GRAD_CLIP = 1.0
 
+# The live bias's momentum-SGD step size.
+LR = 0.05
+
 
 class NotReadyError(RuntimeError):
     """adapt_step was called before the buffer reached its threshold."""
@@ -46,20 +49,20 @@ class LivePB:
     """The bias vector being adapted, with its optimizer state."""
 
     p: np.ndarray
-    momentum: MomentumState = field(default_factory=lambda: MomentumState(lr=0.05, momentum=0.9))
+    momentum: MomentumState
 
     @classmethod
-    def zeros(cls, n_p=2, lr=0.05, momentum=0.9):
+    def zeros(cls, n_p=2, lr=LR, momentum=0.9):
         return cls(p=np.zeros(n_p), momentum=MomentumState(lr=lr, momentum=momentum))
 
 
 class AdaptBuffer:
-    """Rolling window of samples with per-sample recurrent-state snapshots.
+    """Rolling window of the last n_max ticks with their recurrent-state snapshots.
 
-    Each entry pairs a TimedSample with the RecurrentState from just
-    before that sample was fed to the network, so after any number of
-    evictions the oldest entry's snapshot is exactly the state the replay
-    must start from.
+    Each tick's state, command and the RecurrentState from just before
+    that tick was fed to the network sit at the same position of three
+    windows that evict together, so after any number of evictions the
+    oldest snapshot is exactly the state the replay must start from.
     """
 
     def __init__(self, n_thre=10, n_max=50):
@@ -67,31 +70,41 @@ class AdaptBuffer:
             raise ValueError("need 1 <= n_thre <= n_max")
         self.n_thre = n_thre
         self.n_max = n_max
-        self._entries = deque()
+        self._states = deque(maxlen=n_max)
+        self._commands = deque(maxlen=n_max)
+        self._snapshots = deque(maxlen=n_max)
+        self._last_tick = None
         self._workspace = None
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._snapshots)
 
-    def push(self, sample, state_before):
-        """Append a sample; evicts the oldest when over capacity."""
-        if self._entries and sample.tick <= self._entries[-1][0].tick:
+    def push(self, s, u, tick, state_before):
+        """Append copies of one tick's s and u; evicts the oldest tick when full.
+
+        A non-finite value or a tick not after the last one raises
+        ValueError and leaves the buffer as it was.
+        """
+        s = np.array(s, dtype=np.float64)
+        u = np.array(u, dtype=np.float64)
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(u))):
+            raise ValueError(f"tick {tick} contains non-finite values")
+        if self._last_tick is not None and tick <= self._last_tick:
             raise ValueError(
-                f"tick {sample.tick} is not after the last buffered tick "
-                f"{self._entries[-1][0].tick}"
-            )
-        self._entries.append((sample, state_before))
-        if len(self._entries) > self.n_max:
-            self._entries.popleft()
+                f"tick {tick} is not after the last buffered tick {self._last_tick}")
+        self._states.append(s)
+        self._commands.append(u)
+        self._snapshots.append(state_before)
+        self._last_tick = tick
 
     def update_ready(self):
         """True once the buffer has grown past the start threshold."""
-        return len(self._entries) > self.n_thre
+        return len(self) > self.n_thre
 
     @property
     def snapshot(self):
-        """Recurrent state preceding the oldest retained sample."""
-        return self._entries[0][1]
+        """Recurrent state preceding the oldest retained tick."""
+        return self._snapshots[0]
 
     def replay_workspace(self, config):
         """The NllWorkspace of a replay of the whole window under config.
@@ -116,10 +129,10 @@ class AdaptBuffer:
         self._workspace = None
 
     def states(self):
-        return np.array([e[0].s for e in self._entries])
+        return np.array(self._states)
 
     def commands(self):
-        return np.array([e[0].u for e in self._entries])
+        return np.array(self._commands)
 
 
 def _replay(params, p, buffer, workspace=None):
@@ -147,7 +160,7 @@ def adapt_step(params, buffer, live):
     """
     if not buffer.update_ready():
         raise NotReadyError(
-            f"buffer holds {len(buffer)} samples, threshold is {buffer.n_thre}")
+            f"buffer holds {len(buffer)} ticks, threshold is {buffer.n_thre}")
     _, reverse = _replay(params, live.p, buffer, buffer.replay_workspace(params.config))
     _, d_p = reverse(1.0 / (len(buffer) - 1), weights=False)  # the gradient of the mean NLL
     grad = clip_grad_norm([d_p[0]], GRAD_CLIP)

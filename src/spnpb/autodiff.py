@@ -6,7 +6,7 @@ rollout with its reverse.  No general tape remains.
 
 Var and Tape survive only for perfbench/spnpb_bench.py, whose heldout_nll
 still calls training.batch_nll_node(params, Var(p), ..., Tape()) and reads
-.value.  ROADMAP item 3's benchmark-only change deletes both, together
+.value.  ROADMAP item 5's benchmark-only change deletes both, together
 with that adapter.
 """
 

@@ -19,15 +19,16 @@ import sys
 import numpy as np
 
 from . import __version__
+from .adaptation import LR as ADAPT_LR, LivePB
 from .analysis import nearest_row, pca_project
-from .control import ControlConfig
+from .control import VARIANCE_MODES, ControlConfig
 from .csvio import write_csv
 from .dataset import load_trials, save_trials
 from .evaluate import run_standard_checks
 from .experiments import run_adaptation_episode, run_control_batch, run_control_episode
 from .model import ModelConfig, load_model, save_model
 from .optim import NonFiniteGradientError
-from .simulator import SimConfig, collect_trials
+from .simulator import SimConfig, collect_trials, default_grid
 from .training import TrainConfig, TrainingDivergedError, train
 
 
@@ -103,15 +104,15 @@ def _build_parser():
     common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--lr-weights", type=float, default=1e-3)
-    p.add_argument("--lr-pb", type=float, default=1e-3)
-    p.add_argument("--lr-decay", type=float, default=1.0,
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr-weights", type=float, default=TrainConfig.lr_weights)
+    p.add_argument("--lr-pb", type=float, default=TrainConfig.lr_pb)
+    p.add_argument("--lr-decay", type=float, default=TrainConfig.lr_decay,
                    help="final-epoch weight-lr multiplier (1.0 = constant)")
-    p.add_argument("--lr-decay-pb", type=float, default=1.0,
+    p.add_argument("--lr-decay-pb", type=float, default=TrainConfig.lr_decay_pb,
                    help="final-epoch bias-lr multiplier (1.0 = constant)")
-    p.add_argument("--grad-clip", type=float, default=10.0)
-    p.add_argument("--n-p", type=int, default=2, help="bias vector dimension")
+    p.add_argument("--grad-clip", type=float, default=TrainConfig.grad_clip)
+    p.add_argument("--n-p", type=int, default=ModelConfig.n_p, help="bias vector dimension")
     p.add_argument("--log-every", type=int, default=25)
 
     p = sub.add_parser("analyze-pb", help="project trained bias vectors by PCA")
@@ -125,7 +126,7 @@ def _build_parser():
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--ticks", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.05)
+    p.add_argument("--lr", type=float, default=ADAPT_LR)
     p.add_argument("--out", help="trajectory CSV to write")
 
     p = sub.add_parser("control", help="run closed-loop control episodes")
@@ -133,9 +134,9 @@ def _build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--c-variance", type=float, default=0.0)
-    p.add_argument("--c-orig", type=float, default=0.0)
-    p.add_argument("--variance-mode", default="absolute", choices=("absolute", "per_state"))
+    p.add_argument("--c-variance", type=float, default=ControlConfig.c_variance)
+    p.add_argument("--c-orig", type=float, default=ControlConfig.c_orig)
+    p.add_argument("--variance-mode", default=ControlConfig.variance_mode, choices=VARIANCE_MODES)
     p.add_argument("--ticks", type=int, default=40)
     p.add_argument("--seeds", type=int, default=1, help="number of seeds, starting at --seed")
     p.add_argument("--adapt", action="store_true", help="adapt the bias online instead of using the trained one")
@@ -150,12 +151,8 @@ def _build_parser():
 
 def _cmd_collect(args):
     _check_out_dir(args.out)
-    alphas = _parse_floats(args.alphas)
-    betas = _parse_floats(args.betas)
-    configs = [
-        SimConfig(alpha=a, beta=b, seed=args.seed + i)
-        for i, (a, b) in enumerate((a, b) for a in alphas for b in betas)
-    ]
+    configs = default_grid(_parse_floats(args.alphas), _parse_floats(args.betas),
+                           base_seed=args.seed)
     trials = collect_trials(configs, steps_per_trial=args.steps,
                             trials_per_config=args.trials_per_config)
     save_trials(trials, args.out)
@@ -208,7 +205,6 @@ def _cmd_analyze_pb(args):
 def _cmd_adapt(args):
     _check_out_dir(args.out)
     params = load_model(args.model)
-    from .adaptation import LivePB
     live = LivePB.zeros(params.config.n_p, lr=args.lr)
     episode = run_adaptation_episode(
         params, SimConfig(alpha=args.alpha, beta=args.beta, seed=args.seed),
@@ -230,7 +226,7 @@ def _cmd_control(args):
         c_variance=args.c_variance, c_orig=args.c_orig,
         variance_mode=args.variance_mode)
     sim_config = SimConfig(alpha=args.alpha, beta=args.beta, seed=args.seed)
-    label = f"alpha={args.alpha},beta={args.beta}"
+    label = sim_config.label
     p = None
     if not args.adapt:
         try:

@@ -10,8 +10,8 @@ manifest mapping trial id to label, since labels themselves may contain
 commas.
 
 In memory a Trial is column-wise: its states, commands and ticks are
-read-only arrays, built once and shared by every reader.  TimedSample,
-one tick's record, is what the online adaptation buffer keeps.
+read-only arrays, built once and shared by every reader.  A run of ticks
+has no other in-memory form.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,41 +28,16 @@ def fmt(x):
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class TimedSample:
-    """Measured state and commanded target at one tick."""
-
-    s: np.ndarray
-    u: np.ndarray
-    tick: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=np.float64))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=np.float64))
-        if not (np.all(np.isfinite(self.s)) and np.all(np.isfinite(self.u))):
-            raise ValueError(f"sample at tick {self.tick} contains non-finite values")
-
-
 class Trial:
     """One recorded run in a single environment, stored column-wise.
 
     states (T, n_s), commands (T, n_u) and ticks (T,) are built once, at
     construction, from copies of what the caller passed, and are read-only:
-    every reader shares them.  Trial(trial_id, label, samples) builds them
-    from a list of TimedSample instead.  Non-finite values, rows of
-    unequal count or width and ticks that do not strictly increase raise
-    ValueError.
+    every reader shares them.  Non-finite values, rows of unequal count or
+    width and ticks that do not strictly increase raise ValueError.
     """
 
-    def __init__(self, trial_id, label, samples=(), *, states=None, commands=None,
-                 ticks=None):
-        if states is None and commands is None and ticks is None:
-            samples = list(samples)
-            states = [s.s for s in samples]
-            commands = [s.u for s in samples]
-            ticks = [s.tick for s in samples]
-        elif samples:
-            raise TypeError("give a trial either samples or its arrays, not both")
+    def __init__(self, trial_id, label, states, commands, ticks):
         self.trial_id = trial_id
         self.label = label
         self.states = self._column(states, 2, "states")
@@ -94,12 +68,6 @@ class Trial:
 
     def __len__(self):
         return len(self.ticks)
-
-    @property
-    def samples(self):
-        """The trial as a list of TimedSample, derived from its arrays."""
-        return [TimedSample(s, u, tick)
-                for s, u, tick in zip(self.states, self.commands, self.ticks.tolist())]
 
 
 def manifest_path_for(data_path):

@@ -13,7 +13,6 @@ import numpy as np
 from .adaptation import AdaptBuffer, LivePB, adapt_step
 from .control import Controller
 from .csvio import write_csv
-from .dataset import TimedSample
 from .model import FoldedWeights, RecurrentState, forward
 from .simulator import SimState, random_walk_command, sim_step
 
@@ -55,11 +54,11 @@ def run_adaptation_episode(params, sim_config, n_ticks, seed, live=None,
     episode = AdaptationEpisode()
     for tick in range(n_ticks):
         cmd = random_walk_command(cmd, rng)
-        sample = TimedSample(s=state.as_array(), u=cmd.copy(), tick=tick)
+        s_raw = state.as_array()
         snapshot = track
-        s_n, u_n = params.stats.normalize_state(sample.s), params.stats.normalize_command(sample.u)
+        s_n, u_n = params.stats.normalize_state(s_raw), params.stats.normalize_command(cmd)
         _, track = forward(params, track, s_n, u_n, live.p, weights=weights)
-        buffer.push(sample, snapshot)
+        buffer.push(s_raw, cmd, tick, snapshot)
         updated = buffer.update_ready()
         if updated:
             live = adapt_step(params, buffer, live)
@@ -125,7 +124,7 @@ def run_control_episode(params, sim_config, control_config, seed,
         snapshot = controller.state
         u_raw = controller.step(s_raw, ref_seq)
         if adapt_online:
-            buffer.push(TimedSample(s=s_raw, u=u_raw.copy(), tick=tick), snapshot)
+            buffer.push(s_raw, u_raw, tick, snapshot)
             if buffer.update_ready():
                 live = adapt_step(params, buffer, live)
         plan = controller.plan
@@ -177,8 +176,10 @@ def run_control_batch(params, sim_config, control_config, seeds,
 
 def prediction_trace(params, sim_config, p, n_ticks, seed, out_path=None):
     """Teacher-forced prediction run: drive the sim, feed measured pairs,
-    record predicted mean and sigma (raw units) at every tick."""
+    record predicted mean and sigma (raw units) at every tick.  The weights
+    are folded once for the whole trace."""
     rng = np.random.default_rng(seed)
+    weights = FoldedWeights(params)
     state = SimState(0.0, 0.0)
     cmd = np.zeros(2)
     track = RecurrentState.zeros(params.config.layer_widths[4])
@@ -188,7 +189,7 @@ def prediction_trace(params, sim_config, p, n_ticks, seed, out_path=None):
         s_raw = state.as_array()
         s_n = params.stats.normalize_state(s_raw)
         u_n = params.stats.normalize_command(cmd)
-        pred, track = forward(params, track, s_n, u_n, p)
+        pred, track = forward(params, track, s_n, u_n, p, weights=weights)
         mean_raw = params.stats.denormalize_state(pred.mean)
         sigma_raw = params.stats.denormalize_state_sigma(np.sqrt(pred.variance))
         rows.append((tick, s_raw[0], s_raw[1], cmd[0], cmd[1],

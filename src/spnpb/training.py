@@ -347,7 +347,7 @@ def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=
 def batch_nll_node(params, p_batch, states_n, commands_n, tape, init_state=None):
     """batch_nll's loss for perfbench/spnpb_bench.py's heldout_nll, its one caller.
 
-    ROADMAP item 3's benchmark-only change deletes it with autodiff.Var and Tape.
+    ROADMAP item 5's benchmark-only change deletes it with autodiff.Var and Tape.
     """
     return Var(batch_nll(params, p_batch.value, states_n, commands_n, init_state)[0])
 

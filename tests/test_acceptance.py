@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spnpb.dataset import TimedSample, Trial, load_trials, save_trials
+from spnpb.dataset import Trial, load_trials, save_trials
 from spnpb.evaluate import (
     check_gradient_integrity,
     check_heteroscedasticity,
@@ -78,11 +78,8 @@ def test_2_nll_oracle():
     stats = NormStats(np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
     params = ModelParams.init(ModelConfig(n_s=2, n_u=2), stats, rng)
     T = 20
-    samples = [
-        TimedSample(s=rng.normal(size=2), u=rng.normal(size=2), tick=t)
-        for t in range(T)
-    ]
-    trial = Trial(trial_id=0, label="oracle", samples=samples)
+    states, commands = zip(*[(rng.normal(size=2), rng.normal(size=2)) for _ in range(T)])
+    trial = Trial(0, "oracle", states=states, commands=commands, ticks=range(T))
     p = rng.normal(scale=0.5, size=2)
     total = trial_nll(params, p, trial, stats)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spnpb.adaptation import GRAD_CLIP, AdaptBuffer, LivePB, NotReadyError, adapt_step, buffer_nll
-from spnpb.dataset import TimedSample
 from spnpb.evaluate import NLL_FD_STEP, finite_diff, rel_err
 from spnpb.optim import NonFiniteGradientError
 from spnpb.model import ModelConfig, ModelParams, NormStats, RecurrentState, forward
@@ -21,13 +20,14 @@ def make_params(seed=0):
 
 
 def sample(tick, seed=None):
+    """One tick's (s, u, tick), the arguments push takes before the snapshot."""
     rng = np.random.default_rng(tick if seed is None else seed)
-    return TimedSample(rng.normal(size=2), rng.normal(size=2), tick)
+    return rng.normal(size=2), rng.normal(size=2), tick
 
 
 def fill(buffer, n, start=0):
     for t in range(start, start + n):
-        buffer.push(sample(t), RecurrentState.zeros())
+        buffer.push(*sample(t), RecurrentState.zeros())
 
 
 def weight_hash(params):
@@ -41,10 +41,10 @@ def test_update_ready_is_strictly_above_threshold():
     buf = AdaptBuffer(n_thre=10, n_max=50)
     fill(buf, 9)
     assert not buf.update_ready()
-    buf.push(sample(9), RecurrentState.zeros())
+    buf.push(*sample(9), RecurrentState.zeros())
     assert len(buf) == 10
     assert not buf.update_ready()
-    buf.push(sample(10), RecurrentState.zeros())
+    buf.push(*sample(10), RecurrentState.zeros())
     assert buf.update_ready()
 
 
@@ -53,17 +53,38 @@ def test_buffer_evicts_oldest_at_capacity():
     fill(buf, 51)
     assert len(buf) == 50
     # oldest surviving entry is the second push (tick 1)
-    np.testing.assert_array_equal(buf.states()[0], sample(1).s)
-    np.testing.assert_array_equal(buf.states()[-1], sample(50).s)
+    np.testing.assert_array_equal(buf.states()[0], sample(1)[0])
+    np.testing.assert_array_equal(buf.states()[-1], sample(50)[0])
 
 
 def test_buffer_rejects_nonmonotone_ticks():
     buf = AdaptBuffer()
-    buf.push(sample(5), RecurrentState.zeros())
+    buf.push(*sample(5), RecurrentState.zeros())
     with pytest.raises(ValueError):
-        buf.push(sample(5), RecurrentState.zeros())
+        buf.push(*sample(5), RecurrentState.zeros())
     with pytest.raises(ValueError):
-        buf.push(sample(3), RecurrentState.zeros())
+        buf.push(*sample(3), RecurrentState.zeros())
+
+
+def test_buffer_push_rejects_non_finite_values():
+    buf = AdaptBuffer()
+    buf.push(*sample(0), RecurrentState.zeros())
+    with pytest.raises(ValueError):
+        buf.push(np.array([np.nan, 0.0]), np.zeros(2), 1, RecurrentState.zeros())
+    with pytest.raises(ValueError):
+        buf.push(np.zeros(2), np.array([np.inf, 0.0]), 2, RecurrentState.zeros())
+    assert len(buf) == 1
+    buf.push(*sample(1), RecurrentState.zeros())  # the rejected ticks left no trace
+    np.testing.assert_array_equal(buf.states(), [sample(0)[0], sample(1)[0]])
+
+
+def test_buffer_push_keeps_its_own_copies():
+    s, u, tick = sample(0)
+    buf = AdaptBuffer()
+    buf.push(s, u, tick, RecurrentState.zeros())
+    s[0] = u[0] = 99.0
+    np.testing.assert_array_equal(buf.states()[0], sample(0)[0])
+    np.testing.assert_array_equal(buf.commands()[0], sample(0)[1])
 
 
 def test_buffer_validates_thresholds():
@@ -76,10 +97,10 @@ def test_buffer_validates_thresholds():
 def test_snapshot_tracks_the_oldest_entry():
     buf = AdaptBuffer(n_thre=2, n_max=3)
     marker = RecurrentState(np.full(10, 7.0), np.zeros(10), np.zeros(10), np.zeros(10))
-    buf.push(sample(0), marker)
+    buf.push(*sample(0), marker)
     fill(buf, 2, start=1)
     assert buf.snapshot is marker
-    buf.push(sample(3), RecurrentState.zeros())  # evicts tick 0
+    buf.push(*sample(3), RecurrentState.zeros())  # evicts tick 0
     assert buf.snapshot is not marker
 
 
@@ -164,7 +185,7 @@ def test_buffer_nll_matches_replay_from_snapshot():
     snap = RecurrentState(
         np.full(10, 0.1), np.full(10, -0.2), np.zeros(10), np.full(10, 0.05)
     )
-    buf.push(sample(0), snap)
+    buf.push(*sample(0), snap)
     fill(buf, 5, start=1)
 
     p = np.array([0.3, -0.1])

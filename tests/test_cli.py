@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -7,10 +8,13 @@ import numpy as np
 import pytest
 
 from spnpb import cli
+from spnpb.adaptation import LivePB
 from spnpb.cli import main
+from spnpb.control import VARIANCE_MODES, ControlConfig
 from spnpb.csvio import read_csv
 from spnpb.dataset import load_trials, save_trials
-from spnpb.model import load_model, save_model
+from spnpb.model import ModelConfig, load_model, save_model
+from spnpb.training import TrainConfig
 
 
 def run(argv):
@@ -204,6 +208,25 @@ def test_control_without_matching_bias_requires_adapt_flag(tmp_path):
     cfg.write_text("adapt = false\n")
     assert run(["control", "--config", str(cfg), "--model", str(model),
                 "--alpha", "0.9", "--beta", "0.9", "--ticks", "1"]) == 2
+
+
+def test_parser_defaults_are_the_package_defaults():
+    _, commands = cli._build_parser()
+
+    def flags(command):
+        return {a.dest: a for a in commands[command]._actions}
+
+    def field_defaults(cls):
+        return {f.name: f.default for f in dataclasses.fields(cls)}
+
+    train, control = flags("train"), flags("control")
+    for name in ("epochs", "lr_weights", "lr_pb", "lr_decay", "lr_decay_pb", "grad_clip"):
+        assert train[name].default == field_defaults(TrainConfig)[name], name
+    assert train["n_p"].default == field_defaults(ModelConfig)["n_p"]
+    for name in ("c_variance", "c_orig", "variance_mode"):
+        assert control[name].default == field_defaults(ControlConfig)[name], name
+    assert tuple(control["variance_mode"].choices) == VARIANCE_MODES
+    assert flags("adapt")["lr"].default == LivePB.zeros().momentum.lr
 
 
 def test_version_flag():

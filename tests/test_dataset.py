@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from spnpb.dataset import (
-    TimedSample,
     Trial,
     fmt,
     load_trials,
@@ -14,11 +13,8 @@ from spnpb.dataset import (
 
 def make_trial(trial_id, label, n=5, seed=0):
     rng = np.random.default_rng(seed)
-    samples = [
-        TimedSample(s=rng.normal(size=2), u=rng.normal(size=2), tick=t)
-        for t in range(n)
-    ]
-    return Trial(trial_id=trial_id, label=label, samples=samples)
+    states, commands = zip(*[(rng.normal(size=2), rng.normal(size=2)) for _ in range(n)])
+    return Trial(trial_id, label, states=states, commands=commands, ticks=range(n))
 
 
 def test_fmt_round_trips_awkward_floats():
@@ -38,7 +34,7 @@ def test_save_load_round_trip_is_exact(tmp_path):
     for orig, back in zip(trials, loaded):
         assert np.array_equal(orig.states, back.states)
         assert np.array_equal(orig.commands, back.commands)
-        assert [s.tick for s in orig.samples] == [s.tick for s in back.samples]
+        assert np.array_equal(orig.ticks, back.ticks)
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -69,17 +65,8 @@ def test_missing_manifest_leaves_labels_empty(tmp_path):
 
 
 def test_trial_rejects_nonmonotone_ticks():
-    s = TimedSample(np.zeros(2), np.zeros(2), 0)
-    s2 = TimedSample(np.zeros(2), np.zeros(2), 0)
     with pytest.raises(ValueError):
-        Trial(trial_id=0, label="", samples=[s, s2])
-
-
-def test_sample_rejects_non_finite_values():
-    with pytest.raises(ValueError):
-        TimedSample(np.array([np.nan, 0.0]), np.zeros(2), 0)
-    with pytest.raises(ValueError):
-        TimedSample(np.zeros(2), np.array([np.inf, 0.0]), 1)
+        Trial(0, "", states=np.zeros((2, 2)), commands=np.zeros((2, 2)), ticks=[0, 0])
 
 
 def test_trial_arrays_are_read_only():
@@ -87,7 +74,7 @@ def test_trial_arrays_are_read_only():
     for column in (trial.states, trial.commands, trial.ticks):
         with pytest.raises(ValueError):
             column[0] = 1
-    assert [s.tick for s in trial.samples] == list(range(5))
+    assert trial.ticks.tolist() == list(range(5))
 
 
 def test_trial_keeps_its_own_copy_of_the_arrays():
@@ -114,18 +101,12 @@ def columns(n=4, **override):
     columns(commands=np.zeros(4)),          # commands without a width
     columns(ticks=[0, 1, 1, 2]),            # a repeated tick
     columns(ticks=[0, 2, 1, 3]),            # a tick going back
+    columns(states=[np.zeros(2), np.zeros(3)] * 2),  # rows of unequal width
 ], ids=["nan-state", "inf-command", "short-states", "long-ticks", "flat-commands",
-        "repeated-tick", "decreasing-tick"])
+        "repeated-tick", "decreasing-tick", "ragged-states"])
 def test_columnar_trial_rejects(bad):
     with pytest.raises(ValueError):
         Trial(0, "", **bad)
-
-
-def test_trial_rejects_samples_of_unequal_width():
-    samples = [TimedSample(np.zeros(2), np.zeros(2), 0),
-               TimedSample(np.zeros(3), np.zeros(2), 1)]
-    with pytest.raises(ValueError):
-        Trial(0, "", samples)
 
 
 def test_load_names_the_line_of_a_non_finite_field(tmp_path):

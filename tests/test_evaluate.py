@@ -9,6 +9,16 @@ def test_gradient_check_passes_on_the_program():
     assert result.passed, result.detail
 
 
+def test_gradient_check_detail_does_not_depend_on_its_wall_time(monkeypatch):
+    clock = iter([0.0, 1.0, 0.0, 2.0, 0.0, 61.0])  # runs of 1 s, 2 s and 61 s
+    monkeypatch.setattr(evaluate.time, "time", lambda: next(clock))
+    first, second = check_gradient_integrity(n_instances=2), check_gradient_integrity(n_instances=2)
+    assert first.passed and first.detail == second.detail
+    slow = check_gradient_integrity(n_instances=2)
+    assert not slow.passed
+    assert slow.detail == first.detail + "; took 61.0s, over the 60s budget"
+
+
 def test_gradient_check_fails_on_a_nan_nll_gradient(monkeypatch):
     batch_nll = evaluate.batch_nll
 

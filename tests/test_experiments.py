@@ -8,7 +8,6 @@ from spnpb import experiments, model, training
 from spnpb.adaptation import GRAD_CLIP, AdaptBuffer, LivePB
 from spnpb.control import ControlConfig
 from spnpb.csvio import read_csv
-from spnpb.dataset import TimedSample
 from spnpb.experiments import (
     prediction_trace,
     ramp_target,
@@ -86,11 +85,11 @@ def reference_adaptation_ps(params, sim_config, n_ticks, seed, n_thre=10, n_max=
     ps = []
     for tick in range(n_ticks):
         cmd = random_walk_command(cmd, rng)
-        sample = TimedSample(s=state.as_array(), u=cmd.copy(), tick=tick)
+        s_raw = state.as_array()
         snapshot = track
-        _, track = forward(params, track, stats.normalize_state(sample.s),
-                           stats.normalize_command(sample.u), live.p)
-        buffer.push(sample, snapshot)
+        _, track = forward(params, track, stats.normalize_state(s_raw),
+                           stats.normalize_command(cmd), live.p)
+        buffer.push(s_raw, cmd, tick, snapshot)
         if buffer.update_ready():
             _, reverse = batch_nll(params, live.p[None],
                                    stats.normalize_state(buffer.states())[None],
@@ -141,6 +140,33 @@ def test_adaptation_episode_folds_once_and_builds_a_workspace_only_when_the_wind
     (buffer,) = buffers
     buffer.replay_workspace(params.config)
     assert len(built) == len(grown) + 1
+
+
+def test_prediction_trace_folds_once_and_matches_a_per_tick_reference(params, monkeypatch):
+    sim = SimConfig(alpha=0.4, beta=1.0, seed=5)
+    p = np.array([0.3, -0.2])
+    # the reference: every forward folds its own weights
+    rng = np.random.default_rng(5)
+    state, cmd = SimState(0.0, 0.0), np.zeros(2)
+    track = RecurrentState.zeros(params.config.layer_widths[4])
+    expected = []
+    for tick in range(30):
+        cmd = random_walk_command(cmd, rng)
+        s_raw = state.as_array()
+        pred, track = forward(params, track, params.stats.normalize_state(s_raw),
+                              params.stats.normalize_command(cmd), p)
+        mean = params.stats.denormalize_state(pred.mean)
+        sigma = params.stats.denormalize_state_sigma(np.sqrt(pred.variance))
+        expected.append((tick, *s_raw, *cmd, *mean, *sigma))
+        state = sim_step(state, cmd, sim, rng)
+
+    folds = []
+    def counted(self, *args, _init=model.FoldedWeights.__init__):
+        folds.append(args)
+        _init(self, *args)
+    monkeypatch.setattr(model.FoldedWeights, "__init__", counted)
+    assert prediction_trace(params, sim, p, n_ticks=30, seed=5) == expected
+    assert len(folds) == 1
 
 
 def test_control_episode_logs_and_respects_command_bounds(params, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spnpb.autodiff import ShapeError
-from spnpb.dataset import TimedSample, Trial
+from spnpb.dataset import Trial
 from spnpb.evaluate import NLL_FD_STEP, finite_diff, rel_err
 from spnpb.layers import DenseLayer
 from spnpb.model import ModelConfig, ModelParams, RecurrentState, forward
@@ -28,10 +28,8 @@ HALF_LOG_2PI = 0.9189385332046727
 
 
 def trial_from_arrays(states, commands, trial_id=0, label=""):
-    samples = [
-        TimedSample(s, u, t) for t, (s, u) in enumerate(zip(states, commands))
-    ]
-    return Trial(trial_id=trial_id, label=label, samples=samples)
+    return Trial(trial_id, label, states=states, commands=commands,
+                 ticks=range(len(states)))
 
 
 def random_trial(seed, n=20, trial_id=0, label=""):
