@@ -18,7 +18,10 @@ default tick (3 rounds of 10 step sizes) thus runs 4 batched forwards and
 state.  Controller.step folds the model's weights once a tick
 (model.FoldedWeights) for the live forward and all of optimize's
 forwards and reverses.  Nothing folded outlives the tick, since weights
-change in place.
+change in place.  What the Controller does keep from tick to tick is its
+ControlWorkspace: the model buffers, with every step's views, of each
+stack a tick scores, of the one-row reverse and of the live forward, so
+a tick allocates no activations.
 
 The loss is
     ||s_ref - s_pred||_2  +  c_variance * V  +  c_orig * ||u_orig - u||_2
@@ -34,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FoldedWeights, RecurrentState, forward, rollout_vjp
+from .model import (
+    FoldedWeights, RecurrentState, ReverseWorkspace, RolloutWorkspace, forward, rollout_vjp)
 
 # Guard of the L2-norm gradients: a zero-length residual gets gradient 0.
 NORM_FLOOR = 1e-12
@@ -106,6 +110,17 @@ def gamma_schedule(gamma_max, n_batch):
     return gamma_max * 10.0 ** (-3.0 * (n_batch - 1 - i) / (n_batch - 1))
 
 
+def _norm(x):
+    """The L2 norm of each (n_seq, n) plan of x."""
+    return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
+
+
+def _unit(x):
+    """Each (n_seq, n) plan of x over max(its L2 norm, NORM_FLOOR)."""
+    norm = np.sqrt(np.add.reduce(x * x, axis=(-2, -1), keepdims=True))
+    return x / np.maximum(norm, NORM_FLOOR)
+
+
 def control_loss(means, variances, u_seq, s_ref_seq, u_orig_seq, config):
     """Loss of a rolled-out plan; all arguments in normalized units.
 
@@ -114,18 +129,14 @@ def control_loss(means, variances, u_seq, s_ref_seq, u_orig_seq, config):
     array.  s_ref_seq and u_orig_seq are shared by all candidates.
     """
     means = np.asarray(means)
-
-    def norm(x):
-        return np.sqrt(np.sum(x * x, axis=(-2, -1)))
-
-    loss = norm(np.asarray(s_ref_seq) - means)
+    loss = _norm(np.asarray(s_ref_seq) - means)
     if config.c_variance != 0.0:
         v = np.asarray(variances)
         if config.variance_mode == "per_state":
             v = v / (np.abs(means) + config.per_state_eps)
-        loss = loss + config.c_variance * norm(v)
+        loss = loss + config.c_variance * _norm(v)
     if config.c_orig != 0.0:
-        loss = loss + config.c_orig * norm(np.asarray(u_orig_seq) - np.asarray(u_seq))
+        loss = loss + config.c_orig * _norm(np.asarray(u_orig_seq) - np.asarray(u_seq))
     return loss
 
 
@@ -139,37 +150,35 @@ def control_loss_grad(means, variances, u_seq, s_ref_seq, u_orig_seq, config):
     means = np.asarray(means, dtype=np.float64)
     variances = np.asarray(variances, dtype=np.float64)
     u_seq = np.asarray(u_seq, dtype=np.float64)
-
-    def unit(x):
-        norm = np.sqrt(np.sum(x * x, axis=(-2, -1), keepdims=True))
-        return x / np.maximum(norm, NORM_FLOOR)
-
-    d_means = -unit(np.asarray(s_ref_seq) - means)
-    d_variances = np.zeros_like(variances)
-    d_u = np.zeros_like(u_seq)
-    if config.c_variance != 0.0:
-        if config.variance_mode == "per_state":
-            denom = np.abs(means) + config.per_state_eps
-            g = config.c_variance * unit(variances / denom)
-            d_variances = g / denom
-            d_means = d_means - g * variances / (denom * denom) * np.sign(means)
-        else:
-            d_variances = config.c_variance * unit(variances)
+    d_means = -_unit(np.asarray(s_ref_seq) - means)
+    if config.c_variance == 0.0:
+        d_variances = np.zeros_like(variances)
+    elif config.variance_mode == "per_state":
+        denom = np.abs(means) + config.per_state_eps
+        g = config.c_variance * _unit(variances / denom)
+        d_variances = g / denom
+        d_means = d_means - g * variances / (denom * denom) * np.sign(means)
+    else:
+        d_variances = config.c_variance * _unit(variances)
     if config.c_orig != 0.0:
-        d_u = -config.c_orig * unit(np.asarray(u_orig_seq) - u_seq)
+        d_u = -config.c_orig * _unit(np.asarray(u_orig_seq) - u_seq)
+    else:
+        d_u = np.zeros_like(u_seq)
     return d_means, d_variances, d_u
 
 
-def row_gradient(means, variances, vjp, row, u_seq, s_ref_seq, u_orig_seq, config):
+def row_gradient(means, variances, vjp, row, u_seq, s_ref_seq, u_orig_seq, config,
+                 workspace=None):
     """Gradient of control_loss at row `row` of a stack scored by rollout_vjp.
 
     means, variances and vjp are rollout_vjp's; u_seq (n_seq, n_u) is the
     stack's row.  The loss's closed form (control_loss_grad) is carried
-    back through that row's reverse pass alone.
+    back through that row's reverse pass alone, in workspace, a one-row
+    model.ReverseWorkspace, or in a fresh one.
     """
     d_means, d_variances, d_u = control_loss_grad(
         means[row], variances[row], u_seq, s_ref_seq, u_orig_seq, config)
-    return vjp(d_means, d_variances, row=row) + d_u
+    return vjp(d_means, d_variances, row=row, workspace=workspace) + d_u
 
 
 def line_search_minimize(value_fn, grad_fn, u0, gammas, n_epoch, clamp=None):
@@ -210,7 +219,57 @@ def line_search_minimize(value_fn, grad_fn, u0, gammas, n_epoch, clamp=None):
     return u_cur, loss_cur, aux_cur, initial_loss
 
 
-def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config, weights=None):
+def _fitted(ws, cls, config, *shape):
+    """ws if it is a cls for config and shape, else a new one."""
+    if ws is not None and (ws.config, ws.shape) == (config, shape):
+        return ws
+    return cls(config, *shape)
+
+
+class ControlWorkspace:
+    """The model workspaces that a controller keeps from tick to tick.
+
+    stack(i, ...) is the RolloutWorkspace of the i-th stack a tick scores:
+    the warm start (one plan), then each round's n_batch candidates.
+    Each stack has its own, since a round's incumbent, whose activations
+    its gradient reverses, may be a row of any earlier stack.  reverse()
+    is the ReverseWorkspace of each round's one-row gradient and live()
+    the RolloutWorkspace of the one-step live forward.  Each is rebuilt
+    when the model config or the shape it serves changes.  Only buffers
+    are kept: the weights change in place, so every tick folds them anew.
+    """
+
+    def __init__(self):
+        self._stacks = []
+        self._reverse = None
+        self._live = None
+
+    def stack(self, i, config, n_seq, K):
+        self._stacks.extend([None] * (i + 1 - len(self._stacks)))
+        self._stacks[i] = _fitted(self._stacks[i], RolloutWorkspace, config, n_seq, K)
+        return self._stacks[i]
+
+    def reverse(self, config, n_seq):
+        self._reverse = _fitted(self._reverse, ReverseWorkspace, config, n_seq, 1)
+        return self._reverse
+
+    def live(self, config):
+        self._live = _fitted(self._live, RolloutWorkspace, config, 1, 1)
+        return self._live
+
+
+class _Rows:
+    """A scored stack's (means, variances) row by row: line_search_minimize's aux."""
+
+    def __init__(self, means, variances):
+        self.means, self.variances = means, variances
+
+    def __getitem__(self, k):
+        return self.means[k], self.variances[k]
+
+
+def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config, weights=None,
+             workspace=None):
     """Improve the warm-started plan; never returns a loss above the start.
 
     Each round computes one gradient of the loss with respect to the whole
@@ -221,7 +280,8 @@ def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config, we
     A gradient asked at a plan no stack scored raises ControllerError.
     weights is FoldedWeights(params) from a caller that folded them
     already; without it the call folds its own, once for every forward and
-    reverse it runs.
+    reverse it runs.  workspace is the ControlWorkspace of a caller that
+    runs tick after tick; without it the call makes its own.
     """
     s_ref_seq = np.asarray(s_ref_seq, dtype=np.float64)
     u_orig_seq = np.asarray(u_orig_seq, dtype=np.float64)
@@ -235,21 +295,27 @@ def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config, we
 
     if weights is None:
         weights = FoldedWeights(params)
+    if workspace is None:
+        workspace = ControlWorkspace()
     scored = []  # (u_stack, means, variances, vjp) of every stack scored this tick
 
     def value_fn(u_stack):
-        means, variances, vjp = rollout_vjp(params, state, s_t, u_stack, p, weights=weights)
+        K, n_seq = np.shape(u_stack)[:2]
+        kept = workspace.stack(len(scored), params.config, n_seq, K)
+        means, variances, vjp = rollout_vjp(params, state, s_t, u_stack, p, weights=weights,
+                                            workspace=kept)
         scored.append((u_stack, means, variances, vjp))
         losses = control_loss(means, variances, u_stack, s_ref_seq, u_orig_seq, config)
-        return losses, list(zip(means, variances))
+        return losses, _Rows(means, variances)
 
     def grad_fn(u_seq):
         # the line search asks only at its incumbent, a row it has scored
         for u_stack, means, variances, vjp in reversed(scored):
-            hits = np.flatnonzero(np.all(u_stack == u_seq, axis=(1, 2)))
+            hits = (u_stack == u_seq).all(axis=(1, 2)).nonzero()[0]
             if hits.size:
-                return row_gradient(means, variances, vjp, int(hits[0]), u_seq,
-                                    s_ref_seq, u_orig_seq, config)
+                return row_gradient(means, variances, vjp, int(hits[0]), u_seq, s_ref_seq,
+                                    u_orig_seq, config,
+                                    workspace.reverse(params.config, len(u_seq)))
         raise ControllerError("gradient asked at a plan that was never scored")
 
     u_cur, loss_cur, (means, variances), loss0 = line_search_minimize(
@@ -266,9 +332,10 @@ class Controller:
     """Tick-by-tick receding-horizon controller around one model.
 
     Keeps the live recurrent state (never reset during an experiment), the
-    previous plan for warm starting, and the pair fed last tick so the
-    state can be advanced exactly one step behind the measurements.  The
-    bias attribute p may be replaced between ticks by an adaptation loop.
+    previous plan for warm starting, the pair fed last tick so the state
+    can be advanced exactly one step behind the measurements, and the
+    ControlWorkspace that every tick runs in.  The bias attribute p may be
+    replaced between ticks by an adaptation loop.
     """
 
     def __init__(self, params, config, p):
@@ -278,19 +345,21 @@ class Controller:
         self.state = RecurrentState.zeros(params.config.layer_widths[4])
         self.plan = ControlPlan.zeros(config.n_seq, params.config.n_u, params.config.n_s)
         self._prev_pair = None
+        self._workspace = ControlWorkspace()
         self.last_error = None
 
     def step(self, s_raw, s_ref_seq_raw, u_orig_seq_raw=None):
         """Consume one measurement, return the raw command to emit.
 
         On optimizer failure the command is all zeros (safe stop) and the
-        error is kept in last_error.  A non-finite measurement, reference
-        or original command raises ValueError before anything is kept: fed
-        back as the previous pair, one NaN would turn the live state NaN
-        and every later tick into a safe stop.
+        error is kept in last_error.  A non-finite measurement, reference,
+        original command or bias p raises ValueError before anything is
+        kept: fed back as the previous pair, or through the live forward,
+        one NaN would turn the live state NaN and every later tick into a
+        safe stop.
         """
         for name, value in (("measurement", s_raw), ("reference window", s_ref_seq_raw),
-                            ("original-command window", u_orig_seq_raw)):
+                            ("original-command window", u_orig_seq_raw), ("bias", self.p)):
             if value is not None and not np.isfinite(value).all():
                 raise ValueError(f"controller {name} holds a non-finite value")
         stats = self.params.stats
@@ -299,14 +368,16 @@ class Controller:
         if self._prev_pair is not None:
             prev_s, prev_u = self._prev_pair
             _, self.state = forward(self.params, self.state, prev_s, prev_u, self.p,
-                                    weights=weights)
+                                    weights=weights,
+                                    workspace=self._workspace.live(self.params.config))
         s_ref_n = stats.normalize_state(s_ref_seq_raw)
         if u_orig_seq_raw is None:
             u_orig_seq_raw = s_ref_seq_raw
         u_orig_n = stats.normalize_command(u_orig_seq_raw)
         try:
             plan = optimize(self.params, self.p, self.state, s_n,
-                            s_ref_n, u_orig_n, self.plan, self.config, weights=weights)
+                            s_ref_n, u_orig_n, self.plan, self.config, weights=weights,
+                            workspace=self._workspace)
         except ControllerError as err:
             self.last_error = err
             u_raw = np.zeros(self.params.config.n_u)

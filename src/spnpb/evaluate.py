@@ -15,7 +15,8 @@ import numpy as np
 
 from .analysis import cluster_distances, linearly_separable, nearest_row, pca_project
 from .control import (
-    ControlConfig, control_loss, gamma_schedule, line_search_minimize, row_gradient)
+    ControlConfig, ControlWorkspace, control_loss, gamma_schedule, line_search_minimize,
+    row_gradient)
 from .dataset import parse_env_label
 from .experiments import prediction_trace, run_adaptation_episode, run_control_batch, run_control_episode
 from .model import (
@@ -141,7 +142,10 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
     own generator and report their own error.  Each control instance
     takes its gradient as optimize does, from one row of a scored stack
     of CONTROL_STACK plans, and also checks it against the reverse of a
-    one-plan stack.  Any non-finite error fails the check.
+    one-plan stack.  Like a Controller's ticks, all control instances run
+    in one ControlWorkspace, and each takes its gradient twice in a row,
+    so the second run reads buffers that the first one filled; both are
+    checked.  Any non-finite error fails the check.
     """
     rng = np.random.default_rng(seed)
     batch_rng = np.random.default_rng([seed, 2])  # keeps rng's draws those of B=1 alone
@@ -175,6 +179,7 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
                 params, p, states_n, commands_n, shared, clamp_rng, coords_per_tensor))
 
     row_errs = []
+    kept = ControlWorkspace()
     for inst in range(n_instances):
         params = _random_params(rng)
         cfg = ControlConfig(
@@ -196,12 +201,19 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
             return float(control_loss(means, variances, u_seq[None], s_ref, u_orig, cfg)[0])
 
         def gradient(stack, k):
-            means, variances, vjp = rollout_vjp(params, state, s_t, stack, p)
-            return row_gradient(means, variances, vjp, k, stack[k], s_ref, u_orig, cfg)
+            # the plan stack and the one-plan stack each keep a workspace, as
+            # each stack that optimize scores in a tick does
+            slot = 0 if len(stack) > 1 else 1
+            means, variances, vjp = rollout_vjp(
+                params, state, s_t, stack, p,
+                workspace=kept.stack(slot, params.config, cfg.n_seq, len(stack)))
+            return row_gradient(means, variances, vjp, k, stack[k], s_ref, u_orig, cfg,
+                                kept.reverse(params.config, cfg.n_seq))
 
-        analytic = gradient(u_stack, row)
         numeric = finite_diff(loss_value, u_seq)
-        errs.extend(rel_err(a, n) for a, n in zip(analytic.ravel(), numeric.ravel()))
+        for _ in range(2):
+            analytic = gradient(u_stack, row)
+            errs.extend(rel_err(a, n) for a, n in zip(analytic.ravel(), numeric.ravel()))
         alone = gradient(u_seq[None], 0)
         row_errs.append(np.max(np.abs(analytic - alone)) / max(np.max(np.abs(alone)), 1e-300))
 

@@ -13,7 +13,7 @@ import numpy as np
 from .adaptation import AdaptBuffer, LivePB, adapt_step
 from .control import Controller
 from .csvio import write_csv
-from .model import FoldedWeights, RecurrentState, forward
+from .model import FoldedWeights, RecurrentState, RolloutWorkspace, forward
 from .simulator import SimState, random_walk_command, sim_step
 
 
@@ -40,7 +40,8 @@ def run_adaptation_episode(params, sim_config, n_ticks, seed, live=None,
     into the buffer.  Once the buffer passes its threshold, every tick
     takes one adaptation step.  The bias starts at zero unless a LivePB
     is supplied.  The weights never change during the episode, so they
-    are folded once for every live forward.
+    are folded once for every live forward, and every live forward runs
+    in one kept workspace.
     """
     _check_ticks(n_ticks)
     if live is None:
@@ -51,13 +52,14 @@ def run_adaptation_episode(params, sim_config, n_ticks, seed, live=None,
     cmd = np.zeros(2)
     track = RecurrentState.zeros(params.config.layer_widths[4])
     weights = FoldedWeights(params)
+    live_ws = RolloutWorkspace(params.config, 1, 1)
     episode = AdaptationEpisode()
     for tick in range(n_ticks):
         cmd = random_walk_command(cmd, rng)
         s_raw = state.as_array()
         snapshot = track
         s_n, u_n = params.stats.normalize_state(s_raw), params.stats.normalize_command(cmd)
-        _, track = forward(params, track, s_n, u_n, live.p, weights=weights)
+        _, track = forward(params, track, s_n, u_n, live.p, weights=weights, workspace=live_ws)
         buffer.push(s_raw, cmd, tick, snapshot)
         updated = buffer.update_ready()
         if updated:
@@ -177,9 +179,10 @@ def run_control_batch(params, sim_config, control_config, seeds,
 def prediction_trace(params, sim_config, p, n_ticks, seed, out_path=None):
     """Teacher-forced prediction run: drive the sim, feed measured pairs,
     record predicted mean and sigma (raw units) at every tick.  The weights
-    are folded once for the whole trace."""
+    are folded once, and one workspace kept, for the whole trace."""
     rng = np.random.default_rng(seed)
     weights = FoldedWeights(params)
+    live_ws = RolloutWorkspace(params.config, 1, 1)
     state = SimState(0.0, 0.0)
     cmd = np.zeros(2)
     track = RecurrentState.zeros(params.config.layer_widths[4])
@@ -189,7 +192,7 @@ def prediction_trace(params, sim_config, p, n_ticks, seed, out_path=None):
         s_raw = state.as_array()
         s_n = params.stats.normalize_state(s_raw)
         u_n = params.stats.normalize_command(cmd)
-        pred, track = forward(params, track, s_n, u_n, p, weights=weights)
+        pred, track = forward(params, track, s_n, u_n, p, weights=weights, workspace=live_ws)
         mean_raw = params.stats.denormalize_state(pred.mean)
         sigma_raw = params.stats.denormalize_state_sigma(np.sqrt(pred.variance))
         rows.append((tick, s_raw[0], s_raw[1], cmd[0], cmd[1],

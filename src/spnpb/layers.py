@@ -16,14 +16,16 @@ whose packed step k is LSTM1's step k and LSTM2's step k - 1, so a
 sequence of T steps takes T + 1 step calls instead of 2T.  The model's
 closed loop cannot skew (LSTM2's step t feeds LSTM1's step t + 1 through
 the fed-back mean) and steps each cell on its own, with one product of the
-cell's lstm_fold over its stacked input [x; h_prev; 1] per step.  The
-closed loop runs the gate core lstm_step, which takes a step's finished
-pre-activation, and the reverse step lstm_step_back (with
+cell's lstm_fold over its stacked input [x; h_prev; 1] per step.
+lstm_step is the gate core of one step, which takes a step's finished
+pre-activation, and lstm_step_back the reverse step (with
 lstm_gate_factors), which leaves the weight products to its caller.  The
-pair's loops spell the same ufunc calls out, in the same order, on step
-views that LstmPairBuffers builds once, so a step makes no call, slice or
-temporary beyond its arithmetic: at B = 1 that overhead was about a third
-of the pair's time.  lstm_gate_factors is shared by both.
+pair's loops and the closed loop's spell the same ufunc calls out, in the
+same order, on step views built once (LstmPairBuffers here,
+model.RolloutWorkspace and ReverseWorkspace there), so a step makes no
+call, slice or temporary beyond its arithmetic: at B = 1 that overhead
+was about a third of the pair's time.  lstm_gate_factors is shared by
+all of them.
 """
 
 from __future__ import annotations

@@ -28,9 +28,16 @@ reverses.  The reverse takes every factor that does not depend on the
 gradient flowing back (the tanh derivatives of all dense layers in one
 pass over the step blocks, the LSTM gate factors, the logvar clamp mask)
 over the whole horizon at once; its step loop keeps only the serial
-chain.  The teacher-forced NLL
-of training and adaptation (training.batch_nll) has its own forward and
-reverse over the same gate core and LSTM reverse step.
+chain.  Each loop runs in a workspace (RolloutWorkspace,
+ReverseWorkspace) that holds its buffers and builds every step's views
+once, and spells the LSTM step (layers.lstm_step, lstm_step_back) out
+inline, so a step makes no call, slice or temporary beyond its
+arithmetic.  A caller that runs the same shapes tick after tick keeps its
+workspaces (control.ControlWorkspace, the episode runners' live
+forward); every other call gets fresh ones.  Workspaces keep buffers
+only: weights change in place, so no fold is ever kept.  The
+teacher-forced NLL of training and adaptation (training.batch_nll) has
+its own forward and reverse over the same gate arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ShapeError
-from .layers import DenseLayer, LstmCell, lstm_fold, lstm_gate_factors, lstm_step, lstm_step_back
+from .layers import DenseLayer, LstmCell, lstm_fold, lstm_gate_factors
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
@@ -326,32 +333,72 @@ def _check_step_inputs(cfg, H, state, s, u, p):
             raise ShapeError("recurrent state vectors must match the LSTM hidden size")
 
 
-class _Activations:
+class RolloutWorkspace:
     """What _run keeps of K rows over n_seq steps, as (., K) columns.
 
     ys holds the step blocks of _StepLayout, with one block more than the
     run for the last step's outputs.  Both LSTMs are H wide, so their
     gate activations zs, cells cs (one step more than the run) and
-    tanh(c) tcs stack on axis 1.  logvars holds the clamped logvars.
+    tanh(c) tcs stack on axis 1.  logvars holds the clamped logvars.  The
+    constant rows (every group's ones, the first block's logvar input) are
+    written here once and no run writes them again, and every view a step
+    reads or writes is built here once, in steps.  A run replaces the
+    workspace's activations and bumps generation, so a reverse that reads
+    them can tell when a later run has overwritten them.  Without a
+    workspace, _run makes a fresh one; the Controller keeps one for each
+    stack a tick scores and one for its live forward.
     """
 
-    def __init__(self, layout, n_seq, K):
-        H = layout.H
-        self.ys = np.empty((n_seq + 1, layout.rows, K))
-        self.zs = np.empty((n_seq, 2, 4 * H, K))
-        self.cs = np.empty((n_seq + 1, 2, H, K))
-        self.tcs = np.empty((n_seq, 2, H, K))
-        self.logvars = np.empty((n_seq, layout.lv.stop - layout.lv.start, K))
+    def __init__(self, config, n_seq, K):
+        lay = _step_layout(config)
+        H = lay.H
+        self.config, self.shape = config, (n_seq, K)
+        self.generation = 0
+        self.ys = ys = np.empty((n_seq + 1, lay.rows, K))
+        self.zs = zs = np.empty((n_seq, 2, 4 * H, K))
+        self.cs = cs = np.empty((n_seq + 1, 2, H, K))
+        self.tcs = tcs = np.empty((n_seq, 2, H, K))
+        self.logvars = np.empty((n_seq, lay.lv.stop - lay.lv.start, K))
+        ys[:, lay.ones] = 1.0
+        ys[0, lay.lv] = 0.0  # zero weight, but a NaN left in an empty buffer would still pass
+        y, nxt = ys[:-1], ys[1:]
+        (r0, r1, r2, r3, ro0, ro1, ro2), (v0, v1, v2, v3, vo0, vo1, vo2) = lay.reads, lay.writes
+        gates = zs.reshape(n_seq, 2, 4, H, K)
+        # each LSTM's pre-activation, as one block and as gate blocks, its
+        # sigmoid block, i, f, o, g, c_prev, c and tanh(c)
+        lstms = [(zs[:, k], gates[:, k], gates[:, k, :3], *gates[:, k].swapaxes(0, 1),
+                  cs[:-1, k], cs[1:, k], tcs[:, k]) for k in (0, 1)]
+        # per step: each tanh layer's input and output, LSTM1's input group,
+        # where its h goes and its copy, LSTM2's input group and where its h
+        # goes, and the last layer's input and output, then both LSTMs' views
+        self.steps = list(zip(
+            y[:, r0], y[:, v0], y[:, r1], y[:, v1], y[:, r2], y[:, v2], y[:, r3], y[:, v3],
+            y[:, lay.l1], nxt[:, lay.h1_prev], y[:, lay.h1], y[:, lay.l2], nxt[:, lay.h2_prev],
+            nxt[:, ro0], y[:, vo0], y[:, ro1], y[:, vo1], y[:, ro2], y[:, vo2],
+            y[:, lay.last], nxt[:, lay.out], *lstms[0], *lstms[1]))
+        self.means = nxt[:, lay.s].transpose(2, 0, 1)
+        self.raw_logvars = nxt[:, lay.lv]
+        last = ys[n_seq]
+        self.final = (last[lay.h1_prev].T, cs[n_seq, 0].T, last[lay.h2_prev].T, cs[n_seq, 1].T)
 
 
-def _run(weights, state, s_t, u_batch, p):
+def _check_workspace(ws, config, shape):
+    if (ws.config, ws.shape) != (config, shape):
+        raise ShapeError(f"workspace for (n_seq, rows) {ws.shape} and {ws.config} "
+                         f"cannot hold {shape} and {config}")
+
+
+def _run(weights, state, s_t, u_batch, p, workspace=None):
     """The model's one forward loop: K closed-loop rows from one shared state.
 
     u_batch is (K, n_seq, n_u); each row starts from state, s_t and p,
-    and each step's predicted mean is the next step's state input.
-    Returns (means, variances, (h1, c1, h2, c2), acts): means and
-    variances C-contiguous (K, n_seq, n_s), the recurrent state after the
-    last step, each part (K, H), and the _Activations that _reverse reads.
+    and each step's predicted mean is the next step's state input.  The
+    run writes its activations into workspace, a RolloutWorkspace for
+    (n_seq, K), or into a fresh one.  Returns (means, variances, (h1, c1,
+    h2, c2), workspace): means and variances new C-contiguous (K, n_seq,
+    n_s) arrays, the recurrent state after the last step, each part
+    (K, H) and a view into the workspace, and the workspace, whose
+    activations _reverse reads.
     """
     u_batch = np.asarray(u_batch, dtype=np.float64)
     cfg, lay = weights.config, weights.layout
@@ -360,140 +407,200 @@ def _run(weights, state, s_t, u_batch, p):
                          f"got {u_batch.shape}")
     _check_step_inputs(cfg, lay.H, state, s_t, u_batch[0, 0], p)
     K, n_seq, _ = u_batch.shape
-
-    acts = _Activations(lay, n_seq, K)
-    ys, zs, cs, tcs = acts.ys, acts.zs, acts.cs, acts.tcs
-    ys[:, lay.ones] = 1.0
+    ws = RolloutWorkspace(cfg, n_seq, K) if workspace is None else workspace
+    _check_workspace(ws, cfg, (n_seq, K))
+    ws.generation += 1
+    ys, cs = ws.ys, ws.cs
     ys[:-1, lay.u] = u_batch.transpose(1, 2, 0)
     ys[:, lay.p] = np.asarray(p, dtype=np.float64)[:, None]
     ys[0, lay.s] = np.asarray(s_t, dtype=np.float64)[:, None]
-    ys[0, lay.lv] = 0.0  # zero weight, but a NaN left in an empty buffer would still pass
     ys[0, lay.h1_prev] = np.asarray(state.h1)[:, None]
     ys[0, lay.h2_prev] = np.asarray(state.h2)[:, None]
     cs[0, 0] = np.asarray(state.c1)[:, None]
     cs[0, 1] = np.asarray(state.c2)[:, None]
     (w0, w1, w2, w3, wo0, wo1, wo2, wl), (wlstm1, wlstm2) = weights.dense, weights.lstms
-    gates = zs.reshape(n_seq, 2, 4, lay.H, K)
-    y, nxt = ys[:-1], ys[1:]
-    (r0, r1, r2, r3, ro0, ro1, ro2), (v0, v1, v2, v3, vo0, vo1, vo2) = lay.reads, lay.writes
-    tanh, dot = np.tanh, np.dot
-    # each step's views come from iterating time-stacked views, which costs
-    # less than slicing every step
+    dot, tanh, multiply, add = np.dot, np.tanh, np.multiply, np.add
+    # each LSTM step makes lstm_step's ufunc calls, in the same order
     for (x0, y0, x1, y1, x2, y2, x3, y3, l1, h1_next, h1, l2, h2_next, xo0, yo0, xo1, yo1,
-         xo2, yo2, x_last, out_next, z1, g1, c1, c1_next, tc1, z2, g2, c2, c2_next, tc2) in zip(
-            y[:, r0], y[:, v0], y[:, r1], y[:, v1], y[:, r2], y[:, v2], y[:, r3], y[:, v3],
-            y[:, lay.l1], nxt[:, lay.h1_prev], y[:, lay.h1], y[:, lay.l2], nxt[:, lay.h2_prev],
-            nxt[:, ro0], y[:, vo0], y[:, ro1], y[:, vo1], y[:, ro2], y[:, vo2],
-            y[:, lay.last], nxt[:, lay.out],
-            zs[:, 0], gates[:, 0], cs[:-1, 0], cs[1:, 0], tcs[:, 0],
-            zs[:, 1], gates[:, 1], cs[:-1, 1], cs[1:, 1], tcs[:, 1]):
+         xo2, yo2, x_last, out_next,
+         z1, a1, sig1, i1, f1, o1, g1, c1, c1_next, tc1,
+         z2, a2, sig2, i2, f2, o2, g2, c2, c2_next, tc2) in ws.steps:
         tanh(dot(w0, x0, out=y0), out=y0)
         tanh(dot(w1, x1, out=y1), out=y1)
         tanh(dot(w2, x2, out=y2), out=y2)
         tanh(dot(w3, x3, out=y3), out=y3)
         dot(wlstm1, l1, out=z1)
-        lstm_step(g1, c1, h1_next, c1_next, tc1)
+        tanh(a1, out=a1)
+        multiply(sig1, 0.5, out=sig1)
+        add(sig1, 0.5, out=sig1)
+        multiply(f1, c1, out=c1_next)
+        multiply(i1, g1, out=tc1)
+        add(c1_next, tc1, out=c1_next)
+        tanh(c1_next, out=tc1)
+        multiply(o1, tc1, out=h1_next)
         h1[...] = h1_next
         dot(wlstm2, l2, out=z2)
-        lstm_step(g2, c2, h2_next, c2_next, tc2)
+        tanh(a2, out=a2)
+        multiply(sig2, 0.5, out=sig2)
+        add(sig2, 0.5, out=sig2)
+        multiply(f2, c2, out=c2_next)
+        multiply(i2, g2, out=tc2)
+        add(c2_next, tc2, out=c2_next)
+        tanh(c2_next, out=tc2)
+        multiply(o2, tc2, out=h2_next)
         tanh(dot(wo0, xo0, out=yo0), out=yo0)
         tanh(dot(wo1, xo1, out=yo1), out=yo1)
         tanh(dot(wo2, xo2, out=yo2), out=yo2)
         dot(wl, x_last, out=out_next)
     # copies in (K, n_seq, n_s) order: control_loss sums each row in memory order
-    means = nxt[:, lay.s].transpose(2, 0, 1).copy()
-    np.minimum(nxt[:, lay.lv], LOGVAR_MAX, out=acts.logvars)
-    np.maximum(acts.logvars, LOGVAR_MIN, out=acts.logvars)
-    variances = np.exp(acts.logvars).transpose(2, 0, 1).copy()
-    last = ys[n_seq]
-    return (means, variances,
-            (last[lay.h1_prev].T, cs[n_seq, 0].T, last[lay.h2_prev].T, cs[n_seq, 1].T), acts)
+    means = ws.means.copy()
+    np.minimum(ws.raw_logvars, LOGVAR_MAX, out=ws.logvars)
+    np.maximum(ws.logvars, LOGVAR_MIN, out=ws.logvars)
+    variances = np.exp(ws.logvars).transpose(2, 0, 1).copy()
+    return means, variances, ws.final, ws
 
 
-def _reverse(weights, acts, variances, d_means, d_variances, rows):
+class ReverseWorkspace:
+    """Every buffer of _reverse for R rows over n_seq steps, and each step's views.
+
+    A reverse copies its rows' activations in (as the gate-major gates,
+    the previous cells and tanh(c)), so it works on these buffers alone
+    and leaves nothing that a later reverse reads.  d_in's last block is
+    the zero gradient that reaches the last step's mean from beyond the
+    horizon; no reverse writes it.  Without a workspace, _reverse makes a
+    fresh one; the Controller keeps one for R = 1, the one row each round
+    reverses.
+    """
+
+    def __init__(self, config, n_seq, R):
+        lay = _step_layout(config)
+        H, n_s, w = lay.H, config.n_s, config.layer_widths
+        self.config, self.shape = config, (n_seq, R)
+        self.dys = np.empty((n_seq, lay.rows, R))
+        self.d_out = d_out = np.empty((n_seq, 2 * n_s, R))
+        self.d_var = np.empty((R, n_seq, n_s))
+        self.kept = np.empty((n_seq, n_s, R), dtype=bool)
+        # gate-major, so that each gate of all steps is one contiguous row of
+        # lstm_gate_factors
+        self.gates = gates = np.empty((4, n_seq, 2, H, R))
+        self.c_prev = np.empty((n_seq, 2, H, R))
+        self.tcs = np.empty((n_seq, 2, H, R))
+        self.fac_gates = np.empty_like(gates)
+        self.dc_dh = dc_dh = np.empty((n_seq, 2, H, R))
+        self.fac = fac = np.empty((n_seq, 2, 4, H, R))  # each step's (4, H, R) gate blocks
+        self.dc = np.empty((2, H, R))
+        self.dc_in = np.empty((H, R))  # a step's dh * dc_dh
+        # [the first output layer's pre-activation gradient; dz2; dz1], zero
+        # before the last step: to_h2 reads its first two parts before dz2
+        # moves a step back, to_h1 its last two before dz1 does
+        n_o0 = w[6]
+        self.stack = stack = np.empty((n_o0 + 8 * H, R))
+        self.reach_h2, self.reach_h1 = stack[:n_o0 + 4 * H], stack[n_o0:]
+        self.g_o0, self.dz1 = stack[:n_o0], stack[n_o0 + 4 * H:]
+        dz2_gates, dz1_gates = (dz.reshape(4, H, R) for dz in (stack[n_o0:n_o0 + 4 * H],
+                                                             self.dz1))
+        self.dz_gates = (dz2_gates, dz2_gates[2], dz1_gates, dz1_gates[2])
+        # the gradients reaching each layer's output, last layer first
+        self.g = tuple(np.empty((n, R)) for n in (w[8], w[7], H, H, w[3], w[2], w[1], w[0]))
+        self.d_in = d_in = np.empty((n_seq + 1, config.n_u + config.n_p + n_s, R))
+        d_in[n_seq] = 0.0
+        dys = self.dys
+        # per step, last first: d_mean, the fed-back d_s, the last layer's
+        # output gradient, each tanh layer's derivative, each LSTM's gate
+        # factors with their output-gate block, dc_dh and forget gate, and
+        # the gradient of the step's [u; p; s]
+        self.steps = list(zip(
+            d_out[::-1, :n_s], d_in[:0:-1, lay.s], d_out[::-1],
+            *(dys[::-1, v] for v in lay.writes),
+            fac[::-1, 0], fac[::-1, 0, 2], fac[::-1, 1], fac[::-1, 1, 2],
+            dc_dh[::-1, 0], dc_dh[::-1, 1], gates[1, ::-1, 0], gates[1, ::-1, 1],
+            d_in[n_seq - 1::-1]))
+
+
+def _reverse(weights, acts, variances, d_means, d_variances, rows, workspace=None):
     """Backpropagation through time over rows of _run's activations.
 
     Carries d loss/d means and d loss/d variances, each (R, n_seq, n_s)
-    for the R rows that the slice rows picks, back to d loss/d u
-    (R, n_seq, n_u).  Every factor that does not depend on the gradient
-    flowing back is taken for the whole horizon at once: the tanh
-    derivatives of every dense layer in one pass over the step blocks,
-    the logvar clamp (a clamped entry passes no gradient) and both LSTMs'
-    gate factors.  The step loop keeps only the serial chain, with one
-    product per activation reached: h2 feeds the output stack and
-    LSTM2's next step, h1 LSTM2's step and LSTM1's next one, and each
-    gets its gradient from one product over the two gate gradients
-    stacked.  A step's gradient at its state input joins the previous
-    step's d_mean, since that mean was fed back as the state.
+    for the R rows that the slice rows picks of the RolloutWorkspace
+    acts, back to d loss/d u (R, n_seq, n_u), a new array.  Every factor
+    that does not depend on the gradient flowing back is taken for the
+    whole horizon at once: the tanh derivatives of every dense layer in
+    one pass over the step blocks, the logvar clamp (a clamped entry
+    passes no gradient) and both LSTMs' gate factors.  The step loop
+    keeps only the serial chain, with one product per activation reached:
+    h2 feeds the output stack and LSTM2's next step, h1 LSTM2's step and
+    LSTM1's next one, and each gets its gradient from one product over
+    the two gate gradients stacked.  A step's gradient at its state input
+    joins the previous step's d_mean, since that mean was fed back as the
+    state.  It works in workspace, a ReverseWorkspace for (n_seq, R), or
+    in a fresh one.
     """
     lay = weights.layout
     dense_in_t, to_h1, to_h2, to_x, (wo1_t, wo2_t), last_t = weights.transposes
     n_s, H = weights.config.n_s, lay.H
     R, n_seq, _ = d_means.shape
+    ws = ReverseWorkspace(weights.config, n_seq, R) if workspace is None else workspace
+    _check_workspace(ws, weights.config, (n_seq, R))
     ys = acts.ys[..., rows]
-    dys = np.multiply(ys[:-1], ys[:-1])
-    np.subtract(1.0, dys, out=dys)
+    np.multiply(ys[:-1], ys[:-1], out=ws.dys)
+    np.subtract(1.0, ws.dys, out=ws.dys)
     # each step's gradient at the last layer's output: d_mean (the fed-back
     # d_s joins it in the loop) over the clamp-masked d_logvar
-    d_out = np.empty((n_seq, 2 * n_s, R))
+    d_out = ws.d_out
     d_out[:, :n_s] = d_means.transpose(1, 2, 0)
-    kept = acts.logvars[..., rows] == ys[1:, lay.lv]
-    np.multiply((d_variances * variances[rows]).transpose(1, 2, 0), kept, out=d_out[:, n_s:])
-    # gate-major, so that each gate of all steps is one contiguous row of
-    # lstm_gate_factors
-    gates = np.empty((4, n_seq, 2, H, R))
-    np.copyto(gates, acts.zs[..., rows].reshape(n_seq, 2, 4, H, R).transpose(2, 0, 1, 3, 4))
-    fac = np.empty_like(gates)
-    dc_dh = np.empty((n_seq, 2, H, R))
-    lstm_gate_factors(gates.reshape(4, -1), acts.cs[:-1, ..., rows].reshape(1, -1),
-                      acts.tcs[..., rows].reshape(1, -1), fac.reshape(4, -1),
-                      dc_dh.reshape(1, -1))
-    fac = fac.transpose(1, 2, 0, 3, 4).copy()  # each step's (4, H, R) gate blocks
-    dc1, dc2 = np.zeros((2, H, R))
-    # [the first output layer's pre-activation gradient; dz2; dz1], zero
-    # before the last step: to_h2 reads its first two parts before dz2 moves
-    # a step back, to_h1 its last two before dz1 does
-    n_o0 = len(wo1_t)
-    stack = np.zeros((n_o0 + 8 * H, R))
-    g_o0, dz1 = stack[:n_o0], stack[n_o0 + 4 * H:]
-    reach_h2, reach_h1 = stack[:n_o0 + 4 * H], stack[n_o0:]
-    dz2_gates, dz1_gates = (dz.reshape(4, H, R) for dz in (stack[n_o0:n_o0 + 4 * H], dz1))
-    g_o2, g_o1, dh2, dh1, g_x, g2, g1, g0 = (
-        np.empty((len(w), R)) for w in (last_t, wo2_t, to_h2, to_h1, to_x, *dense_in_t[:0:-1]))
+    np.equal(acts.logvars[..., rows], ys[1:, lay.lv], out=ws.kept)
+    np.multiply(d_variances, variances[rows], out=ws.d_var)
+    np.multiply(ws.d_var.transpose(1, 2, 0), ws.kept, out=d_out[:, n_s:])
+    np.copyto(ws.gates, acts.zs[..., rows].reshape(n_seq, 2, 4, H, R).transpose(2, 0, 1, 3, 4))
+    np.copyto(ws.c_prev, acts.cs[:-1, ..., rows])
+    np.copyto(ws.tcs, acts.tcs[..., rows])
+    lstm_gate_factors(ws.gates.reshape(4, -1), ws.c_prev.reshape(1, -1),
+                      ws.tcs.reshape(1, -1), ws.fac_gates.reshape(4, -1),
+                      ws.dc_dh.reshape(1, -1))
+    np.copyto(ws.fac, ws.fac_gates.transpose(1, 2, 0, 3, 4))
+    ws.dc.fill(0.0)
+    ws.stack.fill(0.0)
+    dc1, dc2 = ws.dc
+    dc_in, g_o0, dz1, reach_h2, reach_h1 = ws.dc_in, ws.g_o0, ws.dz1, ws.reach_h2, ws.reach_h1
+    dz2_gates, dz2_o, dz1_gates, dz1_o = ws.dz_gates
+    g_o2, g_o1, dh2, dh1, g_x, g2, g1, g0 = ws.g
     w0_t, w1_t, w2_t, w3_t = dense_in_t
-    d_in = np.empty((n_seq + 1, len(w0_t), R))  # the gradient of each step's [u; p; s]
-    d_in[n_seq] = 0.0
-    dot = np.dot
-    for (d_mean, d_s, d, dy0, dy1, dy2, dy3, dyo0, dyo1, dyo2, fac1, fac2, dc_dh1, dc_dh2,
-         f1, f2, d_ups) in zip(
-            d_out[::-1, :n_s], d_in[:0:-1, lay.s], d_out[::-1],
-            *(dys[::-1, v] for v in lay.writes),
-            fac[::-1, 0], fac[::-1, 1], dc_dh[::-1, 0], dc_dh[::-1, 1],
-            gates[1, ::-1, 0], gates[1, ::-1, 1], d_in[n_seq - 1::-1]):
-        d_mean += d_s
+    dot, add, multiply = np.dot, np.add, np.multiply
+    # each LSTM step makes lstm_step_back's ufunc calls, in the same order
+    for (d_mean, d_s, d, dy0, dy1, dy2, dy3, dyo0, dyo1, dyo2, fac1, fac1_o, fac2, fac2_o,
+         dc_dh1, dc_dh2, f1, f2, d_ups) in ws.steps:
+        add(d_mean, d_s, out=d_mean)
         dot(last_t, d, out=g_o2)
-        g_o2 *= dyo2
+        multiply(g_o2, dyo2, out=g_o2)
         dot(wo2_t, g_o2, out=g_o1)
-        g_o1 *= dyo1
+        multiply(g_o1, dyo1, out=g_o1)
         dot(wo1_t, g_o1, out=g_o0)
-        g_o0 *= dyo0
+        multiply(g_o0, dyo0, out=g_o0)
         dot(to_h2, reach_h2, out=dh2)
-        lstm_step_back(dh2, dc2, fac2, dc_dh2, f2, dz2_gates)
+        multiply(dh2, dc_dh2, out=dc_in)
+        add(dc2, dc_in, out=dc2)
+        multiply(fac2, dc2, out=dz2_gates)
+        multiply(dh2, fac2_o, out=dz2_o)
+        multiply(dc2, f2, out=dc2)
         dot(to_h1, reach_h1, out=dh1)
-        lstm_step_back(dh1, dc1, fac1, dc_dh1, f1, dz1_gates)
+        multiply(dh1, dc_dh1, out=dc_in)
+        add(dc1, dc_in, out=dc1)
+        multiply(fac1, dc1, out=dz1_gates)
+        multiply(dh1, fac1_o, out=dz1_o)
+        multiply(dc1, f1, out=dc1)
         dot(to_x, dz1, out=g_x)
-        g_x *= dy3
+        multiply(g_x, dy3, out=g_x)
         dot(w3_t, g_x, out=g2)
-        g2 *= dy2
+        multiply(g2, dy2, out=g2)
         dot(w2_t, g2, out=g1)
-        g1 *= dy1
+        multiply(g1, dy1, out=g1)
         dot(w1_t, g1, out=g0)
-        g0 *= dy0
+        multiply(g0, dy0, out=g0)
         dot(w0_t, g0, out=d_ups)
-    return d_in[:n_seq, lay.u].transpose(2, 0, 1).copy()
+    return ws.d_in[:n_seq, lay.u].transpose(2, 0, 1).copy()
 
 
-def forward(params, state, s, u, p, weights=None):
+def forward(params, state, s, u, p, weights=None, workspace=None):
     """One prediction step from normalized inputs.
 
     Returns (GaussianPrediction, advanced RecurrentState); the input state
@@ -502,12 +609,13 @@ def forward(params, state, s, u, p, weights=None):
     one-step case of the forward loop that rollout_batch runs.  weights is
     FoldedWeights(params) from a caller that makes several calls on
     unchanged weights, as in rollout_vjp; without it the call folds its
-    own.
+    own.  workspace is a RolloutWorkspace(params.config, 1, 1) that a
+    caller stepping a live state keeps; without it the call makes its own.
     """
     if weights is None:
         weights = FoldedWeights(params)
     means, variances, (h1, c1, h2, c2), _ = _run(
-        weights, state, s, np.asarray(u, dtype=np.float64)[None, None], p)
+        weights, state, s, np.asarray(u, dtype=np.float64)[None, None], p, workspace)
     return (GaussianPrediction(mean=means[0, 0], variance=variances[0, 0]),
             RecurrentState(h1[0].copy(), c1[0].copy(), h2[0].copy(), c2[0].copy()))
 
@@ -524,7 +632,7 @@ def rollout_batch(params, state, s_t, u_batch, p):
     return means, variances
 
 
-def rollout_vjp(params, state, s_t, u_batch, p, weights=None):
+def rollout_vjp(params, state, s_t, u_batch, p, weights=None, workspace=None):
     """rollout_batch plus its reverse pass, for any row of the batch.
 
     Returns (means, variances, vjp).  vjp(d_means, d_variances) maps
@@ -535,23 +643,32 @@ def rollout_vjp(params, state, s_t, u_batch, p, weights=None):
     (n_seq, n_u).  The forward's activations are kept, so the reverse
     can run any number of times.  weights is FoldedWeights(params) from a
     caller that makes several calls on unchanged weights; without it the
-    call folds its own.
+    call folds its own.  workspace is a RolloutWorkspace for (n_seq, K)
+    that keeps the activations; once a later run has reused it, vjp
+    raises RuntimeError instead of reading another run's activations.
+    vjp's own workspace is a ReverseWorkspace for (n_seq, R), R = K or 1
+    with row; without one each reverse makes its own.
     """
     if weights is None:
         weights = FoldedWeights(params)
-    means, variances, _, acts = _run(weights, state, s_t, u_batch, p)
+    means, variances, _, acts = _run(weights, state, s_t, u_batch, p, workspace)
+    generation = acts.generation
 
-    def vjp(d_means, d_variances, row=None):
+    def vjp(d_means, d_variances, row=None, workspace=None):
+        if acts.generation != generation:
+            raise RuntimeError("the rollout's workspace was run again since, "
+                               "so its activations are gone")
         d_means, d_variances = (np.asarray(g, dtype=np.float64) for g in (d_means, d_variances))
         want = means.shape if row is None else means.shape[1:]
         if d_means.shape != want or d_variances.shape != want:
             raise ShapeError(f"vjp takes gradients of shape {want}, "
                              f"got {d_means.shape} and {d_variances.shape}")
         if row is None:
-            return _reverse(weights, acts, variances, d_means, d_variances, slice(None))
+            return _reverse(weights, acts, variances, d_means, d_variances, slice(None),
+                            workspace)
         row = range(len(means))[row]
         return _reverse(weights, acts, variances, d_means[None], d_variances[None],
-                        slice(row, row + 1))[0]
+                        slice(row, row + 1), workspace)[0]
 
     return means, variances, vjp
 

@@ -17,7 +17,7 @@ from spnpb.control import (
 )
 from spnpb.evaluate import finite_diff, rel_err
 from spnpb.model import (
-    ModelConfig, ModelParams, NormStats, RecurrentState, rollout_batch, rollout_vjp)
+    ModelConfig, ModelParams, NormStats, RecurrentState, forward, rollout_batch, rollout_vjp)
 
 
 def unit_stats():
@@ -497,7 +497,8 @@ def test_controller_normalizes_reference_and_original_commands_as_whole_arrays(m
     # whole-array normalization is elementwise, so it matches row by row bit for bit
     seen = []
 
-    def capture(params, p, state, s_t, s_ref_n, u_orig_n, prev_plan, config, weights=None):
+    def capture(params, p, state, s_t, s_ref_n, u_orig_n, prev_plan, config, weights=None,
+                workspace=None):
         seen.append((s_ref_n, u_orig_n))
         raise ControllerError("captured")
 
@@ -527,10 +528,11 @@ def test_controller_survives_nan_weights_with_safe_stop():
     assert isinstance(ctl.last_error, ControllerError)
 
 
-@pytest.mark.parametrize("where", ["measurement", "reference", "original"])
+@pytest.mark.parametrize("where", ["measurement", "reference", "original", "bias"])
 def test_controller_rejects_a_non_finite_tick_and_keeps_nothing(where):
     # a NaN measurement used to be kept as the previous pair, so the next
-    # tick's forward turned the live state NaN and every later tick stopped
+    # tick's forward turned the live state NaN and every later tick stopped;
+    # a NaN bias did the same in the tick's own live forward
     params = make_params(seed=7)
     cfg = ControlConfig(n_seq=3, c_orig=0.2)
     rng = np.random.default_rng(21)
@@ -540,12 +542,51 @@ def test_controller_rejects_a_non_finite_tick_and_keeps_nothing(where):
     clean.step(*ticks[0])
     hit.step(*ticks[0])
     bad = [a.copy() for a in ticks[1]]
-    bad[("measurement", "reference", "original").index(where)].flat[-1] = np.nan
+    if where == "bias":
+        hit.p = np.array([np.nan, 0.0])
+    else:
+        bad[("measurement", "reference", "original").index(where)].flat[-1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         hit.step(*bad)
+    hit.p = np.zeros(2)
     for tick in ticks[1:]:
         assert hit.step(*tick).tobytes() == clean.step(*tick).tobytes()
     assert hit.last_error is None
+
+
+def test_kept_workspaces_give_every_tick_of_fresh_buffers_bitwise():
+    # the controller reuses one workspace per scored stack, one for the
+    # one-row reverse and one for the live forward across ticks; the
+    # reference makes fresh ones for every call from the same state
+    rng = np.random.default_rng(23)
+    stats = NormStats(rng.normal(size=2), rng.uniform(0.5, 2.0, size=2),
+                      rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
+    params = ModelParams.init(ModelConfig(n_s=2, n_u=2), stats, rng)
+    cfg = ControlConfig(c_variance=30.0)
+    p = rng.normal(scale=0.5, size=2)
+    ctl = Controller(params, cfg, p)
+    state, plan, prev_pair = RecurrentState.zeros(), ctl.plan, None
+    accepted = 0
+    for _ in range(12):
+        s_raw, ref = rng.normal(size=2), rng.normal(scale=2.0, size=(cfg.n_seq, 2))
+        u_raw = ctl.step(s_raw, ref)
+        s_n = stats.normalize_state(s_raw)
+        if prev_pair is not None:
+            _, state = forward(params, state, *prev_pair, p)
+        plan = optimize(params, p, state, s_n, stats.normalize_state(ref),
+                        stats.normalize_command(ref), plan, cfg)
+        prev_pair = (s_n, plan.u_seq[0])
+        want_u = np.clip(stats.denormalize_command(plan.u_seq[0]),
+                         cfg.command_low, cfg.command_high)
+        assert ctl.last_error is None
+        assert u_raw.tobytes() == want_u.tobytes()
+        for name in ("u_seq", "means", "variances"):
+            assert getattr(ctl.plan, name).tobytes() == getattr(plan, name).tobytes(), name
+        assert (ctl.plan.loss, ctl.plan.initial_loss) == (plan.loss, plan.initial_loss)
+        for name in ("h1", "c1", "h2", "c2"):
+            assert getattr(ctl.state, name).tobytes() == getattr(state, name).tobytes(), name
+        accepted += plan.loss < plan.initial_loss
+    assert accepted >= 6  # the rounds moved the plans, so the reverses mattered
 
 
 def test_controller_advances_state_with_previous_pair():

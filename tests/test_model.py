@@ -11,6 +11,8 @@ from spnpb.model import (
     ModelParams,
     NormStats,
     RecurrentState,
+    ReverseWorkspace,
+    RolloutWorkspace,
     forward,
     load_model,
     rollout_batch,
@@ -243,6 +245,26 @@ def test_vjp_of_one_row_matches_that_row_of_the_whole_stack():
         vjp(d_means, d_variances, row=0)
     with pytest.raises(IndexError):
         vjp(d_means[0], d_variances[0], row=4)
+
+
+def test_a_vjp_whose_workspace_ran_again_raises():
+    # the second run overwrote the activations that the first vjp reverses
+    rng = np.random.default_rng(32)
+    params = ModelParams.init(ModelConfig(n_s=2, n_u=2), unit_stats(), rng)
+    state = RecurrentState(*rng.normal(scale=0.5, size=(4, 10)))
+    s_t, p = rng.normal(size=2), rng.normal(scale=0.5, size=2)
+    ws = RolloutWorkspace(params.config, 5, 3)
+    first = rollout_vjp(params, state, s_t, rng.normal(size=(3, 5, 2)), p, workspace=ws)
+    second = rollout_vjp(params, state, s_t, rng.normal(size=(3, 5, 2)), p, workspace=ws)
+    d_means, d_variances = rng.normal(size=(2, 5, 2))
+    with pytest.raises(RuntimeError, match="run again"):
+        first[2](d_means, d_variances, row=1)
+    rev = ReverseWorkspace(params.config, 5, 1)
+    assert second[2](d_means, d_variances, row=1, workspace=rev).shape == (5, 2)
+    with pytest.raises(ShapeError):
+        rollout_vjp(params, state, s_t, np.zeros((2, 5, 2)), p, workspace=ws)
+    with pytest.raises(ShapeError):  # a reverse of all 3 rows in a one-row workspace
+        second[2](np.zeros((3, 5, 2)), np.zeros((3, 5, 2)), workspace=rev)
 
 
 def sigmoid(z):
