@@ -5,23 +5,24 @@ first command, duplicated last), rolls the model out closed-loop over the
 horizon, and improves the command sequence by a batched line search: one
 gradient of the loss per round, a log-spaced ladder of step sizes tried
 as candidates, best candidate kept.  The previous iterate always competes
-too, so the returned loss can never exceed the warm-start loss.
+too, so the returned loss can never exceed the warm-start loss; a round
+that keeps it ends the search.
 
 The warm start, and then all n_batch step sizes of each round together,
 are scored by one batched rollout_vjp call, which keeps the activations
 of every candidate.  A round's gradient is taken at the incumbent, which
-is always a row of a scored stack: the closed-form gradient of the loss
-(control_loss_grad) is carried back through that row alone by the
-model's hand-written reverse pass, with no forward of its own.  A
-default tick (3 rounds of 10 step sizes) thus runs 4 batched forwards and
-3 one-row reverses, plus the one-step forward that advances the live
-state.  Controller.step folds the model's weights once a tick
+is always a row of the stack scored last: the closed-form gradient of
+the loss (control_loss_grad) is carried back through that row alone by
+the model's hand-written reverse pass, with no forward of its own.  A
+default tick (3 rounds of 10 step sizes) thus runs at most 4 batched
+forwards and 3 one-row reverses, plus the one-step forward that advances
+the live state.  Controller.step folds the model's weights once a tick
 (model.FoldedWeights) for the live forward and all of optimize's
 forwards and reverses.  Nothing folded outlives the tick, since weights
 change in place.  What the Controller does keep from tick to tick is its
-ControlWorkspace: the model buffers, with every step's views, of each
-stack a tick scores, of the one-row reverse and of the live forward, so
-a tick allocates no activations.
+ControlWorkspace: one model workspace, with every step's views and the
+buffers of its one-row reverse, for each shape a tick runs, so a tick
+allocates no activations.
 
 The loss is
     ||s_ref - s_pred||_2  +  c_variance * V  +  c_orig * ||u_orig - u||_2
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    FoldedWeights, RecurrentState, ReverseWorkspace, RolloutWorkspace, forward, rollout_vjp)
+    FoldedWeights, RecurrentState, RolloutWorkspace, forward, rollout_vjp)
 
 # Guard of the L2-norm gradients: a zero-length residual gets gradient 0.
 NORM_FLOOR = 1e-12
@@ -50,7 +51,7 @@ class ControllerError(RuntimeError):
     """Optimization could not produce a usable plan."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlConfig:
     n_seq: int = 10
     n_batch: int = 10
@@ -167,18 +168,16 @@ def control_loss_grad(means, variances, u_seq, s_ref_seq, u_orig_seq, config):
     return d_means, d_variances, d_u
 
 
-def row_gradient(means, variances, vjp, row, u_seq, s_ref_seq, u_orig_seq, config,
-                 workspace=None):
+def row_gradient(means, variances, vjp, row, u_seq, s_ref_seq, u_orig_seq, config):
     """Gradient of control_loss at row `row` of a stack scored by rollout_vjp.
 
     means, variances and vjp are rollout_vjp's; u_seq (n_seq, n_u) is the
     stack's row.  The loss's closed form (control_loss_grad) is carried
-    back through that row's reverse pass alone, in workspace, a one-row
-    model.ReverseWorkspace, or in a fresh one.
+    back through that row's reverse pass alone.
     """
     d_means, d_variances, d_u = control_loss_grad(
         means[row], variances[row], u_seq, s_ref_seq, u_orig_seq, config)
-    return vjp(d_means, d_variances, row=row, workspace=workspace) + d_u
+    return vjp(d_means, d_variances, row=row) + d_u
 
 
 def line_search_minimize(value_fn, grad_fn, u0, gammas, n_epoch, clamp=None):
@@ -190,8 +189,10 @@ def line_search_minimize(value_fn, grad_fn, u0, gammas, n_epoch, clamp=None):
     round keeps the best of {incumbent} + {clamp(u - gamma * grad)}, so
     the returned loss never exceeds the starting loss.  Non-finite
     candidate losses are skipped, and ties keep the earliest candidate,
-    which is the smallest step size on an ascending ladder.
-    Returns (u, loss, aux, starting_loss).
+    which is the smallest step size on an ascending ladder.  A round that
+    keeps its incumbent ends the search, since every later round would
+    repeat it exactly; so grad_fn is asked only at a row of the stack
+    value_fn scored last.  Returns (u, loss, aux, starting_loss).
     """
     u_cur = np.asarray(u0, dtype=np.float64)
     if clamp is not None:
@@ -212,50 +213,35 @@ def line_search_minimize(value_fn, grad_fn, u0, gammas, n_epoch, clamp=None):
         losses = np.asarray(losses, dtype=np.float64)
         losses = np.where(np.isfinite(losses), losses, np.inf)
         best = int(np.argmin(losses))  # first minimum: the smallest step wins ties
-        if losses[best] < loss_cur:
-            loss_cur = float(losses[best])
-            u_cur = cands[best]
-            aux_cur = None if aux is None else aux[best]
+        if not losses[best] < loss_cur:
+            break
+        loss_cur = float(losses[best])
+        u_cur = cands[best]
+        aux_cur = None if aux is None else aux[best]
     return u_cur, loss_cur, aux_cur, initial_loss
-
-
-def _fitted(ws, cls, config, *shape):
-    """ws if it is a cls for config and shape, else a new one."""
-    if ws is not None and (ws.config, ws.shape) == (config, shape):
-        return ws
-    return cls(config, *shape)
 
 
 class ControlWorkspace:
     """The model workspaces that a controller keeps from tick to tick.
 
-    stack(i, ...) is the RolloutWorkspace of the i-th stack a tick scores:
-    the warm start (one plan), then each round's n_batch candidates.
-    Each stack has its own, since a round's incumbent, whose activations
-    its gradient reverses, may be a row of any earlier stack.  reverse()
-    is the ReverseWorkspace of each round's one-row gradient and live()
-    the RolloutWorkspace of the one-step live forward.  Each is rebuilt
-    when the model config or the shape it serves changes.  Only buffers
-    are kept: the weights change in place, so every tick folds them anew.
+    rollout(config, n_seq, K) is the kept RolloutWorkspace of that shape,
+    rebuilt when the model config changes: the warm start's (K = 1), the
+    candidates' (K = n_batch) and the live forward's (1, 1), each with its
+    one-row reverse.  Uses whose shapes agree share one (n_batch 1, n_seq
+    1); each is done with its activations before the next run, as a
+    round's gradient reverses a row of the stack scored last, and the
+    generation guard raises if that stops being so.  Only buffers are
+    kept: the weights change in place, so every tick folds them anew.
     """
 
     def __init__(self):
-        self._stacks = []
-        self._reverse = None
-        self._live = None
+        self._kept = {}
 
-    def stack(self, i, config, n_seq, K):
-        self._stacks.extend([None] * (i + 1 - len(self._stacks)))
-        self._stacks[i] = _fitted(self._stacks[i], RolloutWorkspace, config, n_seq, K)
-        return self._stacks[i]
-
-    def reverse(self, config, n_seq):
-        self._reverse = _fitted(self._reverse, ReverseWorkspace, config, n_seq, 1)
-        return self._reverse
-
-    def live(self, config):
-        self._live = _fitted(self._live, RolloutWorkspace, config, 1, 1)
-        return self._live
+    def rollout(self, config, n_seq, K):
+        ws = self._kept.get((n_seq, K))
+        if ws is None or ws.config != config:
+            ws = self._kept[n_seq, K] = RolloutWorkspace(config, n_seq, K)
+        return ws
 
 
 class _Rows:
@@ -273,11 +259,13 @@ def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config, we
     """Improve the warm-started plan; never returns a loss above the start.
 
     Each round computes one gradient of the loss with respect to the whole
-    command sequence by reversing the incumbent's row of the stack that
-    scored it, then scores n_batch step sizes from the gamma ladder
+    command sequence by reversing the incumbent's row of the stack scored
+    last, then scores n_batch step sizes from the gamma ladder
     (candidates clamped to the command bounds) in one batched rollout.
-    The incumbent plan competes implicitly; ties keep the smallest step.
-    A gradient asked at a plan no stack scored raises ControllerError.
+    The incumbent plan competes implicitly; ties keep the smallest step,
+    and a round that keeps the incumbent ends the search.  A gradient
+    asked at a plan that is not a row of the stack scored last raises
+    ControllerError.
     weights is FoldedWeights(params) from a caller that folded them
     already; without it the call folds its own, once for every forward and
     reverse it runs.  workspace is the ControlWorkspace of a caller that
@@ -297,26 +285,26 @@ def optimize(params, p, state, s_t, s_ref_seq, u_orig_seq, prev_plan, config, we
         weights = FoldedWeights(params)
     if workspace is None:
         workspace = ControlWorkspace()
-    scored = []  # (u_stack, means, variances, vjp) of every stack scored this tick
+    last = None  # (u_stack, means, variances, vjp) of the stack scored last
 
     def value_fn(u_stack):
+        nonlocal last
         K, n_seq = np.shape(u_stack)[:2]
-        kept = workspace.stack(len(scored), params.config, n_seq, K)
-        means, variances, vjp = rollout_vjp(params, state, s_t, u_stack, p, weights=weights,
-                                            workspace=kept)
-        scored.append((u_stack, means, variances, vjp))
+        means, variances, vjp = rollout_vjp(
+            params, state, s_t, u_stack, p, weights=weights,
+            workspace=workspace.rollout(params.config, n_seq, K))
+        last = (u_stack, means, variances, vjp)
         losses = control_loss(means, variances, u_stack, s_ref_seq, u_orig_seq, config)
         return losses, _Rows(means, variances)
 
     def grad_fn(u_seq):
-        # the line search asks only at its incumbent, a row it has scored
-        for u_stack, means, variances, vjp in reversed(scored):
-            hits = (u_stack == u_seq).all(axis=(1, 2)).nonzero()[0]
-            if hits.size:
-                return row_gradient(means, variances, vjp, int(hits[0]), u_seq, s_ref_seq,
-                                    u_orig_seq, config,
-                                    workspace.reverse(params.config, len(u_seq)))
-        raise ControllerError("gradient asked at a plan that was never scored")
+        # the line search asks only at its incumbent, a row of the stack scored last
+        u_stack, means, variances, vjp = last
+        hits = (u_stack == u_seq).all(axis=(1, 2)).nonzero()[0]
+        if not hits.size:
+            raise ControllerError("gradient asked at a plan not in the stack scored last")
+        return row_gradient(means, variances, vjp, int(hits[0]), u_seq, s_ref_seq, u_orig_seq,
+                            config)
 
     u_cur, loss_cur, (means, variances), loss0 = line_search_minimize(
         value_fn, grad_fn, warm_start(prev_plan),
@@ -335,18 +323,24 @@ class Controller:
     previous plan for warm starting, the pair fed last tick so the state
     can be advanced exactly one step behind the measurements, and the
     ControlWorkspace that every tick runs in.  The bias attribute p may be
-    replaced between ticks by an adaptation loop.
+    replaced between ticks by an adaptation loop.  config is read-only:
+    the kept plan and workspaces are sized by it, so another horizon takes
+    a new Controller.
     """
 
     def __init__(self, params, config, p):
         self.params = params
-        self.config = config
+        self._config = config
         self.p = np.asarray(p, dtype=np.float64)
         self.state = RecurrentState.zeros(params.config.layer_widths[4])
         self.plan = ControlPlan.zeros(config.n_seq, params.config.n_u, params.config.n_s)
         self._prev_pair = None
         self._workspace = ControlWorkspace()
         self.last_error = None
+
+    @property
+    def config(self):
+        return self._config
 
     def step(self, s_raw, s_ref_seq_raw, u_orig_seq_raw=None):
         """Consume one measurement, return the raw command to emit.
@@ -367,9 +361,9 @@ class Controller:
         weights = FoldedWeights(self.params)  # one fold for the live forward and optimize
         if self._prev_pair is not None:
             prev_s, prev_u = self._prev_pair
+            live = self._workspace.rollout(self.params.config, 1, 1)
             _, self.state = forward(self.params, self.state, prev_s, prev_u, self.p,
-                                    weights=weights,
-                                    workspace=self._workspace.live(self.params.config))
+                                    weights=weights, workspace=live)
         s_ref_n = stats.normalize_state(s_ref_seq_raw)
         if u_orig_seq_raw is None:
             u_orig_seq_raw = s_ref_seq_raw

@@ -143,9 +143,10 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
     takes its gradient as optimize does, from one row of a scored stack
     of CONTROL_STACK plans, and also checks it against the reverse of a
     one-plan stack.  Like a Controller's ticks, all control instances run
-    in one ControlWorkspace, and each takes its gradient twice in a row,
-    so the second run reads buffers that the first one filled; both are
-    checked.  Any non-finite error fails the check.
+    in one ControlWorkspace, one kept workspace per stack shape with its
+    one-row reverse, and each takes its gradient twice in a row, so the
+    second run reads buffers that the first one filled; both are checked.
+    Any non-finite error fails the check.
     """
     rng = np.random.default_rng(seed)
     batch_rng = np.random.default_rng([seed, 2])  # keeps rng's draws those of B=1 alone
@@ -201,14 +202,10 @@ def check_gradient_integrity(n_instances=20, seed=0, coords_per_tensor=2):
             return float(control_loss(means, variances, u_seq[None], s_ref, u_orig, cfg)[0])
 
         def gradient(stack, k):
-            # the plan stack and the one-plan stack each keep a workspace, as
-            # each stack that optimize scores in a tick does
-            slot = 0 if len(stack) > 1 else 1
             means, variances, vjp = rollout_vjp(
                 params, state, s_t, stack, p,
-                workspace=kept.stack(slot, params.config, cfg.n_seq, len(stack)))
-            return row_gradient(means, variances, vjp, k, stack[k], s_ref, u_orig, cfg,
-                                kept.reverse(params.config, cfg.n_seq))
+                workspace=kept.rollout(params.config, cfg.n_seq, len(stack)))
+            return row_gradient(means, variances, vjp, k, stack[k], s_ref, u_orig, cfg)
 
         numeric = finite_diff(loss_value, u_seq)
         for _ in range(2):

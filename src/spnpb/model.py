@@ -32,8 +32,9 @@ chain.  Each loop runs in a workspace (RolloutWorkspace,
 ReverseWorkspace) that holds its buffers and builds every step's views
 once, and spells the LSTM step (layers.lstm_step, lstm_step_back) out
 inline, so a step makes no call, slice or temporary beyond its
-arithmetic.  A caller that runs the same shapes tick after tick keeps its
-workspaces (control.ControlWorkspace, the episode runners' live
+arithmetic.  Each RolloutWorkspace keeps the ReverseWorkspace of its
+rows, and a caller that runs the same shapes tick after tick keeps its
+RolloutWorkspaces (control.ControlWorkspace, the episode runners' live
 forward); every other call gets fresh ones.  Workspaces keep buffers
 only: weights change in place, so no fold is ever kept.  The
 teacher-forced NLL of training and adaptation (training.batch_nll) has
@@ -344,9 +345,10 @@ class RolloutWorkspace:
     written here once and no run writes them again, and every view a step
     reads or writes is built here once, in steps.  A run replaces the
     workspace's activations and bumps generation, so a reverse that reads
-    them can tell when a later run has overwritten them.  Without a
-    workspace, _run makes a fresh one; the Controller keeps one for each
-    stack a tick scores and one for its live forward.
+    them can tell when a later run has overwritten them.  reverse(R),
+    built on first use, is the ReverseWorkspace that R rows reverse in.
+    Without a workspace, _run makes a fresh one; the Controller keeps one
+    per shape.
     """
 
     def __init__(self, config, n_seq, K):
@@ -354,6 +356,7 @@ class RolloutWorkspace:
         H = lay.H
         self.config, self.shape = config, (n_seq, K)
         self.generation = 0
+        self._reverses = {}
         self.ys = ys = np.empty((n_seq + 1, lay.rows, K))
         self.zs = zs = np.empty((n_seq, 2, 4 * H, K))
         self.cs = cs = np.empty((n_seq + 1, 2, H, K))
@@ -381,11 +384,10 @@ class RolloutWorkspace:
         last = ys[n_seq]
         self.final = (last[lay.h1_prev].T, cs[n_seq, 0].T, last[lay.h2_prev].T, cs[n_seq, 1].T)
 
-
-def _check_workspace(ws, config, shape):
-    if (ws.config, ws.shape) != (config, shape):
-        raise ShapeError(f"workspace for (n_seq, rows) {ws.shape} and {ws.config} "
-                         f"cannot hold {shape} and {config}")
+    def reverse(self, R):
+        if R not in self._reverses:
+            self._reverses[R] = ReverseWorkspace(self.config, self.shape[0], R)
+        return self._reverses[R]
 
 
 def _run(weights, state, s_t, u_batch, p, workspace=None):
@@ -408,7 +410,9 @@ def _run(weights, state, s_t, u_batch, p, workspace=None):
     _check_step_inputs(cfg, lay.H, state, s_t, u_batch[0, 0], p)
     K, n_seq, _ = u_batch.shape
     ws = RolloutWorkspace(cfg, n_seq, K) if workspace is None else workspace
-    _check_workspace(ws, cfg, (n_seq, K))
+    if (ws.config, ws.shape) != (cfg, (n_seq, K)):
+        raise ShapeError(f"workspace for (n_seq, K) {ws.shape} and {ws.config} "
+                         f"cannot hold {(n_seq, K)} and {cfg}")
     ws.generation += 1
     ys, cs = ws.ys, ws.cs
     ys[:-1, lay.u] = u_batch.transpose(1, 2, 0)
@@ -467,9 +471,8 @@ class ReverseWorkspace:
     the previous cells and tanh(c)), so it works on these buffers alone
     and leaves nothing that a later reverse reads.  d_in's last block is
     the zero gradient that reaches the last step's mean from beyond the
-    horizon; no reverse writes it.  Without a workspace, _reverse makes a
-    fresh one; the Controller keeps one for R = 1, the one row each round
-    reverses.
+    horizon; no reverse writes it.  The RolloutWorkspace whose rows it
+    reverses builds and keeps it (RolloutWorkspace.reverse).
     """
 
     def __init__(self, config, n_seq, R):
@@ -517,7 +520,7 @@ class ReverseWorkspace:
             d_in[n_seq - 1::-1]))
 
 
-def _reverse(weights, acts, variances, d_means, d_variances, rows, workspace=None):
+def _reverse(weights, acts, variances, d_means, d_variances, rows):
     """Backpropagation through time over rows of _run's activations.
 
     Carries d loss/d means and d loss/d variances, each (R, n_seq, n_s)
@@ -532,15 +535,13 @@ def _reverse(weights, acts, variances, d_means, d_variances, rows, workspace=Non
     LSTM1's next one, and each gets its gradient from one product over
     the two gate gradients stacked.  A step's gradient at its state input
     joins the previous step's d_mean, since that mean was fed back as the
-    state.  It works in workspace, a ReverseWorkspace for (n_seq, R), or
-    in a fresh one.
+    state.  It works in acts.reverse(R).
     """
     lay = weights.layout
     dense_in_t, to_h1, to_h2, to_x, (wo1_t, wo2_t), last_t = weights.transposes
     n_s, H = weights.config.n_s, lay.H
     R, n_seq, _ = d_means.shape
-    ws = ReverseWorkspace(weights.config, n_seq, R) if workspace is None else workspace
-    _check_workspace(ws, weights.config, (n_seq, R))
+    ws = acts.reverse(R)
     ys = acts.ys[..., rows]
     np.multiply(ys[:-1], ys[:-1], out=ws.dys)
     np.subtract(1.0, ws.dys, out=ws.dys)
@@ -644,17 +645,16 @@ def rollout_vjp(params, state, s_t, u_batch, p, weights=None, workspace=None):
     can run any number of times.  weights is FoldedWeights(params) from a
     caller that makes several calls on unchanged weights; without it the
     call folds its own.  workspace is a RolloutWorkspace for (n_seq, K)
-    that keeps the activations; once a later run has reused it, vjp
-    raises RuntimeError instead of reading another run's activations.
-    vjp's own workspace is a ReverseWorkspace for (n_seq, R), R = K or 1
-    with row; without one each reverse makes its own.
+    that keeps the activations and the ReverseWorkspace that vjp works
+    in; once a later run has reused it, vjp raises RuntimeError instead of
+    reading another run's activations.
     """
     if weights is None:
         weights = FoldedWeights(params)
     means, variances, _, acts = _run(weights, state, s_t, u_batch, p, workspace)
     generation = acts.generation
 
-    def vjp(d_means, d_variances, row=None, workspace=None):
+    def vjp(d_means, d_variances, row=None):
         if acts.generation != generation:
             raise RuntimeError("the rollout's workspace was run again since, "
                                "so its activations are gone")
@@ -664,11 +664,10 @@ def rollout_vjp(params, state, s_t, u_batch, p, weights=None, workspace=None):
             raise ShapeError(f"vjp takes gradients of shape {want}, "
                              f"got {d_means.shape} and {d_variances.shape}")
         if row is None:
-            return _reverse(weights, acts, variances, d_means, d_variances, slice(None),
-                            workspace)
+            return _reverse(weights, acts, variances, d_means, d_variances, slice(None))
         row = range(len(means))[row]
         return _reverse(weights, acts, variances, d_means[None], d_variances[None],
-                        slice(row, row + 1), workspace)[0]
+                        slice(row, row + 1))[0]
 
     return means, variances, vjp
 

@@ -247,10 +247,14 @@ def test_line_search_quadratic_oracle():
 
 
 def test_line_search_zero_gradient_is_stationary():
+    calls = {"value": 0, "grad": 0}
+
     def value_fn(u):
+        calls["value"] += 1
         return np.full(len(u), 5.0), ["aux"] * len(u)
 
     def grad_fn(u):
+        calls["grad"] += 1
         return np.zeros_like(u)
 
     u0 = np.array([1.0, -2.0])
@@ -260,6 +264,8 @@ def test_line_search_zero_gradient_is_stationary():
     np.testing.assert_array_equal(u, u0)
     assert loss == 5.0 == loss0
     assert aux == "aux"
+    # the first round keeps its incumbent, so the later two would repeat it
+    assert calls == {"value": 2, "grad": 1}
 
 
 def test_line_search_never_worsens_on_random_instances():
@@ -382,7 +388,8 @@ def test_optimize_never_worsens_on_random_instances(mode):
 
 def test_optimize_runs_one_forward_per_scored_stack_and_one_reverse_per_round(monkeypatch):
     # the warm start and the 3 rounds' candidates are scored; each round's
-    # gradient reverses a row of a scored stack without a forward of its own
+    # gradient reverses a row of the stack scored last without a forward of
+    # its own.  Every round here improves, so none ends the search early
     calls = {"_run": 0, "_reverse": 0}
     for name in calls:
         def counted(*args, _fn=getattr(model, name), _name=name, **kwargs):
@@ -457,11 +464,12 @@ def test_gradient_is_taken_only_at_a_scored_plan(monkeypatch):
 
     def probe(value_fn, grad_fn, u0, *args, **kwargs):
         value_fn(np.stack([u0, u0 + 1.0]))
-        grads.append(grad_fn(u0 + 1.0))  # a scored row, found by its values
-        grad_fn(u0 + 0.5)
+        grads.append(grad_fn(u0 + 1.0))  # a row of the last stack, found by its values
+        value_fn((u0 + 2.0)[None])
+        grad_fn(u0 + 1.0)  # scored, but not in the stack scored last
 
     monkeypatch.setattr(control, "line_search_minimize", probe)
-    with pytest.raises(ControllerError, match="never scored"):
+    with pytest.raises(ControllerError, match="not in the stack scored last"):
         optimize(make_params(seed=3), np.zeros(2), RecurrentState.zeros(), np.zeros(2),
                  np.ones((4, 2)), np.zeros((4, 2)), ControlPlan.zeros(4, 2, 2),
                  ControlConfig(n_seq=4, c_variance=1.0))
@@ -554,15 +562,17 @@ def test_controller_rejects_a_non_finite_tick_and_keeps_nothing(where):
     assert hit.last_error is None
 
 
-def test_kept_workspaces_give_every_tick_of_fresh_buffers_bitwise():
-    # the controller reuses one workspace per scored stack, one for the
-    # one-row reverse and one for the live forward across ticks; the
+@pytest.mark.parametrize("n_seq, n_batch", [(10, 10), (10, 1), (1, 1)])
+def test_kept_workspaces_give_every_tick_of_fresh_buffers_bitwise(n_seq, n_batch):
+    # the controller reuses one workspace per shape across ticks, each with
+    # its one-row reverse; at n_batch 1 the warm start and the candidates
+    # share one, and at n_seq 1 the live forward shares it too.  The
     # reference makes fresh ones for every call from the same state
     rng = np.random.default_rng(23)
     stats = NormStats(rng.normal(size=2), rng.uniform(0.5, 2.0, size=2),
                       rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
     params = ModelParams.init(ModelConfig(n_s=2, n_u=2), stats, rng)
-    cfg = ControlConfig(c_variance=30.0)
+    cfg = ControlConfig(n_seq=n_seq, n_batch=n_batch, c_variance=30.0)
     p = rng.normal(scale=0.5, size=2)
     ctl = Controller(params, cfg, p)
     state, plan, prev_pair = RecurrentState.zeros(), ctl.plan, None
@@ -587,6 +597,20 @@ def test_kept_workspaces_give_every_tick_of_fresh_buffers_bitwise():
             assert getattr(ctl.state, name).tobytes() == getattr(state, name).tobytes(), name
         accepted += plan.loss < plan.initial_loss
     assert accepted >= 6  # the rounds moved the plans, so the reverses mattered
+    assert len(ctl._workspace._kept) == len({(n_seq, 1), (n_seq, n_batch), (1, 1)})
+
+
+def test_controller_config_is_read_only():
+    # the kept plan and workspaces are sized by the config: a config of
+    # another horizon used to crash the next tick with a broadcast ValueError
+    ctl = Controller(make_params(seed=6), ControlConfig(n_seq=4), np.zeros(2))
+    with pytest.raises(AttributeError):
+        ctl.config = ControlConfig(n_seq=6)
+    with pytest.raises(AttributeError):
+        ctl.config.n_seq = 6
+    assert ctl.config.n_seq == 4
+    ctl.step(np.zeros(2), np.zeros((4, 2)))
+    assert ctl.last_error is None
 
 
 def test_controller_advances_state_with_previous_pair():
