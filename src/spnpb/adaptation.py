@@ -9,9 +9,11 @@ oldest snapshot under the current p, and only p receives the gradient.
 The network weights are never touched.  The replay is the training NLL
 itself (training.batch_nll with a batch of one), and its hand-written
 reverse, run without the weight gradients nobody reads, yields p's
-gradient.  The buffer keeps the replay's NllWorkspace while the window
-length holds, so once the window is full a tick allocates no
-activations; buffer_nll, a forward only, takes a fresh one.
+gradient.  The live bias keeps the replay's NllWorkspace while the window
+length and the model config hold, so once the window is full a tick
+allocates no activations, and the workspace goes with the episode's
+LivePB; the buffer is a data window alone.  buffer_nll, a forward only,
+takes a fresh one.
 
 The objective is the mean NLL per replayed step, not the sum: the buffer
 grows from n_thre to n_max during an episode, and a sum-based gradient
@@ -23,7 +25,7 @@ depend on how many steps have already been taken.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,14 +48,28 @@ class NotReadyError(RuntimeError):
 
 @dataclass
 class LivePB:
-    """The bias vector being adapted, with its optimizer state."""
+    """The bias vector being adapted, with its optimizer state and the
+    replay's NllWorkspace (replay_workspace), which goes away with it."""
 
     p: np.ndarray
     momentum: MomentumState
+    _workspace: NllWorkspace = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, n_p=2, lr=LR, momentum=0.9):
         return cls(p=np.zeros(n_p), momentum=MomentumState(lr=lr, momentum=momentum))
+
+    def replay_workspace(self, config, T):
+        """The NllWorkspace of a replay of T ticks under config.
+
+        It is kept while T and the config stay the same, which at a full
+        window is every tick, and replaced otherwise.
+        """
+        ws = self._workspace
+        if ws is None or (ws.config, ws.T) != (config, T):
+            self._workspace = None  # let the old one go before allocating
+            ws = self._workspace = NllWorkspace(config, 1, T)
+        return ws
 
 
 class AdaptBuffer:
@@ -62,19 +78,20 @@ class AdaptBuffer:
     Each tick's state, command and the RecurrentState from just before
     that tick was fed to the network sit at the same position of three
     windows that evict together, so after any number of evictions the
-    oldest snapshot is exactly the state the replay must start from.
+    oldest snapshot is exactly the state the replay must start from.  It
+    holds data only; the replay's scratch belongs to the LivePB it adapts.
+    n_thre must be below n_max, or the window could never grow past it.
     """
 
     def __init__(self, n_thre=10, n_max=50):
-        if not (1 <= n_thre <= n_max):
-            raise ValueError("need 1 <= n_thre <= n_max")
+        if not (1 <= n_thre < n_max):
+            raise ValueError("need 1 <= n_thre < n_max")
         self.n_thre = n_thre
         self.n_max = n_max
         self._states = deque(maxlen=n_max)
         self._commands = deque(maxlen=n_max)
         self._snapshots = deque(maxlen=n_max)
         self._last_tick = None
-        self._workspace = None
 
     def __len__(self):
         return len(self._snapshots)
@@ -106,28 +123,6 @@ class AdaptBuffer:
         """Recurrent state preceding the oldest retained tick."""
         return self._snapshots[0]
 
-    def replay_workspace(self, config):
-        """The NllWorkspace of a replay of the whole window under config.
-
-        It is kept while the window's length and the config stay the same,
-        which at capacity is every tick, and replaced otherwise, so the
-        buffer holds at most one.
-        """
-        ws = self._workspace
-        if ws is None or (ws.config, ws.T) != (config, len(self)):
-            self._workspace = None  # let the old one go before allocating
-            ws = self._workspace = NllWorkspace(config, 1, len(self))
-        return ws
-
-    def release_workspace(self):
-        """Let the kept replay workspace go; the next adapt_step allocates a new one.
-
-        An episode runner calls it when its ticks are done: a caller may keep
-        the buffer afterwards (for buffer_nll, say), and the workspace is the
-        larger part of it.
-        """
-        self._workspace = None
-
     def states(self):
         return np.array(self._states)
 
@@ -152,7 +147,7 @@ def adapt_step(params, buffer, live):
     """One online update of the live bias vector; weights stay frozen.
 
     Replays the entire buffer teacher-forced from the stored snapshot in
-    the buffer's kept workspace, takes the gradient with respect to p only
+    the live bias's kept workspace, takes the gradient with respect to p only
     (the reverse skips every weight gradient), and applies one momentum
     step.  A non-finite gradient raises NonFiniteGradientError before the
     step, leaving p and its momentum untouched.  Returns the updated
@@ -161,7 +156,8 @@ def adapt_step(params, buffer, live):
     if not buffer.update_ready():
         raise NotReadyError(
             f"buffer holds {len(buffer)} ticks, threshold is {buffer.n_thre}")
-    _, reverse = _replay(params, live.p, buffer, buffer.replay_workspace(params.config))
+    _, reverse = _replay(params, live.p, buffer,
+                         live.replay_workspace(params.config, len(buffer)))
     _, d_p = reverse(1.0 / (len(buffer) - 1), weights=False)  # the gradient of the mean NLL
     grad = clip_grad_norm([d_p[0]], GRAD_CLIP)
     momentum_update([live.p], grad, live.momentum)

@@ -66,7 +66,6 @@ def run_adaptation_episode(params, sim_config, n_ticks, seed, live=None,
             live = adapt_step(params, buffer, live)
         episode.ticks.append((tick, live.p.copy(), len(buffer), updated))
         state = sim_step(state, cmd, sim_config, rng)
-    buffer.release_workspace()
     episode.final_p = live.p.copy()
     if out_path is not None:
         write_csv(out_path, "adaptation_trajectory", episode.rows())
@@ -143,8 +142,6 @@ def run_control_episode(params, sim_config, control_config, seed,
         episode.sigma_trans.append(float(sigma_raw[0]))
         episode.tracking_err.append(float(np.linalg.norm(s_raw - ref_now)))
         state = sim_step(state, u_raw, sim_config, rng)
-    if adapt_online:
-        buffer.release_workspace()
     if out_path is not None:
         write_csv(out_path, "control_episode", episode.rows)
     return episode

@@ -16,7 +16,7 @@ normalized (z-scored) units; NormStats carries the transform.
 The model has one numpy forward loop, the closed loop: rollout_batch
 runs it for K candidate plans, forward for one step of the live state,
 and rollout_vjp hands back, with the K rollouts, a hand-written reverse
-that gives the control gradient of all rows or of any one row.  The loop
+that gives the control gradient of any one row.  The loop
 keeps the K rows in columns from end to end.  Each step is one column
 block of all its activations, each group of which ends in a constant
 ones row (_StepLayout), so every layer of a step is one np.dot of its
@@ -32,13 +32,16 @@ chain.  Each loop runs in a workspace (RolloutWorkspace,
 ReverseWorkspace) that holds its buffers and builds every step's views
 once, and spells the LSTM step (layers.lstm_step, lstm_step_back) out
 inline, so a step makes no call, slice or temporary beyond its
-arithmetic.  Each RolloutWorkspace keeps the ReverseWorkspace of its
-rows, and a caller that runs the same shapes tick after tick keeps its
-RolloutWorkspaces (control.ControlWorkspace, the episode runners' live
-forward); every other call gets fresh ones.  Workspaces keep buffers
-only: weights change in place, so no fold is ever kept.  The
-teacher-forced NLL of training and adaptation (training.batch_nll) has
-its own forward and reverse over the same gate arithmetic.
+arithmetic.  Each RolloutWorkspace keeps the one-row ReverseWorkspace
+its rows reverse in, and a caller that runs the same shapes tick after
+tick keeps its RolloutWorkspaces (control.ControlWorkspace, the episode
+runners' live forward); every other call gets fresh ones.  A run bumps
+its workspace's generation and a reverse checks it, so a reverse reads
+only its own forward's activations: the one workspace contract, which
+training.NllWorkspace keeps too.  Workspaces keep buffers only: weights
+change in place, so no fold is ever kept.  The teacher-forced NLL of
+training and adaptation (training.batch_nll) has its own forward and
+reverse over the same gate arithmetic.
 """
 
 from __future__ import annotations
@@ -345,10 +348,10 @@ class RolloutWorkspace:
     written here once and no run writes them again, and every view a step
     reads or writes is built here once, in steps.  A run replaces the
     workspace's activations and bumps generation, so a reverse that reads
-    them can tell when a later run has overwritten them.  reverse(R),
-    built on first use, is the ReverseWorkspace that R rows reverse in.
-    Without a workspace, _run makes a fresh one; the Controller keeps one
-    per shape.
+    them can tell when a later run has overwritten them.  reverse, built
+    on first use and kept, is the ReverseWorkspace that each of its rows
+    reverses in.  Without a workspace, _run makes a fresh one; the
+    Controller keeps one per shape.
     """
 
     def __init__(self, config, n_seq, K):
@@ -356,7 +359,6 @@ class RolloutWorkspace:
         H = lay.H
         self.config, self.shape = config, (n_seq, K)
         self.generation = 0
-        self._reverses = {}
         self.ys = ys = np.empty((n_seq + 1, lay.rows, K))
         self.zs = zs = np.empty((n_seq, 2, 4 * H, K))
         self.cs = cs = np.empty((n_seq + 1, 2, H, K))
@@ -384,10 +386,9 @@ class RolloutWorkspace:
         last = ys[n_seq]
         self.final = (last[lay.h1_prev].T, cs[n_seq, 0].T, last[lay.h2_prev].T, cs[n_seq, 1].T)
 
-    def reverse(self, R):
-        if R not in self._reverses:
-            self._reverses[R] = ReverseWorkspace(self.config, self.shape[0], R)
-        return self._reverses[R]
+    @functools.cached_property
+    def reverse(self):
+        return ReverseWorkspace(self.config, self.shape[0])
 
 
 def _run(weights, state, s_t, u_batch, p, workspace=None):
@@ -465,47 +466,48 @@ def _run(weights, state, s_t, u_batch, p, workspace=None):
 
 
 class ReverseWorkspace:
-    """Every buffer of _reverse for R rows over n_seq steps, and each step's views.
+    """Every buffer of _reverse for one row over n_seq steps, and each step's views.
 
-    A reverse copies its rows' activations in (as the gate-major gates,
-    the previous cells and tanh(c)), so it works on these buffers alone
-    and leaves nothing that a later reverse reads.  d_in's last block is
-    the zero gradient that reaches the last step's mean from beyond the
-    horizon; no reverse writes it.  The RolloutWorkspace whose rows it
-    reverses builds and keeps it (RolloutWorkspace.reverse).
+    Each buffer keeps a trailing one-column axis, the forward's (., K)
+    columns at K = 1.  A reverse copies its row's activations in (as the
+    gate-major gates, the previous cells and tanh(c)), so it works on
+    these buffers alone, spends nothing of the rollout's and leaves
+    nothing that a later reverse reads.  d_in's last block is the zero
+    gradient that reaches the last step's mean from beyond the horizon;
+    no reverse writes it.  The RolloutWorkspace whose rows it reverses
+    builds and keeps it (RolloutWorkspace.reverse).
     """
 
-    def __init__(self, config, n_seq, R):
+    def __init__(self, config, n_seq):
         lay = _step_layout(config)
         H, n_s, w = lay.H, config.n_s, config.layer_widths
-        self.config, self.shape = config, (n_seq, R)
-        self.dys = np.empty((n_seq, lay.rows, R))
-        self.d_out = d_out = np.empty((n_seq, 2 * n_s, R))
-        self.d_var = np.empty((R, n_seq, n_s))
-        self.kept = np.empty((n_seq, n_s, R), dtype=bool)
+        self.dys = np.empty((n_seq, lay.rows, 1))
+        self.d_out = d_out = np.empty((n_seq, 2 * n_s, 1))
+        self.d_var = np.empty((n_seq, n_s))
+        self.kept = np.empty((n_seq, n_s, 1), dtype=bool)
         # gate-major, so that each gate of all steps is one contiguous row of
         # lstm_gate_factors
-        self.gates = gates = np.empty((4, n_seq, 2, H, R))
-        self.c_prev = np.empty((n_seq, 2, H, R))
-        self.tcs = np.empty((n_seq, 2, H, R))
+        self.gates = gates = np.empty((4, n_seq, 2, H, 1))
+        self.c_prev = np.empty((n_seq, 2, H, 1))
+        self.tcs = np.empty((n_seq, 2, H, 1))
         self.fac_gates = np.empty_like(gates)
-        self.dc_dh = dc_dh = np.empty((n_seq, 2, H, R))
-        self.fac = fac = np.empty((n_seq, 2, 4, H, R))  # each step's (4, H, R) gate blocks
-        self.dc = np.empty((2, H, R))
-        self.dc_in = np.empty((H, R))  # a step's dh * dc_dh
+        self.dc_dh = dc_dh = np.empty((n_seq, 2, H, 1))
+        self.fac = fac = np.empty((n_seq, 2, 4, H, 1))  # each step's (4, H, 1) gate blocks
+        self.dc = np.empty((2, H, 1))
+        self.dc_in = np.empty((H, 1))  # a step's dh * dc_dh
         # [the first output layer's pre-activation gradient; dz2; dz1], zero
         # before the last step: to_h2 reads its first two parts before dz2
         # moves a step back, to_h1 its last two before dz1 does
         n_o0 = w[6]
-        self.stack = stack = np.empty((n_o0 + 8 * H, R))
+        self.stack = stack = np.empty((n_o0 + 8 * H, 1))
         self.reach_h2, self.reach_h1 = stack[:n_o0 + 4 * H], stack[n_o0:]
         self.g_o0, self.dz1 = stack[:n_o0], stack[n_o0 + 4 * H:]
-        dz2_gates, dz1_gates = (dz.reshape(4, H, R) for dz in (stack[n_o0:n_o0 + 4 * H],
+        dz2_gates, dz1_gates = (dz.reshape(4, H, 1) for dz in (stack[n_o0:n_o0 + 4 * H],
                                                              self.dz1))
         self.dz_gates = (dz2_gates, dz2_gates[2], dz1_gates, dz1_gates[2])
         # the gradients reaching each layer's output, last layer first
-        self.g = tuple(np.empty((n, R)) for n in (w[8], w[7], H, H, w[3], w[2], w[1], w[0]))
-        self.d_in = d_in = np.empty((n_seq + 1, config.n_u + config.n_p + n_s, R))
+        self.g = tuple(np.empty((n, 1)) for n in (w[8], w[7], H, H, w[3], w[2], w[1], w[0]))
+        self.d_in = d_in = np.empty((n_seq + 1, config.n_u + config.n_p + n_s, 1))
         d_in[n_seq] = 0.0
         dys = self.dys
         # per step, last first: d_mean, the fed-back d_s, the last layer's
@@ -520,39 +522,40 @@ class ReverseWorkspace:
             d_in[n_seq - 1::-1]))
 
 
-def _reverse(weights, acts, variances, d_means, d_variances, rows):
-    """Backpropagation through time over rows of _run's activations.
+def _reverse(weights, acts, variances, d_means, d_variances, row):
+    """Backpropagation through time over one row of _run's activations.
 
-    Carries d loss/d means and d loss/d variances, each (R, n_seq, n_s)
-    for the R rows that the slice rows picks of the RolloutWorkspace
-    acts, back to d loss/d u (R, n_seq, n_u), a new array.  Every factor
-    that does not depend on the gradient flowing back is taken for the
-    whole horizon at once: the tanh derivatives of every dense layer in
-    one pass over the step blocks, the logvar clamp (a clamped entry
-    passes no gradient) and both LSTMs' gate factors.  The step loop
+    Carries d loss/d means and d loss/d variances of row `row` of the
+    RolloutWorkspace acts, each (n_seq, n_s), back to d loss/d u
+    (n_seq, n_u), a new array.  Every factor that does not depend on the
+    gradient flowing back is taken for the whole horizon at once: the
+    tanh derivatives of every dense layer in one pass over the step
+    blocks, the logvar clamp (a clamped entry passes no gradient) and
+    both LSTMs' gate factors.  The step loop
     keeps only the serial chain, with one product per activation reached:
     h2 feeds the output stack and LSTM2's next step, h1 LSTM2's step and
     LSTM1's next one, and each gets its gradient from one product over
     the two gate gradients stacked.  A step's gradient at its state input
     joins the previous step's d_mean, since that mean was fed back as the
-    state.  It works in acts.reverse(R).
+    state.  It works in acts.reverse.
     """
     lay = weights.layout
     dense_in_t, to_h1, to_h2, to_x, (wo1_t, wo2_t), last_t = weights.transposes
     n_s, H = weights.config.n_s, lay.H
-    R, n_seq, _ = d_means.shape
-    ws = acts.reverse(R)
+    n_seq = len(d_means)
+    ws = acts.reverse
+    rows = slice(row, row + 1)
     ys = acts.ys[..., rows]
     np.multiply(ys[:-1], ys[:-1], out=ws.dys)
     np.subtract(1.0, ws.dys, out=ws.dys)
     # each step's gradient at the last layer's output: d_mean (the fed-back
     # d_s joins it in the loop) over the clamp-masked d_logvar
     d_out = ws.d_out
-    d_out[:, :n_s] = d_means.transpose(1, 2, 0)
+    d_out[:, :n_s, 0] = d_means
     np.equal(acts.logvars[..., rows], ys[1:, lay.lv], out=ws.kept)
-    np.multiply(d_variances, variances[rows], out=ws.d_var)
-    np.multiply(ws.d_var.transpose(1, 2, 0), ws.kept, out=d_out[:, n_s:])
-    np.copyto(ws.gates, acts.zs[..., rows].reshape(n_seq, 2, 4, H, R).transpose(2, 0, 1, 3, 4))
+    np.multiply(d_variances, variances[row], out=ws.d_var)
+    np.multiply(ws.d_var[..., None], ws.kept, out=d_out[:, n_s:])
+    np.copyto(ws.gates, acts.zs[..., rows].reshape(n_seq, 2, 4, H, 1).transpose(2, 0, 1, 3, 4))
     np.copyto(ws.c_prev, acts.cs[:-1, ..., rows])
     np.copyto(ws.tcs, acts.tcs[..., rows])
     lstm_gate_factors(ws.gates.reshape(4, -1), ws.c_prev.reshape(1, -1),
@@ -598,7 +601,7 @@ def _reverse(weights, acts, variances, d_means, d_variances, rows):
         dot(w1_t, g1, out=g0)
         multiply(g0, dy0, out=g0)
         dot(w0_t, g0, out=d_ups)
-    return ws.d_in[:n_seq, lay.u].transpose(2, 0, 1).copy()
+    return ws.d_in[:n_seq, lay.u, 0].copy()
 
 
 def forward(params, state, s, u, p, weights=None, workspace=None):
@@ -634,40 +637,36 @@ def rollout_batch(params, state, s_t, u_batch, p):
 
 
 def rollout_vjp(params, state, s_t, u_batch, p, weights=None, workspace=None):
-    """rollout_batch plus its reverse pass, for any row of the batch.
+    """rollout_batch plus its reverse pass, for any one row of the batch.
 
-    Returns (means, variances, vjp).  vjp(d_means, d_variances) maps
-    gradients of a loss with respect to all K rows of means and
-    variances, each (K, n_seq, n_s), to its gradient with respect to
-    u_batch (K, n_seq, n_u).  vjp(d_means, d_variances, row=k) takes one
-    row's (n_seq, n_s) gradients and reverses that row alone, giving
-    (n_seq, n_u).  The forward's activations are kept, so the reverse
-    can run any number of times.  weights is FoldedWeights(params) from a
-    caller that makes several calls on unchanged weights; without it the
-    call folds its own.  workspace is a RolloutWorkspace for (n_seq, K)
-    that keeps the activations and the ReverseWorkspace that vjp works
-    in; once a later run has reused it, vjp raises RuntimeError instead of
-    reading another run's activations.
+    Returns (means, variances, vjp).  vjp(d_means, d_variances, row)
+    maps the gradients of a loss with respect to row `row` of means and
+    variances, each (n_seq, n_s), to its gradient with respect to
+    u_batch[row] (n_seq, n_u), reversing that row alone.  A reverse
+    copies its row in and spends nothing, so vjp can run any number of
+    times, on any rows.  weights is FoldedWeights(params) from a caller
+    that makes several calls on unchanged weights; without it the call
+    folds its own.  workspace is a RolloutWorkspace for (n_seq, K) that
+    keeps the activations and the ReverseWorkspace that vjp works in; once
+    a later run has reused it, vjp raises RuntimeError instead of reading
+    another run's activations.
     """
     if weights is None:
         weights = FoldedWeights(params)
     means, variances, _, acts = _run(weights, state, s_t, u_batch, p, workspace)
     generation = acts.generation
 
-    def vjp(d_means, d_variances, row=None):
+    def vjp(d_means, d_variances, row):
         if acts.generation != generation:
             raise RuntimeError("the rollout's workspace was run again since, "
                                "so its activations are gone")
         d_means, d_variances = (np.asarray(g, dtype=np.float64) for g in (d_means, d_variances))
-        want = means.shape if row is None else means.shape[1:]
+        want = means.shape[1:]
         if d_means.shape != want or d_variances.shape != want:
-            raise ShapeError(f"vjp takes gradients of shape {want}, "
+            raise ShapeError(f"vjp takes one row's gradients of shape {want}, "
                              f"got {d_means.shape} and {d_variances.shape}")
-        if row is None:
-            return _reverse(weights, acts, variances, d_means, d_variances, slice(None))
         row = range(len(means))[row]
-        return _reverse(weights, acts, variances, d_means[None], d_variances[None],
-                        slice(row, row + 1))[0]
+        return _reverse(weights, acts, variances, d_means, d_variances, row)
 
     return means, variances, vjp
 

@@ -19,7 +19,9 @@ loop: layers.lstm_pair_forward steps them as a single cell of width
 H1 + H2, LSTM2 one step behind LSTM1, so a window of T samples takes T
 packed steps each way instead of 2(T - 1) per-cell ones.  Both work in
 the buffers of an NllWorkspace, which train() allocates once per length
-bucket and the adaptation buffer once per window length.
+bucket and the live bias (adaptation.LivePB) once per window length.
+A workspace keeps model.RolloutWorkspace's generation guard: a reverse
+reads only its own forward's activations, and spends them.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def one_blas_thread():
         put(before)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 500
     lr_weights: float = 1e-3
@@ -221,12 +223,14 @@ def gaussian_head_reverse(last, y, head, g, dy, weights=True):
 class NllWorkspace:
     """Every buffer of batch_nll for one model config and (B, T).
 
-    Rows are time-major: row t*B + b is step t of sequence b.  A workspace
-    serves one pending forward at a time: a forward claims it, and its
-    reverse releases it, so a second forward before that reverse raises
-    instead of overwriting activations still needed.  The reverse keeps
-    its gradients in the activations it has spent (see layers) and in
-    grad, one flat scratch for the gradient in flight between stages.
+    Rows are time-major: row t*B + b is step t of sequence b.  It keeps
+    the contract of model.RolloutWorkspace: a forward bumps generation,
+    and a reverse runs only while the generation is still its forward's,
+    so it reads only its own forward's activations.  The reverse keeps its
+    gradients in the activations it spends (see layers) and in grad, one
+    flat scratch for the gradient in flight between stages, so it bumps
+    generation too and runs once.  A forward that never reverses, or that
+    raises, leaves nothing to release: the next forward simply takes over.
     """
 
     def __init__(self, config, B, T):
@@ -243,17 +247,7 @@ class NllWorkspace:
         self.dense_out = [np.empty((n, k)) for k in w[6:9]]
         self.head = GaussianHeadBuffers(n, config.n_s)
         self.grad = np.empty(n * max(w))  # the reverse's gradient in flight (grad_view)
-        self.pending = False
-
-    def claim(self, config, B, T):
-        if (self.config, self.B, self.T) != (config, B, T):
-            raise ShapeError(
-                f"workspace for B={self.B}, T={self.T} and {self.config} cannot hold "
-                f"B={B}, T={T} and {config}")
-        if self.pending:
-            raise RuntimeError("workspace still holds the activations of a forward "
-                               "whose reverse has not run")
-        self.pending = True
+        self.generation = 0
 
 
 def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=None):
@@ -276,9 +270,10 @@ def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=
     (None, d_p), the same d_p bit for bit.  reverse reads the weights, so
     call it before they change.  All of it works in workspace, an
     NllWorkspace for these shapes: train() keeps one per length bucket,
-    the adaptation replay one per window length (AdaptBuffer), and every
-    other caller gets a fresh one per call.  A forward that raises, and
-    any reverse, release the workspace.
+    the adaptation replay one per window length (LivePB), and every other
+    caller gets a fresh one per call.  reverse runs once, and only while
+    no later forward has run in the workspace; otherwise it raises
+    RuntimeError.
     """
     cfg = params.config
     n_s, n_u = cfg.n_s, cfg.n_u
@@ -296,46 +291,45 @@ def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=
     if init_state is None:
         init_state = RecurrentState.zeros(cfg.layer_widths[4])
     ws = NllWorkspace(cfg, B, T) if workspace is None else workspace
-    ws.claim(cfg, B, T)
+    if (ws.config, ws.B, ws.T) != (cfg, B, T):
+        raise ShapeError(f"workspace for B={ws.B}, T={ws.T} and {ws.config} cannot hold "
+                         f"B={B}, T={T} and {cfg}")
+    ws.generation += 1
+    generation = ws.generation
     steps = T - 1
     n = steps * B
 
-    try:
-        x = ws.x.reshape(steps, B, cfg.n_in)
-        x[..., :n_u] = commands_n[:, :steps].transpose(1, 0, 2)
-        x[..., n_u:n_u + n_s] = states_n[:, :steps].transpose(1, 0, 2)
-        x[..., n_u + n_s:] = p_batch
-        ws.targets.reshape(steps, B, n_s)[...] = states_n[:, 1:].transpose(1, 0, 2)
+    x = ws.x.reshape(steps, B, cfg.n_in)
+    x[..., :n_u] = commands_n[:, :steps].transpose(1, 0, 2)
+    x[..., n_u:n_u + n_s] = states_n[:, :steps].transpose(1, 0, 2)
+    x[..., n_u + n_s:] = p_batch
+    ws.targets.reshape(steps, B, n_s)[...] = states_n[:, 1:].transpose(1, 0, 2)
 
-        y = dense_stack_forward(params.dense_in, ws.x, ws.dense_in)
-        starts = (init_state.h1, init_state.c1, init_state.h2, init_state.c2)
-        y2 = lstm_pair_forward(params.lstm1, params.lstm2, y, starts, ws.lstms)
-        y = dense_stack_forward(params.dense_out[:-1], y2, ws.dense_out)
-        loss = gaussian_head_forward(params.dense_out[-1], y, ws.targets, ws.head)
-    except BaseException:
-        ws.pending = False  # no reverse will follow a failed forward
-        raise
+    y = dense_stack_forward(params.dense_in, ws.x, ws.dense_in)
+    starts = (init_state.h1, init_state.c1, init_state.h2, init_state.c2)
+    y2 = lstm_pair_forward(params.lstm1, params.lstm2, y, starts, ws.lstms)
+    y = dense_stack_forward(params.dense_out[:-1], y2, ws.dense_out)
+    loss = gaussian_head_forward(params.dense_out[-1], y, ws.targets, ws.head)
 
     def reverse(g, weights=True):
-        if not ws.pending:
-            raise RuntimeError("this forward's workspace was already released")
-        try:
-            head = gaussian_head_reverse(params.dense_out[-1], y, ws.head, g,
-                                         grad_view(ws.grad, n, y.shape[1]), weights)
-            d_out = dense_stack_reverse(params.dense_out[:-1], y2, ws.dense_out, ws.grad,
-                                        weights=weights)
-            d_lstms = lstm_pair_reverse(params.lstm1, ws.dense_in[-1], ws.lstms,
-                                        grad_view(ws.grad, n, y2.shape[1]),
-                                        grad_view(ws.grad, n, ws.dense_in[-1].shape[1]),
-                                        weights)
-            d_in = dense_stack_reverse(params.dense_in, ws.x, ws.dense_in, ws.grad,
-                                       dx=False, weights=weights)
-            # only p's columns of the input need a gradient, summed over steps;
-            # the first layer's pre-activation gradient is left in its activations
-            w_p = params.dense_in[0].W[:, n_u + n_s:]
-            d_p = ws.dense_in[0].reshape(steps, B, -1).sum(axis=0) @ w_p
-        finally:
-            ws.pending = False  # the reverse spends the activations, whether or not it ends
+        if ws.generation != generation:
+            raise RuntimeError("the workspace was reversed or run again since this "
+                               "forward, so its activations are gone")
+        ws.generation += 1  # the reverse spends the activations, whether or not it ends
+        head = gaussian_head_reverse(params.dense_out[-1], y, ws.head, g,
+                                     grad_view(ws.grad, n, y.shape[1]), weights)
+        d_out = dense_stack_reverse(params.dense_out[:-1], y2, ws.dense_out, ws.grad,
+                                    weights=weights)
+        d_lstms = lstm_pair_reverse(params.lstm1, ws.dense_in[-1], ws.lstms,
+                                    grad_view(ws.grad, n, y2.shape[1]),
+                                    grad_view(ws.grad, n, ws.dense_in[-1].shape[1]),
+                                    weights)
+        d_in = dense_stack_reverse(params.dense_in, ws.x, ws.dense_in, ws.grad,
+                                   dx=False, weights=weights)
+        # only p's columns of the input need a gradient, summed over steps;
+        # the first layer's pre-activation gradient is left in its activations
+        w_p = params.dense_in[0].W[:, n_u + n_s:]
+        d_p = ws.dense_in[0].reshape(steps, B, -1).sum(axis=0) @ w_p
         if not weights:
             return None, d_p
         return [*(d for pair in d_in for d in pair), *d_lstms,

@@ -1,10 +1,11 @@
-import hashlib
+import copy
+import weakref
 
 import numpy as np
 import pytest
 
 from spnpb.adaptation import GRAD_CLIP, AdaptBuffer, LivePB, NotReadyError, adapt_step, buffer_nll
-from spnpb.evaluate import NLL_FD_STEP, finite_diff, rel_err
+from spnpb.evaluate import NLL_FD_STEP, finite_diff, rel_err, weight_hash
 from spnpb.optim import NonFiniteGradientError
 from spnpb.model import ModelConfig, ModelParams, NormStats, RecurrentState, forward
 from spnpb.training import nll_element
@@ -28,13 +29,6 @@ def sample(tick, seed=None):
 def fill(buffer, n, start=0):
     for t in range(start, start + n):
         buffer.push(*sample(t), RecurrentState.zeros())
-
-
-def weight_hash(params):
-    digest = hashlib.sha256()
-    for a in params.weight_arrays():
-        digest.update(a.tobytes())
-    return digest.hexdigest()
 
 
 def test_update_ready_is_strictly_above_threshold():
@@ -92,6 +86,8 @@ def test_buffer_validates_thresholds():
         AdaptBuffer(n_thre=0)
     with pytest.raises(ValueError):
         AdaptBuffer(n_thre=60, n_max=50)
+    with pytest.raises(ValueError):  # a window of n_max can never hold more than n_max
+        AdaptBuffer(n_thre=5, n_max=5)
 
 
 def test_snapshot_tracks_the_oldest_entry():
@@ -105,36 +101,37 @@ def test_snapshot_tracks_the_oldest_entry():
 
 
 def test_replay_workspace_is_kept_while_the_length_and_config_hold():
-    buf = AdaptBuffer(n_thre=2, n_max=4)
-    fill(buf, 4)
+    live = LivePB.zeros()
     cfg = ModelConfig(n_s=2, n_u=2)
-    ws = buf.replay_workspace(cfg)
+    ws = live.replay_workspace(cfg, 4)
     assert (ws.config, ws.B, ws.T) == (cfg, 1, 4)
-    assert buf.replay_workspace(ModelConfig(n_s=2, n_u=2)) is ws  # an equal config
-    fill(buf, 1, start=4)  # evicts one: the length holds
-    assert buf.replay_workspace(cfg) is ws
-    other = buf.replay_workspace(ModelConfig(n_s=2, n_u=2, n_p=3))
+    assert live.replay_workspace(ModelConfig(n_s=2, n_u=2), 4) is ws  # an equal config
+    other = live.replay_workspace(ModelConfig(n_s=2, n_u=2, n_p=3), 4)
     assert other is not ws and other.config.n_p == 3
-    buf.release_workspace()
-    assert buf.replay_workspace(ModelConfig(n_s=2, n_u=2, n_p=3)) is not other
-
-    short = AdaptBuffer(n_thre=2, n_max=4)
-    fill(short, 3)
-    assert short.replay_workspace(cfg).T == 3
-    fill(short, 1, start=3)
-    assert short.replay_workspace(cfg).T == 4
+    shorter = live.replay_workspace(ModelConfig(n_s=2, n_u=2, n_p=3), 3)
+    assert shorter is not other and shorter.T == 3
+    # it keeps at most one: a replaced workspace is let go
+    gone = weakref.ref(shorter)
+    del ws, other, shorter
+    live.replay_workspace(cfg, 4)
+    assert gone() is None
+    # the scratch is not part of the bias's value
+    assert "_workspace" not in repr(live)
+    with pytest.raises(TypeError):
+        LivePB(np.zeros(2), live.momentum, _workspace=None)
 
 
 def test_adapt_step_follows_a_change_of_model_config():
-    # the kept workspace of one config is replaced for another; the step
-    # equals a step on a fresh buffer
-    buf, fresh = AdaptBuffer(n_thre=5, n_max=20), AdaptBuffer(n_thre=5, n_max=20)
+    # the kept workspace of one config is replaced for another of the same
+    # shapes; the step equals that of a twin with no workspace kept
+    buf = AdaptBuffer(n_thre=5, n_max=20)
     fill(buf, 12)
-    fill(fresh, 12)
-    adapt_step(make_params(3), buf, LivePB.zeros())
-    cfg = ModelConfig(n_s=2, n_u=2, n_p=3)
+    live = LivePB.zeros()
+    adapt_step(make_params(3), buf, live)
+    twin = LivePB(live.p.copy(), copy.deepcopy(live.momentum))
+    cfg = ModelConfig(n_s=2, n_u=2, tick_period=0.1)
     params = ModelParams.init(cfg, unit_stats(), np.random.default_rng(4))
-    a, b = adapt_step(params, buf, LivePB.zeros(3)), adapt_step(params, fresh, LivePB.zeros(3))
+    a, b = adapt_step(params, buf, live), adapt_step(params, buf, twin)
     assert a.p.tobytes() == b.p.tobytes()
 
 

@@ -208,13 +208,13 @@ def test_clamped_logvar_passes_no_gradient():
     means, variances, vjp = rollout_vjp(params, state, s_t, u_seq, p)
     np.testing.assert_array_equal(variances[..., 1], np.exp(10.0))
     assert np.all(variances[..., 0] < np.exp(10.0))
-    d_variances = np.zeros_like(variances)
-    d_variances[..., 1] = rng.normal(size=5)
-    np.testing.assert_array_equal(vjp(np.zeros_like(means), d_variances), 0.0)
+    d_variances = np.zeros_like(variances[0])
+    d_variances[:, 1] = rng.normal(size=5)
+    np.testing.assert_array_equal(vjp(np.zeros_like(means[0]), d_variances, row=0), 0.0)
     # the unclamped entry does pass gradient
-    d_variances = np.zeros_like(variances)
-    d_variances[..., 0] = 1.0
-    assert np.any(vjp(np.zeros_like(means), d_variances) != 0.0)
+    d_variances = np.zeros_like(variances[0])
+    d_variances[:, 0] = 1.0
+    assert np.any(vjp(np.zeros_like(means[0]), d_variances, row=0) != 0.0)
 
     cfg = ControlConfig(n_seq=5, c_variance=2.0, c_orig=0.3)
     fixed = (p, rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), cfg)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spnpb import experiments, model, training
+from spnpb import model, training
 from spnpb.adaptation import GRAD_CLIP, AdaptBuffer, LivePB
 from spnpb.control import ControlConfig
 from spnpb.csvio import read_csv
@@ -117,18 +117,12 @@ def test_adaptation_episode_matches_the_plain_reference_bitwise(params):
 
 def test_adaptation_episode_folds_once_and_builds_a_workspace_only_when_the_window_grows(
         params, monkeypatch):
-    folds, built, buffers = [], [], set()
+    folds, built = [], []
     for cls, log in ((model.FoldedWeights, folds), (training.NllWorkspace, built)):
         def counted(self, *args, _init=cls.__init__, _log=log):
             _log.append(args)
             _init(self, *args)
         monkeypatch.setattr(cls, "__init__", counted)
-
-    def seen(params, buffer, live, _step=experiments.adapt_step):
-        buffers.add(buffer)
-        return _step(params, buffer, live)
-
-    monkeypatch.setattr(experiments, "adapt_step", seen)
     ep = run_adaptation_episode(params, SimConfig(alpha=0.4, beta=0.1, seed=22),
                                 n_ticks=200, seed=22)
     assert len(folds) == 1
@@ -136,10 +130,6 @@ def test_adaptation_episode_folds_once_and_builds_a_workspace_only_when_the_wind
     grown = [n for k, n in enumerate(lengths) if k == 0 or n != lengths[k - 1]]
     assert grown == list(range(11, 51))  # the window fills, then holds at 50
     assert [(B, T) for _, B, T in built] == [(1, n) for n in grown]
-    # the runner lets the kept workspace go when its ticks are done
-    (buffer,) = buffers
-    buffer.replay_workspace(params.config)
-    assert len(built) == len(grown) + 1
 
 
 def test_prediction_trace_folds_once_and_matches_a_per_tick_reference(params, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -321,6 +322,15 @@ def test_config_validation():
         TrainConfig(lr_decay_pb=0.0)
 
 
+def test_config_is_frozen():
+    # an assignment after construction would skip the validation above:
+    # epochs = 0 would train nothing, silently
+    cfg = TrainConfig(epochs=5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.epochs = 0
+    assert cfg.epochs == 5
+
+
 def test_lr_schedule_endpoints_and_shape():
     cfg = TrainConfig(epochs=11, lr_decay=0.01)
     factors = [cfg.lr_factor(e) for e in range(11)]
@@ -522,6 +532,22 @@ def test_reused_workspace_matches_fresh_bitwise():
             assert np.array_equal(a, b)
 
 
+def test_a_forward_only_call_leaves_the_workspace_to_the_next_forward():
+    # a forward whose reverse never runs holds nothing: the next forward and
+    # reverse through the same workspace give the bytes of a fresh one
+    params, states_n, commands_n, init, rng = nll_problem(76)
+    workspace = NllWorkspace(params.config, 3, 7)
+    p = rng.normal(scale=0.5, size=(3, 2))
+    _, unused = batch_nll(params, p, states_n, commands_n, init_state=init,
+                          workspace=workspace)
+    loss, grads = nll_and_grads(params, p, states_n, commands_n, init, workspace)
+    fresh_loss, fresh = nll_and_grads(params, p, states_n, commands_n, init)
+    assert loss == fresh_loss
+    assert all(np.array_equal(a, b) for a, b in zip(grads, fresh))
+    with pytest.raises(RuntimeError):  # a later forward overwrote its activations
+        unused(1.0)
+
+
 def test_workspace_footprint_on_the_standard_grid():
     # 18 trials of 200 steps: the reverse keeps its gradients in the spent
     # activations and one flat scratch, not in a gradient buffer per layer
@@ -533,16 +559,17 @@ def test_workspace_footprint_on_the_standard_grid():
     assert sum(a.nbytes for a in arrays) <= 16.5 * 2**20
 
 
-def test_workspace_holds_one_pending_record_of_its_own_shape():
+def test_a_reverse_reads_only_its_own_forward():
     params, states_n, commands_n, init, _ = nll_problem(72)
     workspace = NllWorkspace(params.config, 3, 7)
     p = np.zeros((3, 2))
-    _, reverse = batch_nll(params, p, states_n, commands_n, workspace=workspace)
-    with pytest.raises(RuntimeError):  # the first forward still needs its activations
-        batch_nll(params, p, states_n, commands_n, workspace=workspace)
-    reverse(1.0)
-    with pytest.raises(RuntimeError):  # one forward allows one reverse
-        reverse(1.0)
+    _, first = batch_nll(params, p, states_n, commands_n, workspace=workspace)
+    _, second = batch_nll(params, p, states_n, commands_n, workspace=workspace)
+    with pytest.raises(RuntimeError):  # the second forward overwrote its activations
+        first(1.0)
+    second(1.0)
+    with pytest.raises(RuntimeError):  # the reverse spent them: one forward, one reverse
+        second(1.0)
     batch_nll(params, p, states_n, commands_n, workspace=workspace)
 
     with pytest.raises(ShapeError):  # another sequence length
@@ -557,15 +584,14 @@ def test_workspace_holds_one_pending_record_of_its_own_shape():
 
 
 def test_a_forward_that_raises_leaves_the_workspace_claimable():
-    # a start state of the wrong width fails inside the forward, after the
-    # claim; a kept workspace must not stay claimed by it
+    # a start state of the wrong width fails inside the forward, after it
+    # took the workspace; the next forward and reverse through it still work
     params, states_n, commands_n, init, _ = nll_problem(74)
     workspace = NllWorkspace(params.config, 3, 7)
     p = np.zeros((3, 2))
     bad = RecurrentState(np.zeros(7), init.c1, init.h2, init.c2)
     with pytest.raises(ShapeError):
         batch_nll(params, p, states_n, commands_n, init_state=bad, workspace=workspace)
-    assert not workspace.pending
     loss, grads = nll_and_grads(params, p, states_n, commands_n, init, workspace)
     fresh_loss, fresh = nll_and_grads(params, p, states_n, commands_n, init)
     assert loss == fresh_loss
@@ -588,8 +614,7 @@ def test_bias_only_reverse_gives_the_full_reverse_d_p_bitwise(B, T):
         w_grads, d_p = reverse(0.37, weights=False)
         assert w_grads is None
         assert d_p.shape == (B, 2) and d_p.tobytes() == d_p_full.tobytes()
-        assert not workspace.pending
-        with pytest.raises(RuntimeError):  # released: one forward allows one reverse
+        with pytest.raises(RuntimeError):  # spent: one forward allows one reverse
             reverse(0.37, weights=False)
 
 
