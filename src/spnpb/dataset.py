@@ -94,15 +94,23 @@ def load_trials(data_path, manifest_path=None, n_s=2, n_u=2):
     """Read a dataset file back into Trial objects, labels attached.
 
     A line of the wrong field count, a field that does not parse or a
-    non-finite value raises ValueError naming the file and line.
+    non-finite value raises ValueError naming the file and line.  The
+    manifest, if there is one, must be a JSON object whose labels (if
+    given) is an object of strings; otherwise ValueError names it.
     """
     if manifest_path is None:
         manifest_path = manifest_path_for(data_path)
     labels = {}
     if os.path.exists(manifest_path):
         with open(manifest_path) as fh:
-            doc = json.load(fh)
-        labels = doc.get("labels", {})
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{manifest_path}: {err}") from None
+        labels = doc.get("labels", {}) if isinstance(doc, dict) else None
+        if not isinstance(labels, dict) or not all(isinstance(v, str) for v in labels.values()):
+            raise ValueError(f"{manifest_path}: a manifest must be a JSON object whose "
+                             f"labels is an object of strings")
     per_trial = {}  # trial id -> (ticks, rows of s and u)
     width = 2 + n_s + n_u
     with open(data_path) as fh:

@@ -10,7 +10,12 @@ activations and stores its own results in them: dense_stack_reverse leaves
 each layer's pre-activation gradient in that layer's activation buffer and
 lstm_pair_reverse LSTM1's gate gradients in the pair's gate activations,
 while the one gradient in flight between two layers or stages lives in a
-single flat scratch, viewed at each width by grad_view.  The pair stage
+single flat scratch, viewed at each width by grad_view.  The pair's
+reverse writes its gate gradients over its gate factors, recomputes
+tanh(c) instead of keeping it from the forward, and takes its output
+gradient into the cell states it no longer reads; its factors and
+tanh(c)/dc_dh plane are views of one block (carve), which the NLL
+workspace shares with the later stages' buffers (see LstmPairBuffers).  The pair stage
 runs both LSTMs as one skewed recurrence: a single cell of width H1 + H2
 whose packed step k is LSTM1's step k and LSTM2's step k - 1, so a
 sequence of T steps takes T + 1 step calls instead of 2T.  The model's
@@ -29,6 +34,8 @@ all of them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -242,6 +249,16 @@ def lstm_step_back(dh, dc, fac, dc_dh, f, dz):
     dc *= f
 
 
+def carve(block, *shapes):
+    """Consecutive views of the given shapes from the start of the flat block."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(block[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
 class LstmPairBuffers:
     """Packed weights, activations and reverse scratch of the skewed LSTM pair.
 
@@ -255,9 +272,28 @@ class LstmPairBuffers:
     built here, once, for every call the buffers serve: train keeps one
     workspace per length bucket and the adaptation replay one per window
     length.
+
+    What each buffer holds, and when:
+    - acts (T, 4H, B): the forward's gate activations.  The reverse's loop
+      reads only f of them, so o's block (kept_o) keeps a copy of o's gate
+      factor; after the loop acts takes LSTM1's gate gradients, then the
+      packed gate gradients with time-major columns.
+    - hs, cs (T + 1, H, B): the states.  Once the reverse has taken the
+      gate factors nothing reads c_prev again, so cs[1:] takes each packed
+      step's output gradient (LSTM2's rows of steps 1..; the rest zero).
+    - tc (H, B): the forward step's tanh(c), read only by the same step.
+    - out (steps*B, H2): LSTM2's outputs, the forward's result.
+    - fac (T, 4H, B) and dc_dh (T, H, B), the reverse's scratch, views of
+      one flat block of scratch_size entries: dc_dh first holds tanh(c)
+      of every step, recomputed, and the reverse writes each step's gate
+      gradients over its factors (o's from kept_o); after the loop dc_dh
+      takes the packed input states.
+    out and the scratch block are allocated here unless given: the NLL
+    workspace (training.NllWorkspace) passes views of one block whose
+    other stages are spent before the pair's reverse starts.
     """
 
-    def __init__(self, steps, B, n_in, H1, H2):
+    def __init__(self, steps, B, n_in, H1, H2, out=None, scratch=None):
         T, H = steps + 1, H1 + H2
         self.H1 = H1
         self.wx = np.zeros((4, H, n_in))    # LSTM1's Wx, sigmoid rows halved
@@ -267,26 +303,34 @@ class LstmPairBuffers:
         self.acts = np.empty((T, 4 * H, B))
         self.hs = np.empty((T + 1, H, B))
         self.cs = np.empty((T + 1, H, B))
-        self.tcs = np.empty((T, H, B))
-        self.out = np.empty((steps * B, H2))
-        self.fac = np.empty((T, 4 * H, B))
-        self.dz = np.empty((T, 4 * H, B))
-        self.dc_dh = np.empty((T, H, B))
-        self.gh = np.zeros((T, H, B))       # only LSTM2's rows of steps 1.. are ever written
+        self.tc = np.empty((H, B))
+        self.out = np.empty((steps * B, H2)) if out is None else out
+        if scratch is None:
+            scratch = np.empty(self.scratch_size(steps, B, H))
+        self.fac, self.dc_dh = carve(scratch, (T, 4 * H, B), (T, H, B))
         self.dh = np.empty((H, B))
         self.dc = np.empty((H, B))
         self.zw = np.empty((4 * H, B))      # a forward step's recurrent product
         self.dc_in = np.empty((H, B))       # a reverse step's dh * dc_dh
-        gates, fac, dz = (a.reshape(T, 4, H, B) for a in (self.acts, self.fac, self.dz))
+        gates, fac = (a.reshape(T, 4, H, B) for a in (self.acts, self.fac))
+        # the reverse's loop reads only f of the activations, so o's block
+        # keeps a copy of o's gate factor while fac's own is overwritten
+        self.fac_o, self.kept_o = fac[:, 2], gates[:, 2]
         # per packed step: pre-activation, h_prev, the sigmoid block, i, f, o,
-        # g, c_prev, h, c and tanh(c)
+        # g, c_prev, h, c and the tanh(c) scratch
         self.steps = list(zip(self.acts, self.hs[:-1], self.acts[:, :3 * H],
                               *gates.swapaxes(0, 1), self.cs[:-1], self.hs[1:], self.cs[1:],
-                              self.tcs))
-        # last step first: gh, fac, its output-gate block, dc_dh, f, dz (as
-        # gate blocks), dz's output-gate block and dz as one (4H, B) block
-        self.back_steps = list(zip(self.gh, fac, fac[:, 2], self.dc_dh, gates[:, 1], dz,
-                                   dz[:, 2], self.dz))[::-1]
+                              [self.tc] * T))
+        # last step first: the output gradient, the factors as gate blocks,
+        # o's factor and its kept copy, dc_dh, f and the factors as one
+        # (4H, B) block
+        self.back_steps = list(zip(self.cs[1:], fac, self.fac_o, self.kept_o, self.dc_dh,
+                                   gates[:, 1], self.fac))[::-1]
+
+    @staticmethod
+    def scratch_size(steps, B, H):
+        """Entries of the reverse's scratch block: fac and dc_dh of steps + 1 packed steps."""
+        return 5 * (steps + 1) * H * B
 
 
 def _pair_steps(w, zw, steps):
@@ -320,7 +364,9 @@ def lstm_pair_forward(cell1, cell2, x, starts, buf):
     a zero input and feeds nothing.  The weights are packed on every call
     and LSTM1's input projection of all steps is one batched matmul.  The
     step loop runs lstm_step's arithmetic on buf's prebuilt step views,
-    with no temporaries.  Returns LSTM2's (steps*B, H2) outputs,
+    with no temporaries; each step's tanh(c) goes to the one (H, B)
+    scratch buf.tc, which only that step reads, and buf's reverse scratch
+    is not touched.  Returns LSTM2's (steps*B, H2) outputs in buf.out,
     time-major like x.
     """
     T, H4, B = buf.acts.shape
@@ -370,48 +416,59 @@ def lstm_pair_reverse(cell1, x, buf, gh, dx, weights=True):
     states get none.  Writes the gradient of x into dx (steps*B, n_in),
     which may share gh's memory (gh is read first), and
     returns (dWx1, dWh1, db1, dWx2, dWh2, db2), or None with weights
-    False, which skips every weight gradient.  The loop makes one packed
-    reverse step per packed forward step, lstm_step_back's arithmetic on
-    buf's prebuilt step views, and collects every step's gate gradient, so
-    the weight gradients come from one packed (dW, db) and LSTM1's input
-    gradients from one matmul.  LSTM2's phantom half of step 0 gets its
-    gate factors zeroed.  LSTM1's phantom half of the last step needs no
-    mask: LSTM1's outputs get no gradient of their own and the carried
-    gradient starts at zero, so its gate gradients are exact zeros.
+    False, which skips every weight gradient.  It recomputes every step's
+    tanh(c) into dc_dh, where lstm_gate_factors then leaves dc_dh itself,
+    copies o's factors into o's spent activations and gh into cs[1:].  The
+    loop makes one packed reverse step per packed forward step,
+    lstm_step_back's arithmetic on buf's prebuilt step views, with each
+    step's gate gradients written over its factors, so the weight
+    gradients come from one packed (dW, db) and LSTM1's input gradients
+    from one matmul.  LSTM2's phantom half of step 0 gets its gate factors
+    zeroed (its recomputed tanh(c) is of its start, which nothing then
+    reads but a product with those zeros).  LSTM1's phantom half of the
+    last step needs no mask: LSTM1's outputs get no gradient of their own
+    and the carried gradient starts at zero, so its gate gradients are
+    exact zeros.
     """
     T, H4, B = buf.acts.shape
     H, H1, steps = H4 // 4, buf.H1, T - 1
-    lstm_gate_factors(buf.acts, buf.cs[:-1], buf.tcs, buf.fac, buf.dc_dh)
+    np.tanh(buf.cs[1:], out=buf.dc_dh)
+    lstm_gate_factors(buf.acts, buf.cs[:-1], buf.dc_dh, buf.fac, buf.dc_dh)
     buf.fac.reshape(T, 4, H, B)[0, :, H1:] = 0.0  # LSTM2's phantom half passes nothing
-    np.copyto(buf.gh[1:, H1:], gh.reshape(steps, B, H - H1).transpose(0, 2, 1))
+    np.copyto(buf.kept_o, buf.fac_o)
+    # no reader of c_prev is left: cs[1:] takes each packed step's output gradient
+    g = buf.cs[1:]
+    g.fill(0.0)
+    np.copyto(g[1:, H1:], gh.reshape(steps, B, H - H1).transpose(0, 2, 1))
     dh, dc, dc_in, w_t = buf.dh, buf.dc, buf.dc_in, buf.w.reshape(H4, H).T
     dot, add, multiply = np.dot, np.add, np.multiply
     dh.fill(0.0)
     dc.fill(0.0)
-    for g, fac, fac_o, dc_dh, f, dz, dz_o, dz_flat in buf.back_steps:
+    for g, fac, fac_o, kept_o, dc_dh, f, dz in buf.back_steps:
         add(dh, g, out=dh)
         multiply(dh, dc_dh, out=dc_in)
         add(dc, dc_in, out=dc)
-        multiply(fac, dc, out=dz)
-        multiply(dh, fac_o, out=dz_o)
+        multiply(fac, dc, out=fac)
+        multiply(dh, kept_o, out=fac_o)
         multiply(dc, f, out=dc)
-        dot(w_t, dz_flat, out=dh)
-    # LSTM1's gate gradients of its real steps, columns time-major, into
-    # the activations, which the loop has spent
+        dot(w_t, dz, out=dh)
+    # fac holds the gate gradients dz.  LSTM1's of its real steps, columns
+    # time-major, go into the activations, which the loop has spent
     dz1 = buf.acts.reshape(-1)[:4 * H1 * steps * B]
     np.copyto(dz1.reshape(4, H1, steps, B),
-              buf.dz.reshape(T, 4, H, B)[:steps, :, :H1].transpose(1, 2, 0, 3))
+              buf.fac.reshape(T, 4, H, B)[:steps, :, :H1].transpose(1, 2, 0, 3))
     dz1 = dz1.reshape(4 * H1, steps * B)
     np.matmul(dz1.T, cell1.Wx, out=dx)
     if not weights:
         return None
-    # the factors are spent: dz and the packed steps' input states with
-    # time-major columns take their buffers
-    dzt, hst = buf.fac.reshape(H4, T * B), buf.dc_dh.reshape(H, T * B)
-    np.copyto(dzt.reshape(H4, T, B), buf.dz.transpose(1, 0, 2))
+    dwx1 = dz1 @ x
+    # dz and the packed steps' input states with time-major columns take
+    # the activations and the spent dc_dh
+    dzt, hst = buf.acts.reshape(H4, T * B), buf.dc_dh.reshape(H, T * B)
+    np.copyto(dzt.reshape(H4, T, B), buf.fac.transpose(1, 0, 2))
     np.copyto(hst.reshape(H, T, B), buf.hs[:-1].transpose(1, 0, 2))
     dw = (dzt @ hst.T).reshape(4, H, H)
     db = dzt.sum(axis=1).reshape(4, H)
-    return (dz1 @ x, dw[:, :H1, :H1].reshape(-1, H1), db[:, :H1].ravel(),
+    return (dwx1, dw[:, :H1, :H1].reshape(-1, H1), db[:, :H1].ravel(),
             dw[:, H1:, :H1].reshape(-1, H1), dw[:, H1:, H1:].reshape(-1, H - H1),
             db[:, H1:].ravel())

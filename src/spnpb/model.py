@@ -742,8 +742,11 @@ def _finite_layers(doc, key, names):
 
 def load_model(path):
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("kind") != "spnpb-model":
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"{path}: {err}") from None
+    if not isinstance(doc, dict) or doc.get("kind") != "spnpb-model":
         raise ValueError(f"{path} is not a model file")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
@@ -760,10 +763,15 @@ def load_model(path):
     lstm1, lstm2 = (LstmCell(*d) for d in _finite_layers(doc, "lstm", ("wx", "wh", "b")))
     dense_out = [DenseLayer(*d) for d in _finite_layers(doc, "dense_out", ("w", "b"))]
     pb = doc.get("pb", {})
+    if not isinstance(pb, dict):
+        raise ValueError(f"{path}: model field pb must be an object")
     vectors = _finite(pb.get("vectors", []), "pb.vectors")
     if vectors.size == 0:
         vectors = np.zeros((0, cfg.n_p))
+    labels = pb.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"{path}: model field pb.labels must be a list of strings")
     return ModelParams(
         cfg, dense_in, lstm1, lstm2, dense_out, stats,
-        pb_table=vectors, pb_labels=pb.get("labels", []),
+        pb_table=vectors, pb_labels=labels,
     )

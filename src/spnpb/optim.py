@@ -103,3 +103,19 @@ def clip_grad_norm(grads, max_norm):
         factor = max_norm / total
         grads = [g * factor for g in grads]
     return grads
+
+
+def clip_row_norms(grads, max_norm):
+    """Scale each row of the 2-D grads so its L2 norm is at most max_norm.
+
+    Row by row the bytes of clip_grad_norm([row], max_norm), in one pass:
+    a row inside the bound is multiplied by exactly 1.0.  Raises as
+    clip_grad_norm does when any row's norm is not finite.
+    """
+    if not (math.isfinite(max_norm) and max_norm > 0):
+        raise ValueError(f"max_norm must be finite and positive, got {max_norm}")
+    norms = np.sqrt(np.sum(grads * grads, axis=1))
+    if not np.isfinite(norms).all():
+        raise NonFiniteGradientError(f"gradient row norms are not finite ({norms})")
+    factors = np.divide(max_norm, norms, out=np.ones_like(norms), where=norms > max_norm)
+    return grads * factors[:, None]

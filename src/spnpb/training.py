@@ -6,7 +6,8 @@ teacher-forced (the measured state is always fed, never the prediction),
 with the recurrent state zeroed at the trial boundary.  Every epoch
 evaluates the summed loss of all trials in one batched pass (trials of
 equal length share a forward), then takes one Adam step on the shared
-weights and one on each trial's own bias vector p_k.
+weights and one on the bias table, whose row p_k is trial k's own and is
+clipped on its own.
 
 batch_nll is the one teacher-forced NLL in the package: training, the
 adaptation replay (a batch of one started from the buffer's snapshot),
@@ -21,7 +22,9 @@ packed steps each way instead of 2(T - 1) per-cell ones.  Both work in
 the buffers of an NllWorkspace, which train() allocates once per length
 bucket and the live bias (adaptation.LivePB) once per window length.
 A workspace keeps model.RolloutWorkspace's generation guard: a reverse
-reads only its own forward's activations, and spends them.
+reads only its own forward's activations, and spends them.  The pair's
+reverse scratch shares one block with the output stack's and the head's
+buffers, which the reverse has finished with by then.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import numpy as np
 from .autodiff import ShapeError, Var
 from .layers import (
     LstmPairBuffers,
+    carve,
     dense_affine,
     dense_stack_forward,
     dense_stack_reverse,
@@ -46,7 +50,7 @@ from .layers import (
     lstm_pair_reverse,
 )
 from .model import LOGVAR_MAX, LOGVAR_MIN, ModelConfig, ModelParams, NormStats, RecurrentState
-from .optim import AdamState, NonFiniteGradientError, adam_update, clip_grad_norm
+from .optim import AdamState, NonFiniteGradientError, adam_update, clip_grad_norm, clip_row_norms
 
 LOG_2PI = 1.8378770664093453  # log(2*pi)
 
@@ -54,11 +58,9 @@ LOG_2PI = 1.8378770664093453  # log(2*pi)
 class TrainingDivergedError(RuntimeError):
     """Raised when the training loss or its gradient stops being finite."""
 
-    def __init__(self, epoch, trial_id=None):
+    def __init__(self, epoch):
         self.epoch = epoch
-        self.trial_id = trial_id
-        where = f" on trial {trial_id}" if trial_id is not None else ""
-        super().__init__(f"training loss or gradient became non-finite at epoch {epoch}{where}")
+        super().__init__(f"training loss or gradient became non-finite at epoch {epoch}")
 
 
 @functools.cache
@@ -166,16 +168,26 @@ def trial_nll(params, p_k, trial, stats):
 
 
 class GaussianHeadBuffers:
-    """Output layer, clamped logvar and Gaussian NLL terms of n rows."""
+    """Output layer, clamped logvar and Gaussian NLL terms of n rows.
 
-    def __init__(self, n, n_s):
-        self.out = np.empty((n, 2 * n_s))    # the output layer: mean | raw logvar
-        self.r = np.empty((n, n_s))          # mean - target
-        self.lv = np.empty((n, n_s))         # clamped logvar
+    The float buffers are views of one flat block of size(n, n_s) entries,
+    allocated here unless given; kept is an array of its own.
+    """
+
+    def __init__(self, n, n_s, block=None):
+        if block is None:
+            block = np.empty(self.size(n, n_s))
+        (self.out,      # the output layer: mean | raw logvar
+         self.r,        # mean - target
+         self.lv,       # clamped logvar
+         self.e,        # exp(-logvar)
+         self.q,        # r * r * e
+         self.d_out) = carve(block, (n, 2 * n_s), *[(n, n_s)] * 4, (n, 2 * n_s))
         self.kept = np.empty((n, n_s), dtype=bool)  # logvar inside the clamp
-        self.e = np.empty((n, n_s))          # exp(-logvar)
-        self.q = np.empty((n, n_s))          # r * r * e
-        self.d_out = np.empty((n, 2 * n_s))
+
+    @staticmethod
+    def size(n, n_s):
+        return 8 * n * n_s
 
 
 def gaussian_head_forward(last, y, targets, head):
@@ -231,6 +243,14 @@ class NllWorkspace:
     flat scratch for the gradient in flight between stages, so it bumps
     generation too and runs once.  A forward that never reverses, or that
     raises, leaves nothing to release: the next forward simply takes over.
+
+    x, the input stack's activations, grad and the pair's activations and
+    states are arrays of their own.  late is one flat block that serves
+    two uses in turn: the forward's late-stage buffers (the pair's output
+    rows, the output stack's activations, targets and the head's float
+    buffers), then the pair's reverse scratch (its gate factors, which
+    become its gate gradients, and its tanh(c)/dc_dh plane).  It is as
+    long as the larger of the two.
     """
 
     def __init__(self, config, B, T):
@@ -241,11 +261,17 @@ class NllWorkspace:
         n = steps * B
         w = config.layer_widths
         self.x = np.empty((n, config.n_in))
-        self.targets = np.empty((n, config.n_s))
         self.dense_in = [np.empty((n, k)) for k in w[:4]]
-        self.lstms = LstmPairBuffers(steps, B, w[3], w[4], w[5])
-        self.dense_out = [np.empty((n, k)) for k in w[6:9]]
-        self.head = GaussianHeadBuffers(n, config.n_s)
+        n_s = config.n_s
+        late = [*((n, k) for k in w[5:9]), (n, n_s), (GaussianHeadBuffers.size(n, n_s),)]
+        # batch_nll reverses the head, the output stack, the pair and the
+        # input stack in that order, so the late-stage buffers are spent
+        # before the pair's reverse writes its scratch over them
+        self.late = np.empty(max(sum(map(math.prod, late)),
+                                 LstmPairBuffers.scratch_size(steps, B, w[4] + w[5])))
+        out, *self.dense_out, self.targets, head = carve(self.late, *late)
+        self.lstms = LstmPairBuffers(steps, B, w[3], w[4], w[5], out=out, scratch=self.late)
+        self.head = GaussianHeadBuffers(n, n_s, head)
         self.grad = np.empty(n * max(w))  # the reverse's gradient in flight (grad_view)
         self.generation = 0
 
@@ -268,12 +294,16 @@ def batch_nll(params, p_batch, states_n, commands_n, init_state=None, workspace=
     ModelParams.weight_arrays() order and d_p (B, n_p).
     reverse(g, weights=False) skips every weight gradient and returns
     (None, d_p), the same d_p bit for bit.  reverse reads the weights, so
-    call it before they change.  All of it works in workspace, an
-    NllWorkspace for these shapes: train() keeps one per length bucket,
-    the adaptation replay one per window length (LivePB), and every other
-    caller gets a fresh one per call.  reverse runs once, and only while
-    no later forward has run in the workspace; otherwise it raises
-    RuntimeError.
+    call it before they change.  The reverse runs the head, the output
+    stack, the pair and the input stack in that order: the pair's reverse
+    writes its scratch over the late block that holds the output stack's
+    and the head's buffers, spent by then, and the gradient in flight
+    between stages lives in the workspace's grad.  All of it works in
+    workspace, an NllWorkspace for these shapes: train() keeps one per
+    length bucket, the adaptation replay one per window length (LivePB),
+    and every other caller gets a fresh one per call.  reverse runs once,
+    and only while no later forward has run in the workspace; otherwise
+    it raises RuntimeError.
     """
     cfg = params.config
     n_s, n_u = cfg.n_s, cfg.n_u
@@ -351,15 +381,18 @@ def train(trials, config, model_config=None, on_epoch=None):
     """Fit weights and per-trial biases by Adam on the summed NLL.
 
     Biases start at zero and stay per-trial: each trial's gradient only
-    ever touches its own pb_table row (each row has its own Adam moments).
-    Trials of equal length run as one batched forward, so each epoch costs
-    one forward and one reverse per length bucket and applies one weight
-    step plus one step per bias row, all from gradients taken at the same
-    parameters.  Each length bucket keeps one NllWorkspace for the whole
-    run, so an epoch allocates no activations.  Returns a ModelParams
-    whose pb_table rows align with the trial order given here and whose
-    labels are preserved for later analysis.  It runs with numpy's
-    OpenBLAS on one thread (see one_blas_thread), on_epoch included.
+    ever touches its own pb_table row.  Each row's gradient is clipped on
+    its own (clip_row_norms), and one Adam step moves the whole table;
+    Adam's moments are elementwise, so a row steps on its own gradients
+    alone.  Trials of equal length run as one batched forward, so each
+    epoch costs one forward and one reverse per length bucket and applies
+    one weight step and one bias-table step, all from gradients taken at
+    the same parameters.  Each length bucket keeps one NllWorkspace for
+    the whole run, so an epoch allocates no activations.  Returns a
+    ModelParams whose pb_table rows align with the trial order given here
+    and whose labels are preserved for later analysis.  It runs with
+    numpy's OpenBLAS on one thread (see one_blas_thread), on_epoch
+    included.
     """
     if not trials:
         raise ValueError("no trials to train on")
@@ -386,13 +419,12 @@ def train(trials, config, model_config=None, on_epoch=None):
     ]
     weight_arrays = params.weight_arrays()
     adam_w = AdamState(lr=config.lr_weights)
-    adam_p = [AdamState(lr=config.lr_pb) for _ in trials]
+    adam_p = AdamState(lr=config.lr_pb)
+    d_p = np.empty_like(params.pb_table)
 
     for epoch in range(config.epochs):
         adam_w.lr = config.lr_weights * config.lr_factor(epoch)
-        pb_lr = config.lr_pb * config.lr_factor(epoch, config.lr_decay_pb)
-        for state in adam_p:
-            state.lr = pb_lr
+        adam_p.lr = config.lr_pb * config.lr_factor(epoch, config.lr_decay_pb)
         losses, reverses = [], []
         for ks, states_n, commands_n, workspace in buckets:
             loss, reverse = batch_nll(params, params.pb_table[ks], states_n, commands_n,
@@ -403,19 +435,17 @@ def train(trials, config, model_config=None, on_epoch=None):
         if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch)
         # last bucket first: the summation order fixes the trained weights' last bits
-        w_grads, d_p = None, {}
+        w_grads = None
         for (ks, *_), reverse in zip(buckets[::-1], reverses[::-1]):
-            grads, rows = reverse(1.0)
+            grads, d_p[ks] = reverse(1.0)
             w_grads = grads if w_grads is None else [a + b for a, b in zip(w_grads, grads)]
-            d_p.update(zip(ks, rows))
         try:
             w_grads = clip_grad_norm(w_grads, config.grad_clip)
-            p_grads = {k: clip_grad_norm([g], config.grad_clip) for k, g in d_p.items()}
+            p_grads = clip_row_norms(d_p, config.grad_clip)
         except NonFiniteGradientError as err:
             raise TrainingDivergedError(epoch) from err
         adam_update(weight_arrays, w_grads, adam_w)
-        for k, p_grad in p_grads.items():
-            adam_update([params.pb_table[k]], p_grad, adam_p[k])
+        adam_update([params.pb_table], [p_grads], adam_p)
         if on_epoch is not None:
             on_epoch(epoch, epoch_loss)
     return params

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import dataclasses
+import json
 import subprocess
 import sys
 
@@ -189,6 +190,28 @@ def test_missing_files_exit_2(tmp_path):
                 "--out", str(tmp_path / "m.json"), "--epochs", "1"]) == 2
     assert run(["adapt", "--model", str(tmp_path / "nope.json"),
                 "--alpha", "0.5", "--beta", "0.2"]) == 2
+
+
+def test_malformed_manifest_or_model_labels_exit_2(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    model = tmp_path / "m.json"
+    assert run(["collect", "--out", str(data), "--alphas", "0.5", "--betas", "0.2",
+                "--trials-per-config", "1", "--steps", "12"]) == 0
+    manifest = tmp_path / "d.csv.manifest.json"
+    good = manifest.read_text()
+    manifest.write_text("[]")
+    assert run(["train", "--data", str(data), "--out", str(model), "--epochs", "1",
+                "--log-every", "0"]) == 2
+    assert "d.csv.manifest.json" in capsys.readouterr().err
+    assert not model.exists()
+    manifest.write_text(good)
+    assert run(["train", "--data", str(data), "--out", str(model), "--epochs", "1",
+                "--log-every", "0"]) == 0
+    doc = json.loads(model.read_text())
+    doc["pb"]["labels"] = [5]
+    model.write_text(json.dumps(doc))
+    assert run(["analyze-pb", "--model", str(model), "--out", str(tmp_path / "pb.csv")]) == 2
+    assert "pb.labels" in capsys.readouterr().err
 
 
 def test_control_without_matching_bias_requires_adapt_flag(tmp_path):

@@ -64,6 +64,21 @@ def test_missing_manifest_leaves_labels_empty(tmp_path):
     assert loaded[0].label == ""
 
 
+@pytest.mark.parametrize("manifest", [
+    "[]",                            # used to die with AttributeError
+    '{"labels": {"1": 5}}',          # used to load, and poison the model's labels
+    '{"labels": ["alpha=0.5"]}',
+    '{"labels": null}',
+    '{"labels": ',                   # not JSON: the decoder's message named no file
+], ids=["list", "int-label", "label-list", "null-labels", "truncated"])
+def test_malformed_manifest_raises_value_error_naming_it(tmp_path, manifest):
+    path = tmp_path / "d.csv"
+    save_trials([make_trial(1, "whatever")], str(path))
+    (tmp_path / "d.csv.manifest.json").write_text(manifest)
+    with pytest.raises(ValueError, match="d.csv.manifest.json"):
+        load_trials(str(path))
+
+
 def test_trial_rejects_nonmonotone_ticks():
     with pytest.raises(ValueError):
         Trial(0, "", states=np.zeros((2, 2)), commands=np.zeros((2, 2)), ticks=[0, 0])

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -451,6 +452,35 @@ def test_load_rejects_wrong_kind(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"kind": "something-else", "format_version": 1}')
     with pytest.raises(ValueError):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("labels", [[5, 6], ["a", None], "ab"], ids=["ints", "null", "string"])
+def test_load_rejects_bias_labels_that_are_not_strings(tmp_path, labels):
+    # a model trained from a manifest of integer labels used to load, and
+    # analyze-pb then died on the first label with AttributeError
+    path = tmp_path / "model.json"
+    save_model(make_params(seed=3, n_trials=2, labels=["a", "b"]), str(path))
+    doc = json.loads(path.read_text())
+    doc["pb"]["labels"] = labels
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="model.json"):
+        load_model(str(path))
+
+
+def test_load_rejects_a_document_or_bias_of_the_wrong_type(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="not a model file"):
+        load_model(str(path))
+    path.write_text('{"kind": ')
+    with pytest.raises(ValueError, match="model.json"):
+        load_model(str(path))
+    save_model(make_params(seed=3), str(path))
+    doc = json.loads(path.read_text())
+    doc["pb"] = []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="model field pb "):
         load_model(str(path))
 
 

@@ -7,6 +7,7 @@ from spnpb.optim import (
     adam_update,
     NonFiniteGradientError,
     clip_grad_norm,
+    clip_row_norms,
     momentum_update,
 )
 
@@ -119,3 +120,32 @@ def test_clip_grad_norm_rejects_non_finite_threshold(bad):
     # a NaN threshold used to return the gradient unscaled: clipping silently off
     with pytest.raises(ValueError):
         clip_grad_norm([np.full(2, 100.0)], bad)
+
+
+@pytest.mark.parametrize("n_p", [2, 9])
+def test_row_clip_and_one_adam_step_match_the_per_row_steps_bitwise(n_p):
+    # training's bias-table step: each row clipped on its own, then one Adam
+    # step on the whole table, gives the bytes of one clip and one Adam
+    # state per row.  Rows far above, near and below the bound, and a zero row
+    rng = np.random.default_rng(n_p)
+    table = rng.normal(size=(6, n_p))
+    rows = [row.copy() for row in table]
+    table_state = AdamState(lr=0.003)
+    row_states = [AdamState(lr=0.003) for _ in rows]
+    scales = np.array([1e-3, 0.5, 3.0, 40.0, 0.0, 1e4])[:, None]
+    for step in range(4):
+        grads = rng.normal(size=table.shape) * scales
+        adam_update([table], [clip_row_norms(grads, 2.5)], table_state)
+        for row, g, state in zip(rows, grads, row_states):
+            adam_update([row], clip_grad_norm([g.copy()], 2.5), state)
+        assert table.tobytes() == np.stack(rows).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_clip_row_norms_rejects_a_non_finite_row(bad):
+    grads = np.ones((3, 2))
+    grads[1, 0] = bad
+    with pytest.raises(NonFiniteGradientError):
+        clip_row_norms(grads, 1.0)
+    with pytest.raises(ValueError):
+        clip_row_norms(np.ones((3, 2)), 0.0)

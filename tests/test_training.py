@@ -228,37 +228,43 @@ def test_divergence_raises_with_epoch_number():
 
 
 def test_non_finite_gradient_stops_training_before_any_update(monkeypatch):
-    # the loss stays finite; only the gradient of epoch 1 is poisoned, and
-    # no Adam step of that epoch may run
+    # the loss stays finite; only the gradient of epoch 1 is poisoned, every
+    # entry or one bias row alone, and no Adam step of that epoch may run
     import spnpb.training as training
 
-    calls = {"reverse": 0, "adam": 0}
     real_nll, real_adam = training.batch_nll, training.adam_update
 
-    def poisoned_nll(*args, **kwargs):
-        loss, reverse = real_nll(*args, **kwargs)
+    def poison_all(w_grads, d_p):
+        return [np.full_like(w, np.nan) for w in w_grads], np.full_like(d_p, np.nan)
 
-        def poisoned_reverse(g):
-            w_grads, d_p = reverse(g)
-            calls["reverse"] += 1
-            if calls["reverse"] == 2:
-                w_grads = [np.full_like(w, np.nan) for w in w_grads]
-                d_p = np.full_like(d_p, np.nan)
-            return w_grads, d_p
+    def poison_one_row(w_grads, d_p):
+        d_p[1, 0] = np.inf
+        return w_grads, d_p
 
-        return loss, poisoned_reverse
+    for poison in (poison_all, poison_one_row):
+        calls = {"reverse": 0, "adam": 0}
 
-    def counting_adam(*args, **kwargs):
-        calls["adam"] += 1
-        return real_adam(*args, **kwargs)
+        def poisoned_nll(*args, **kwargs):
+            loss, reverse = real_nll(*args, **kwargs)
 
-    monkeypatch.setattr(training, "batch_nll", poisoned_nll)
-    monkeypatch.setattr(training, "adam_update", counting_adam)
-    trials = [random_trial(13, trial_id=0), random_trial(14, trial_id=1)]
-    with pytest.raises(TrainingDivergedError) as err:
-        train(trials, TrainConfig(epochs=5, seed=0))
-    assert err.value.epoch == 1
-    assert calls["adam"] == 3  # epoch 0 only: the weights and two bias rows
+            def poisoned_reverse(g):
+                w_grads, d_p = reverse(g)
+                calls["reverse"] += 1
+                return poison(w_grads, d_p) if calls["reverse"] == 2 else (w_grads, d_p)
+
+            return loss, poisoned_reverse
+
+        def counting_adam(*args, **kwargs):
+            calls["adam"] += 1
+            return real_adam(*args, **kwargs)
+
+        monkeypatch.setattr(training, "batch_nll", poisoned_nll)
+        monkeypatch.setattr(training, "adam_update", counting_adam)
+        trials = [random_trial(13, trial_id=0), random_trial(14, trial_id=1)]
+        with pytest.raises(TrainingDivergedError) as err:
+            train(trials, TrainConfig(epochs=5, seed=0))
+        assert err.value.epoch == 1
+        assert calls["adam"] == 2  # epoch 0 only: the weights and the bias table
 
 
 def test_train_runs_on_one_blas_thread_and_restores_the_count():
@@ -516,15 +522,19 @@ def test_clamped_logvar_entries_get_exactly_zero_gradient():
         assert rel_err(g_b[i], (hi - lo) / (2 * NLL_FD_STEP)) <= 1e-4
 
 
-def test_reused_workspace_matches_fresh_bitwise():
+@pytest.mark.parametrize("B, T", [(1, 2), (3, 7), (1, 50), (18, 200)])
+def test_reused_workspace_matches_fresh_bitwise(B, T):
     # two calls through one workspace, with different weights and p, give
-    # the bytes of two calls with fresh workspaces
-    params, states_n, commands_n, init, rng = nll_problem(71)
-    workspace = NllWorkspace(params.config, 3, 7)
+    # the bytes of two calls with fresh workspaces.  The late block serves
+    # the forward's late stages, then the pair's reverse scratch; at (1, 2)
+    # and (3, 7) the reverse's use sets its size, at (1, 50) and (18, 200)
+    # the forward's, so a stale or aliased read would show on either side
+    params, states_n, commands_n, init, rng = nll_problem(71, B, T)
+    workspace = NllWorkspace(params.config, B, T)
     for _ in range(2):
         for w in params.weight_arrays():
             w += rng.normal(scale=0.05, size=w.shape)
-        p = rng.normal(scale=0.5, size=(3, 2))
+        p = rng.normal(scale=0.5, size=(B, 2))
         fresh_loss, fresh = nll_and_grads(params, p, states_n, commands_n, init)
         loss, grads = nll_and_grads(params, p, states_n, commands_n, init, workspace)
         assert loss == fresh_loss
@@ -550,13 +560,21 @@ def test_a_forward_only_call_leaves_the_workspace_to_the_next_forward():
 
 def test_workspace_footprint_on_the_standard_grid():
     # 18 trials of 200 steps: the reverse keeps its gradients in the spent
-    # activations and one flat scratch, not in a gradient buffer per layer
+    # activations and one flat scratch, not in a gradient buffer per layer,
+    # and the pair's reverse scratch shares one block with the late stages.
+    # Each allocation counts once, however many views of it there are.
     ws = NllWorkspace(ModelConfig(2, 2), 18, 200)
     owners = (ws, ws.head, ws.lstms)
-    arrays = [a for owner in owners for v in vars(owner).values()
-              for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray)]
-    assert all(a.base is None for a in arrays)  # no view counted twice
-    assert sum(a.nbytes for a in arrays) <= 16.5 * 2**20
+    bases = {}
+    for owner in owners:
+        for v in vars(owner).values():
+            for a in (v if isinstance(v, list) else [v]):
+                if isinstance(a, np.ndarray):
+                    while a.base is not None:
+                        a = a.base
+                    bases[id(a)] = a
+    assert len(bases) < 34
+    assert sum(a.nbytes for a in bases.values()) <= 10.5 * 2**20
 
 
 def test_a_reverse_reads_only_its_own_forward():
